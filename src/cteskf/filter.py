@@ -11,9 +11,14 @@ are provided:
 * transform: plain update followed by a single covariance transformation
   built from the predicted and updated states.
 
+The transform never changes the updated state relative to the plain update.
 For non-iterated updates the switch and transform strategies produce the same
-trajectories; the transform never changes the updated state relative to the
-plain update.
+trajectories only under first-order injection, where injecting the
+correction in the target parameterization equals injecting it in the
+filter's own.  Under the default retraction injection they differ.
+
+:func:`run_filter` is the one event loop that drives a filter through an IMU
+sample sequence and its observations.
 """
 
 from __future__ import annotations
@@ -96,15 +101,6 @@ def _symmetrize(p: np.ndarray) -> np.ndarray:
     return (p + p.T) / 2.0
 
 
-def assert_spd(p: np.ndarray, tol_factor: float = 1e-10) -> None:
-    """Covariance sanity used by tests: symmetric and PSD within tolerance."""
-    if np.linalg.norm(p - p.T) > 1e-12 * max(1.0, np.linalg.norm(p)):
-        raise AssertionError("covariance is not symmetric")
-    eigmin = float(np.linalg.eigvalsh(p)[0])
-    if eigmin < -tol_factor * np.trace(p):
-        raise AssertionError(f"covariance has negative eigenvalue {eigmin:.3e}")
-
-
 def propagate(fs: FilterState, u: ImuSample, dt: float) -> FilterState:
     """Advance state and covariance by one IMU step.
 
@@ -152,15 +148,18 @@ def _gain_and_update(
     return k, _symmetrize(p_new)
 
 
-def _canonical_correction(xi: np.ndarray, injection: InjectionMode) -> np.ndarray:
+def _canonical_correction(xi: np.ndarray, obs: Observation, injection: InjectionMode) -> np.ndarray:
     """Wrap a rotation-vector correction beyond pi onto its canonical
     representative (same rotation, magnitude <= pi).
 
     Transients under very large initial attitude errors can command such
     corrections; for the group-exponential injection the wrap is exact on the
     rotation.  First-order injection has no valid reading of them, so they
-    are left for inject_error to reject.
+    are left for inject_error to reject.  A non-finite correction (from a
+    non-finite observation) has no representative and ends the run.
     """
+    if not np.isfinite(xi).all():
+        raise FilterDivergence(f"non-finite correction from the {obs.kind} observation at t={obs.time:.3f}")
     norm = np.linalg.norm(xi[0:3])
     if norm >= np.pi and injection is InjectionMode.RETRACTION:
         xi = xi.copy()
@@ -179,7 +178,7 @@ def update_plain(fs: FilterState, obs: Observation) -> tuple[FilterState, Update
     dz = innovation(fs.x, obs, fs.earth, fs.time_tol)
     h = observation_matrix(fs.param, fs.x, obs.kind, fs.earth)
     k, p_new = _gain_and_update(fs.P, h, noise_covariance(obs), fs.joseph)
-    xi = _canonical_correction(k @ dz, fs.injection)
+    xi = _canonical_correction(k @ dz, obs, fs.injection)
     x_new = inject_error(fs.param, fs.x, xi, fs.earth, fs.injection)
     report = UpdateReport(dz, float(np.linalg.norm(k)), float(np.trace(fs.P)), float(np.trace(p_new)))
     return replace(fs, x=x_new, P=p_new), report
@@ -206,7 +205,7 @@ def update_switch(
     p_target = _symmetrize(a_fwd @ fs.P @ a_fwd.T)
     h = observation_matrix(target, fs.x, obs.kind, fs.earth)
     k, p_target_new = _gain_and_update(p_target, h, noise_covariance(obs), fs.joseph)
-    xi = _canonical_correction(k @ dz, fs.injection)
+    xi = _canonical_correction(k @ dz, obs, fs.injection)
     x_new = inject_error(target, fs.x, xi, fs.earth, fs.injection)
     back_state = fs.x if backward_at_predicted else x_new
     a_back = relation_matrix(target, fs.param, back_state, fs.earth)
@@ -260,70 +259,65 @@ def state_difference(a: NavState, b: NavState) -> float:
 
 
 @dataclass
-class FirstUpdateReport:
-    """Outcome of running several filters through their first update."""
+class FilterRun:
+    """What :func:`run_filter` records on the IMU grid, the initial state
+    first: sample times, navigation states and the covariance block traces
+    (attitude, velocity, position, gyro bias, accelerometer bias).  A diverged
+    run ends at its last completed step and carries the divergence message."""
 
-    max_state_diff: float
-    covariance_relation_residual: float
-    subsequent_diffs: list
-    filters: list
+    t: np.ndarray
+    att: np.ndarray
+    vel: np.ndarray
+    pos: np.ndarray
+    bg: np.ndarray
+    ba: np.ndarray
+    p_trace: np.ndarray
+    diverged: str | None = None
 
 
-def first_update_identity_check(
-    filters: list[FilterState],
-    imu: list[ImuSample],
-    dt: float,
-    observations: list[Observation],
-) -> FirstUpdateReport:
-    """Propagate all filters through the same IMU stream, apply the first
-    observation, and report the state discrepancy and the covariance relation
-    residual P_a+ = A(x_pred) P_b+ A(x_pred)^T; any further observations are
-    applied at matching timestamps to locate the divergence onset."""
-    if not observations:
-        raise ValueError("at least one observation is required")
-    filters = [replace(f) for f in filters]
-    obs_iter = iter(sorted(observations, key=lambda o: o.time))
-    next_obs = next(obs_iter)
-    first_diff = None
-    residual = None
-    subsequent = []
+def run_filter(fs: FilterState, samples, dt: float, observations, on_update=None) -> FilterRun:
+    """Drive one filter through a sequence of IMU samples (anything with a
+    length and integer indexing, read one sample per step) and its
+    observations.
 
-    def apply_due():
-        nonlocal filters, next_obs, first_diff, residual
-        while next_obs is not None and next_obs.time <= filters[0].x.time + 0.5 * dt:
-            x_pred = filters[0].x.copy()
-            updated = [step_observation(f, next_obs)[0] for f in filters]
-            diff = (
-                max(state_difference(updated[0].x, g.x) for g in updated[1:])
-                if len(updated) > 1
-                else 0.0
-            )
-            if first_diff is None:
-                first_diff = diff
-                ref = updated[0]
-                worst = 0.0
-                for g in updated[1:]:
-                    a = relation_matrix(g.param, ref.param, x_pred, ref.earth)
-                    expected = a @ g.P @ a.T
-                    worst = max(
-                        worst,
-                        float(np.linalg.norm(ref.P - expected) / max(np.linalg.norm(ref.P), 1e-300)),
-                    )
-                residual = worst
-            else:
-                subsequent.append(diff)
-            filters = updated
-            next_obs = next(obs_iter, None)
+    After each propagation step, every observation stamped at or before the
+    propagated state's time plus dt/2 is applied, in time order (a stable
+    sort, so simultaneous observations keep their given order); observations
+    after the last sample are never applied.  ``on_update(before, after)``
+    receives the filter states around each update.  A
+    :class:`FilterDivergence` ends the run at the last step completed before
+    it.
+    """
+    n = len(samples)
+    run = FilterRun(
+        np.empty(n + 1), np.empty((n + 1, 3, 3)), np.empty((n + 1, 3)), np.empty((n + 1, 3)),
+        np.empty((n + 1, 3)), np.empty((n + 1, 3)), np.empty((n + 1, 5)),
+    )
 
-    apply_due()
-    for u in imu:
-        if next_obs is None:
-            break
-        filters = [propagate(f, u, dt) for f in filters]
-        apply_due()
-    if first_diff is None:
-        raise ValueError("no observation fell inside the IMU stream")
-    return FirstUpdateReport(first_diff, residual, subsequent, filters)
+    def record(k, t, f):
+        run.t[k] = t
+        run.att[k], run.vel[k], run.pos[k] = f.x.att, f.x.vel, f.x.pos
+        run.bg[k], run.ba[k] = f.x.bg, f.x.ba
+        run.p_trace[k] = f.P.diagonal().reshape(5, 3).sum(axis=1)
+
+    record(0, fs.x.time, fs)
+    pending = sorted(observations, key=lambda o: o.time)
+    j = 0
+    for k in range(n):
+        u = samples[k]
+        try:
+            fs = propagate(fs, u, dt)
+            while j < len(pending) and pending[j].time <= fs.x.time + 0.5 * dt:
+                before = fs
+                fs, _ = step_observation(fs, pending[j])
+                j += 1
+                if on_update is not None:
+                    on_update(before, fs)
+        except FilterDivergence as exc:
+            arrays = {name: getattr(run, name)[: k + 1] for name in ("t", "att", "vel", "pos", "bg", "ba", "p_trace")}
+            return FilterRun(**arrays, diverged=str(exc))
+        record(k + 1, u.time, fs)
+    return run
 
 
 # ---------------------------------------------------------------------------

@@ -2,12 +2,14 @@
 
 All files are comma-separated with one header row; lines starting with '#'
 are comments.  Floats are written with repr-level precision so a write/read
-round trip is bit-exact.  Readers validate the header, the column count and
-timestamp monotonicity, and report offending line numbers.
+round trip is bit-exact.  Readers validate the header, the column count,
+that every field is a finite number and timestamp monotonicity, and report
+offending line numbers.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -63,9 +65,12 @@ def _read(path, header):
             if len(parts) != len(header):
                 raise CsvSchemaError(path, line_no, f"expected {len(header)} columns, got {len(parts)}")
             try:
-                rows.append(([float(p) for p in parts], line_no))
+                values = [float(p) for p in parts]
             except ValueError:
                 raise CsvSchemaError(path, line_no, "non-numeric field")
+            if not all(math.isfinite(v) for v in values):
+                raise CsvSchemaError(path, line_no, "non-finite field")
+            rows.append((values, line_no))
     if not seen_header:
         raise CsvSchemaError(path, 1, "missing header row")
     return rows

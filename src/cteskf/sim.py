@@ -10,7 +10,6 @@ bit-identical outputs.
 
 from __future__ import annotations
 
-import bisect
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -19,17 +18,14 @@ import numpy as np
 from . import lie
 from .errorstate import ErrorParam, InjectionMode, process_noise, relation_matrix
 from .filter import (
-    FilterDivergence,
     FilterState,
     Strategy,
     mixed_sensor_strategy,
-    propagate,
     propagate_covariance_sequence,
     mechanize_sequence,
-    step_observation,
+    run_filter,
 )
 from .ins import EARTH_RADIUS, G0, EarthModel, ImuSample, NavState
-from .io import replay_dataset  # noqa: F401  (dataset replay is part of this module's surface)
 from .sensors import GnssVelObs, OdoObs
 
 DEG = np.pi / 180.0
@@ -116,16 +112,23 @@ class ScenarioConfig:
     settle_s: float | None = None
 
     def __post_init__(self):
-        if self.duration <= 0:
-            raise ValueError("scenario duration must be positive")
+        if not 0 < self.duration < np.inf:
+            raise ValueError("scenario duration must be positive and finite")
         if self.kind not in ("stationary", "circle", "figure-eight", "waypoint"):
             raise ValueError(f"unsupported trajectory kind {self.kind!r}")
         if self.anchor not in ("surface", "origin"):
             raise ValueError(f"unknown anchor {self.anchor!r}")
         if self.anchor == "origin" and self.gravity_mode not in ("constant", "zero"):
             raise ValueError("origin anchor requires a position-independent gravity mode")
+        if not 0 < self.imu_rate < np.inf:
+            raise ValueError("IMU rate must be positive and finite")
+        for name in ("gnss_sigma", "odo_sigma", "init_vel_sigma", "init_pos_sigma"):
+            if not 0 <= getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and not negative")
         for rate, used in ((self.gnss_rate, self.use_gnss), (self.odo_rate, self.use_odo)):
             if used:
+                if not 0 < rate < np.inf:
+                    raise ValueError("the rate of an enabled sensor must be positive and finite")
                 ratio = self.imu_rate / rate
                 if abs(ratio - round(ratio)) > 1e-9:
                     raise ValueError("observation rates must divide the IMU rate")
@@ -216,10 +219,6 @@ class Trajectory:
                 push(quarter, cfg.speed, cfg.speed / cfg.radius)
         return legs
 
-    def _leg_at(self, t: float) -> _Leg:
-        idx = bisect.bisect_right(self._starts, t) - 1
-        return self.legs[max(idx, 0)]
-
     def _leg_slices(self, ts: np.ndarray):
         """Yield (leg, slice) pairs covering a sorted time array."""
         idx = np.searchsorted(self._starts, ts, side="right") - 1
@@ -279,34 +278,6 @@ class Trajectory:
         accel = np.einsum("nji,nj->ni", att, force_e)
         return gyro, accel
 
-    def state_at(self, t: float, earth: EarthModel) -> NavState:
-        p, _, _, psi = self._leg_at(t).state(t)
-        att_local = np.array(
-            [[np.cos(psi), -np.sin(psi), 0.0], [np.sin(psi), np.cos(psi), 0.0], [0.0, 0.0, 1.0]]
-        )
-        vel2, _ = self._vel_acc(t)
-        return NavState(
-            self.frame @ att_local,
-            self.frame @ np.array([vel2[0], vel2[1], 0.0]),
-            self.origin + self.frame @ np.array([p[0], p[1], 0.0]),
-            time=t,
-        )
-
-    def _vel_acc(self, t: float):
-        _, vel, acc, _ = self._leg_at(t).state(t)
-        return vel, acc
-
-    def ideal_imu(self, t: float, earth: EarthModel) -> tuple[np.ndarray, np.ndarray]:
-        """Noise-free body rate and specific force at time t (inverse of the
-        classical kinematics)."""
-        leg = self._leg_at(t)
-        _, vel2, acc2, _ = leg.state(t)
-        x = self.state_at(t, earth)
-        acc_e = self.frame @ np.array([acc2[0], acc2[1], 0.0])
-        omega_body = np.array([0.0, 0.0, leg.turn_rate]) + x.att.T @ earth.omega_ie
-        force = x.att.T @ (acc_e + 2.0 * (earth.omega_mat @ x.vel) - earth.gravity(x.pos))
-        return omega_body, force
-
 
 @dataclass
 class TruthSeries:
@@ -339,6 +310,12 @@ class ImuStream:
 
     def sample(self, k: int) -> ImuSample:
         return ImuSample(self.t[k], self.gyro[k], self.accel[k])
+
+    def __len__(self) -> int:
+        return len(self.t)
+
+    def __getitem__(self, k: int) -> ImuSample:
+        return self.sample(k)
 
 
 def generate_truth(cfg: ScenarioConfig, earth: EarthModel) -> TruthSeries:
@@ -478,7 +455,6 @@ def run_scenario(cfg: ScenarioConfig, variant: str) -> tuple[EstimateSeries, dic
         observations += synthesize_gnss(truth, cfg.gnss_sigma, cfg.gnss_rate, cfg, np.random.SeedSequence([cfg.seed, 2]))
     if cfg.use_odo:
         observations += synthesize_odo(truth, cfg.odo_sigma, cfg.odo_rate, cfg, np.random.SeedSequence([cfg.seed, 3]))
-    observations.sort(key=lambda o: o.time)
 
     param, strategy = variant_config(variant)
     x0, p0_ekf = initial_estimate(cfg, truth.state(0), rng)
@@ -493,48 +469,18 @@ def run_scenario(cfg: ScenarioConfig, variant: str) -> tuple[EstimateSeries, dic
         earth,
         time_tol=0.6 * imu.dt,
     )
+    run = run_filter(fs, imu, imu.dt, observations)
 
-    n = len(imu.t)
+    m = len(run.t)
+    att_err = np.empty((m, 3))
+    for idx in range(m):
+        att_err[idx] = _attitude_error(run.att[idx], truth.att[idx])
     series = EstimateSeries(
-        truth.t.copy(),
-        np.empty((n + 1, 3, 3)),
-        np.empty((n + 1, 3)),
-        np.empty((n + 1, 3)),
-        np.empty((n + 1, 3)),
-        np.empty((n + 1, 3)),
-        np.empty((n + 1, 3)),
-        np.empty((n + 1, 5)),
-        np.empty((n + 1, 3)),
-        np.empty((n + 1, 3)),
+        run.t, run.att, run.vel, run.pos, att_err, run.vel - truth.vel[:m], run.pos - truth.pos[:m],
+        run.p_trace, run.bg, run.ba,
     )
-
-    def record(idx, f):
-        series.att[idx], series.vel[idx], series.pos[idx] = f.x.att, f.x.vel, f.x.pos
-        series.bg[idx], series.ba[idx] = f.x.bg, f.x.ba
-        series.att_err[idx] = _attitude_error(f.x.att, truth.att[idx])
-        series.vel_err[idx] = f.x.vel - truth.vel[idx]
-        series.pos_err[idx] = f.x.pos - truth.pos[idx]
-        series.p_trace[idx] = f.P.diagonal().reshape(5, 3).sum(axis=1)
-
-    record(0, fs)
-    obs_iter = iter(observations)
-    pending = next(obs_iter, None)
-    diverged = None
-    for k in range(n):
-        try:
-            fs = propagate(fs, imu.sample(k), imu.dt)
-            while pending is not None and pending.time <= fs.x.time + 0.5 * imu.dt:
-                fs, _ = step_observation(fs, pending)
-                pending = next(obs_iter, None)
-        except FilterDivergence as exc:
-            diverged = str(exc)
-            series_trim = EstimateSeries(
-                series.t[: k + 1], series.att[: k + 1], series.vel[: k + 1], series.pos[: k + 1],
-                series.att_err[: k + 1], series.vel_err[: k + 1], series.pos_err[: k + 1],
-                series.p_trace[: k + 1], series.bg[: k + 1], series.ba[: k + 1],
-            )
-            return series_trim, {"variant": variant, "diverged": diverged}
-        record(k + 1, fs)
+    if run.diverged:
+        return series, {"variant": variant, "diverged": run.diverged}
 
     settle = cfg.settle_s if cfg.settle_s is not None else cfg.duration / 2.0
     window = series.t >= settle

@@ -31,11 +31,13 @@ from .errorstate import (
     transformation_matrix_generic,
 )
 from .filter import (
+    FilterDivergence,
     FilterState,
     Strategy,
     mechanize_sequence,
     propagate,
     propagate_covariance_sequence,
+    run_filter,
     state_difference,
     update_plain,
     update_switch,
@@ -294,18 +296,15 @@ def check_first_update_identity(seed=0) -> PropertyResult:
     obs = gnss[0]
 
     def run_bank(equivalent: bool):
-        bank = []
+        updates = []  # (before, after) of each filter's update
         for param in PARAMS:
             a0 = relation_matrix(EKF, param, x0, earth) if equivalent else np.eye(15)
-            bank.append(
-                FilterState(x0.copy(), a0 @ p0 @ a0.T, param, Strategy(), InjectionMode.FIRST_ORDER, cfg.imu.qc(), earth)
-            )
-        k = 0
-        while bank[0].x.time + 0.5 * stream.dt < obs.time:
-            bank = [propagate(f, stream.sample(k), stream.dt) for f in bank]
-            k += 1
-        x_pred = bank[0].x.copy()
-        bank = [update_plain(f, obs)[0] for f in bank]
+            fs = FilterState(x0.copy(), a0 @ p0 @ a0.T, param, Strategy(), InjectionMode.FIRST_ORDER, cfg.imu.qc(), earth)
+            run = run_filter(fs, stream, stream.dt, [obs], lambda before, after: updates.append((before, after)))
+            if run.diverged:
+                raise FilterDivergence(run.diverged)
+        x_pred = updates[0][0].x
+        bank = [after for _, after in updates]
         diff = max(state_difference(bank[0].x, f.x) for f in bank[1:])
         resid = 0.0
         for f in bank[1:]:
@@ -354,6 +353,8 @@ def check_switch_ineffectiveness(duration=60.0, tol=1e-12, seed=0) -> PropertyRe
     plain = FilterState(x0.copy(), p0.copy(), EKF, Strategy(), InjectionMode.FIRST_ORDER, cfg.imu.qc(), earth)
     witness = replace(plain, x=x0.copy(), P=p0.copy())
     worst = 0.0
+    # the one event loop outside run_filter: the witness updates through
+    # update_switch(backward_at_predicted=True), which no Strategy selects
     obs_iter = iter(gnss)
     pending = next(obs_iter, None)
     for k in range(len(stream.t)):

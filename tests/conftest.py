@@ -5,7 +5,7 @@ import pytest
 
 from cteskf import lie
 from cteskf.errorstate import ErrorParam, InjectionMode, process_noise, relation_matrix
-from cteskf.filter import FilterState, Strategy
+from cteskf.filter import FilterState, Strategy, run_filter
 from cteskf.ins import EarthModel, ImuSample, NavState
 from cteskf.sensors import GnssVelObs, OdoObs
 
@@ -26,6 +26,30 @@ def quiet_earth() -> EarthModel:
     parameterizations coincide exactly and the update-equivalence identities can
     be checked at numerical precision."""
     return EarthModel(omega_ie=np.zeros(3), gravity_mode="constant", gravity_const=np.zeros(3))
+
+
+def assert_spd(p: np.ndarray, tol_factor: float = 1e-10) -> None:
+    """Covariance sanity: symmetric and PSD within tolerance."""
+    if np.linalg.norm(p - p.T) > 1e-12 * max(1.0, np.linalg.norm(p)):
+        raise AssertionError("covariance is not symmetric")
+    eigmin = float(np.linalg.eigvalsh(p)[0])
+    if eigmin < -tol_factor * np.trace(p):
+        raise AssertionError(f"covariance has negative eigenvalue {eigmin:.3e}")
+
+
+def bank_updates(bank: list[FilterState], samples, dt: float, observations) -> list:
+    """Run each filter of a bank through run_filter on the same data and pair
+    their update logs: one tuple per observation, holding each filter's
+    (before, after) states.  No run may diverge or leave an observation
+    unapplied."""
+    logs = []
+    for fs in bank:
+        log = []
+        run = run_filter(fs, samples, dt, observations, lambda before, after: log.append((before, after)))
+        assert run.diverged is None, run.diverged
+        assert len(log) == len(observations)
+        logs.append(log)
+    return list(zip(*logs))
 
 
 def initial_filter_bank(
@@ -117,23 +141,6 @@ class StationaryQuietScenario:
                     break
                 self.obs.append(ctor(round(t, 9), rng.normal(scale=sigma, size=3), np.full(3, sigma)))
         self.obs.sort(key=lambda o: o.time)
-
-    def run(self, filters, on_update=None):
-        """Drive the filter bank; on_update(filters) is called after each
-        observation epoch."""
-        from cteskf.filter import propagate, step_observation
-
-        filters = list(filters)
-        obs_iter = iter(self.obs)
-        pending = next(obs_iter, None)
-        for u in self.imu:
-            filters = [propagate(f, u, self.dt) for f in filters]
-            while pending is not None and pending.time <= filters[0].x.time + 0.5 * self.dt:
-                filters = [step_observation(f, pending)[0] for f in filters]
-                if on_update is not None:
-                    on_update(filters)
-                pending = next(obs_iter, None)
-        return filters
 
 
 @pytest.fixture(scope="session")

@@ -108,6 +108,13 @@ class TestSimulate:
         assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
         assert not out.exists()
 
+    def test_zero_sensor_rate_is_a_config_error(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, MINIMAL + "\ngnss.rate = 0\n")
+        out = tmp_path / "data"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestRun:
     def test_runs_all_variants(self, tmp_path, capsys):

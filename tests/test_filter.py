@@ -3,24 +3,25 @@ import pytest
 from conftest import (
     QUIET_QC,
     StationaryQuietScenario,
+    assert_spd,
+    bank_updates,
     default_p0,
     initial_filter_bank,
     quiet_earth,
 )
 
-from cteskf import lie
+from cteskf import lie, verify
 from cteskf.errorstate import ErrorParam, InjectionMode, process_noise, relation_matrix
 from cteskf.filter import (
     FilterDivergence,
     FilterState,
     Strategy,
     _gain_and_update,
-    assert_spd,
-    first_update_identity_check,
     mechanize_sequence,
     mixed_sensor_strategy,
     propagate,
     propagate_covariance_sequence,
+    run_filter,
     state_difference,
     step_observation,
     update_plain,
@@ -43,6 +44,15 @@ def simple_filter(param=EKF, qc=None, strategy=None, earth=None, p_scale=1.0):
         x, p, param, strategy or Strategy(), InjectionMode.FIRST_ORDER,
         qc if qc is not None else np.zeros((12, 12)), earth,
     )
+
+
+def correlated_filter():
+    """A retraction-injection filter whose covariance couples attitude and
+    velocity."""
+    fs = simple_filter()
+    fs.injection = InjectionMode.RETRACTION
+    fs.P[0:3, 3:6] = fs.P[3:6, 0:3] = 5e-4 * np.eye(3)
+    return fs
 
 
 class TestPropagate:
@@ -127,6 +137,15 @@ class TestUpdatePlain:
         with pytest.raises(FilterDivergence):
             update_plain(fs, obs)
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_correction_rejected(self, bad):
+        # attitude-velocity cross terms carry a non-finite velocity
+        # innovation into the attitude correction, which has no canonical
+        # representative under retraction injection
+        fs = correlated_filter()
+        with pytest.raises(FilterDivergence, match=r"gnss_vel observation at t=0\.250"):
+            update_plain(fs, GnssVelObs(0.25, np.array([bad, 0.0, 0.0])))
+
     def test_indefinite_innovation_rejected(self):
         # well conditioned but negative definite: the Cholesky factor fails
         fs = simple_filter(p_scale=0.0)
@@ -158,32 +177,14 @@ class TestUpdateSwitch:
             QUIET_QC,
             scen.earth,
         )
-        diffs = []
-        scen.run(bank, on_update=lambda fl: diffs.append(state_difference(fl[0].x, fl[1].x)))
-        assert max(diffs) < 1e-8
+        epochs = bank_updates(bank, scen.imu, scen.dt, scen.obs)
+        assert max(state_difference(sw.x, native.x) for (_, sw), (_, native) in epochs) < 1e-8
 
     def test_backward_switch_at_predicted_state_is_ineffective(self):
         # with the backward switch at the predicted state the filter is
-        # exactly the plain one, covariance included
-        scen = StationaryQuietScenario(10.0, 100.0, seed=13, gnss_rate=1.0)
-        bank = initial_filter_bank(
-            scen.x0, scen.p0, [(EKF, Strategy("plain")), (EKF, Strategy("plain"))], QUIET_QC, scen.earth
-        )
-        plain, witness = bank
-
-        from cteskf.filter import propagate as prop
-
-        obs_iter = iter(scen.obs)
-        pending = next(obs_iter, None)
-        for u in scen.imu:
-            plain = prop(plain, u, scen.dt)
-            witness = prop(witness, u, scen.dt)
-            while pending is not None and pending.time <= plain.x.time + 0.5 * scen.dt:
-                plain, _ = update_plain(plain, pending)
-                witness, _ = update_switch(witness, pending, LEFT, backward_at_predicted=True)
-                assert np.linalg.norm(plain.P - witness.P) < 1e-12
-                assert state_difference(plain.x, witness.x) < 1e-12
-                pending = next(obs_iter, None)
+        # exactly the plain one, covariance included (criterion 04, shortened)
+        result = verify.check_switch_ineffectiveness(duration=10.0, tol=1e-12)
+        assert result.passed, result.line()
 
 
 class TestUpdateTransform:
@@ -212,14 +213,9 @@ class TestUpdateTransform:
             QUIET_QC,
             scen.earth,
         )
-        worst_x, worst_p = 0.0, 0.0
-
-        def track(fl):
-            nonlocal worst_x, worst_p
-            worst_x = max(worst_x, state_difference(fl[0].x, fl[1].x))
-            worst_p = max(worst_p, np.linalg.norm(fl[0].P - fl[1].P) / np.linalg.norm(fl[1].P))
-
-        scen.run(bank, on_update=track)
+        epochs = bank_updates(bank, scen.imu, scen.dt, scen.obs)
+        worst_x = max(state_difference(ct.x, sw.x) for (_, ct), (_, sw) in epochs)
+        worst_p = max(np.linalg.norm(ct.P - sw.P) / np.linalg.norm(sw.P) for (_, ct), (_, sw) in epochs)
         assert worst_x < 1e-10
         assert worst_p < 1e-10
 
@@ -239,9 +235,23 @@ class TestUpdateTransform:
                 QUIET_QC,
                 sub.earth,
             )
-            diffs = []
-            sub.run(bank, on_update=lambda fl: diffs.append(state_difference(fl[0].x, fl[1].x)))
-            assert max(diffs) < 1e-8
+            epochs = bank_updates(bank, sub.imu, sub.dt, sub.obs)
+            assert max(state_difference(ct.x, native.x) for (_, ct), (_, native) in epochs) < 1e-8
+
+
+def first_update(bank, samples, dt, observations):
+    """Run a bank through the same data and return the largest state
+    discrepancy at the first update, the covariance relation residual
+    P_a+ = A(x_pred) P_b+ A(x_pred)^T there, and the state discrepancy at each
+    later update."""
+    epochs = bank_updates(bank, samples, dt, observations)
+    diffs = [max(state_difference(ref.x, after.x) for _, after in rest) for (_, ref), *rest in epochs]
+    (ref_before, ref), *rest = epochs[0]
+    residual = 0.0
+    for _, after in rest:
+        a = relation_matrix(after.param, ref.param, ref_before.x, ref.earth)
+        residual = max(residual, float(np.linalg.norm(ref.P - a @ after.P @ a.T) / max(np.linalg.norm(ref.P), 1e-300)))
+    return diffs[0], residual, diffs[1:]
 
 
 class TestFirstUpdateIdentity:
@@ -252,9 +262,9 @@ class TestFirstUpdateIdentity:
             [(EKF, Strategy()), (LEFT, Strategy()), (RIGHT, Strategy())],
             QUIET_QC, scen.earth,
         )
-        report = first_update_identity_check(bank, scen.imu, scen.dt, scen.obs)
-        assert report.max_state_diff < 1e-9
-        assert report.covariance_relation_residual < 1e-9
+        max_state_diff, residual, _ = first_update(bank, scen.imu, scen.dt, scen.obs)
+        assert max_state_diff < 1e-9
+        assert residual < 1e-9
 
     def test_non_equivalent_inits_diverge(self):
         # negative control: every filter gets the same raw covariance matrix
@@ -267,8 +277,8 @@ class TestFirstUpdateIdentity:
         ]
         # make the innovation large enough to expose the mismatch
         obs = [GnssVelObs(1.0, np.array([8.0, -6.0, 4.0]), np.full(3, 0.2))]
-        report = first_update_identity_check(bank, scen.imu, scen.dt, obs)
-        assert report.max_state_diff > 1e-3
+        max_state_diff, _, _ = first_update(bank, scen.imu, scen.dt, obs)
+        assert max_state_diff > 1e-3
 
     def test_divergence_onset_after_first_update(self):
         # under full dynamics the filters coincide at the first update and
@@ -285,24 +295,71 @@ class TestFirstUpdateIdentity:
         imu = [ImuSample((k + 1) * dt, truth_gyro, truth_f) for k in range(600)]
         obs = [GnssVelObs(1.0, np.zeros(3)), GnssVelObs(2.0, np.zeros(3)), GnssVelObs(3.0, np.zeros(3))]
 
-        # establish exact equivalence at the pre-update instant: propagate one
-        # filter, then map its covariance into each parameterization
+        # run the additive filter through all three updates; at its first
+        # update map the predicted covariance into the other
+        # parameterization, which establishes exact equivalence at the
+        # pre-update instant, update it there and run it on from that epoch
         fs = FilterState(x0, default_p0(att0, err), EKF, Strategy(), InjectionMode.FIRST_ORDER, QUIET_QC, earth)
-        for u in imu[:200]:
-            fs = propagate(fs, u, dt)
-        bank = initial_filter_bank(fs.x, fs.P, [(EKF, Strategy()), (LEFT, Strategy())], QUIET_QC, earth)
-        report = first_update_identity_check(bank, imu[200:], dt, obs)
-        assert report.max_state_diff < 1e-9
+        (ekf_log,) = zip(*bank_updates([fs], imu, dt, obs))
+        pre, ekf_first = ekf_log[0]
+
+        def first_and_later_diffs(param):
+            (other,) = initial_filter_bank(pre.x, pre.P, [(param, Strategy())], QUIET_QC, earth)
+            other_first, _ = step_observation(other, obs[0])
+            (other_later,) = zip(*bank_updates([other_first], imu[200:], dt, obs[1:]))
+            later = [state_difference(e.x, o.x) for (_, e), (_, o) in zip(ekf_log[1:], other_later)]
+            return state_difference(ekf_first.x, other_first.x), later
+
+        max_state_diff, subsequent_diffs = first_and_later_diffs(LEFT)
+        assert max_state_diff < 1e-9
         # from the second update onward the estimates are no longer identical
-        assert len(report.subsequent_diffs) == 2
-        assert report.subsequent_diffs[0] > report.max_state_diff
+        assert len(subsequent_diffs) == 2
+        assert subsequent_diffs[0] > max_state_diff
 
         # the right-invariant representation at ECEF position magnitudes with
         # radian-level attitude uncertainty spans ~17 decades in P; double
         # precision floors its update identity near 1e-5 here
-        bank_r = initial_filter_bank(fs.x, fs.P, [(EKF, Strategy()), (RIGHT, Strategy())], QUIET_QC, earth)
-        report_r = first_update_identity_check(bank_r, imu[200:], dt, obs)
-        assert report_r.max_state_diff < 1e-3
+        max_state_diff_r, _ = first_and_later_diffs(RIGHT)
+        assert max_state_diff_r < 1e-3
+
+
+class TestRunFilter:
+    DT = 0.01
+
+    def samples(self, n=10):
+        return [ImuSample((k + 1) * self.DT, np.zeros(3), np.zeros(3)) for k in range(n)]
+
+    def test_observation_at_sample_time_applied_after_that_step(self):
+        # observations given out of order are applied in time order, each
+        # right after the step that ends at its time stamp
+        obs = [GnssVelObs(0.07, np.array([0.1, 0.0, 0.0])), GnssVelObs(0.03, np.array([0.0, 0.1, 0.0]))]
+        times = []
+        run = run_filter(simple_filter(), self.samples(), self.DT, obs, lambda before, after: times.append(before.x.time))
+        np.testing.assert_allclose(times, [0.03, 0.07], rtol=0, atol=1e-12)
+        plain = run_filter(simple_filter(), self.samples(), self.DT, [])
+        np.testing.assert_array_equal(run.vel[:3], plain.vel[:3])
+        assert not np.array_equal(run.vel[3], plain.vel[3])
+        np.testing.assert_array_equal(run.t, np.arange(11) * self.DT)
+
+    def test_observation_after_last_sample_not_applied(self):
+        updates = []
+        run = run_filter(
+            simple_filter(), self.samples(), self.DT, [GnssVelObs(0.2, np.ones(3))],
+            lambda before, after: updates.append(after),
+        )
+        plain = run_filter(simple_filter(), self.samples(), self.DT, [])
+        assert updates == [] and run.diverged is None
+        for name in ("att", "vel", "pos", "bg", "ba", "p_trace"):
+            np.testing.assert_array_equal(getattr(run, name), getattr(plain, name))
+
+    def test_divergence_returns_trimmed_run(self):
+        # a non-finite observation at the fifth step ends the run after four
+        obs = [GnssVelObs(0.05, np.array([np.inf, 0.0, 0.0]))]
+        run = run_filter(correlated_filter(), self.samples(), self.DT, obs)
+        assert "non-finite correction from the gnss_vel observation at t=0.050" in run.diverged
+        assert len(run.t) == len(run.att) == len(run.p_trace) == 5
+        assert np.isfinite(run.att).all() and np.isfinite(run.vel).all()
+        np.testing.assert_array_equal(run.t, np.arange(5) * self.DT)
 
 
 class TestStrategyDispatch:

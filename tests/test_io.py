@@ -90,6 +90,27 @@ class TestSchemaValidation:
             io.read_gnss(p)
         assert err.value.line_no == 2
 
+    @pytest.mark.parametrize(
+        "reader,header",
+        [
+            (io.read_imu, io.IMU_HEADER),
+            (io.read_gnss, io.GNSS_HEADER),
+            (io.read_odo, io.ODO_HEADER),
+            (io.read_truth, io.TRUTH_HEADER),
+        ],
+    )
+    @pytest.mark.parametrize("bad", ["inf", "-inf", "nan"])
+    def test_non_finite_field(self, tmp_path, reader, header, bad):
+        good = ["0.0", "1.0", "0.0", "0.0"] + ["0.1"] * (len(header) - 4)
+        row = list(good)
+        row[2] = bad
+        p = tmp_path / "data.csv"
+        p.write_text(",".join(header) + "\n" + ",".join(good) + "\n" + ",".join(["0.5"] + row[1:]) + "\n")
+        with pytest.raises(io.CsvSchemaError) as err:
+            reader(p)
+        assert err.value.line_no == 3
+        assert "non-finite" in str(err.value)
+
     def test_out_of_order_timestamps(self, tmp_path):
         p = tmp_path / "odo.csv"
         p.write_text("t,vf,vl,vd,sx,sy,sz\n1.0,0,0,0,0.1,0.1,0.1\n0.5,0,0,0,0.1,0.1,0.1\n")

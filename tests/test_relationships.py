@@ -9,10 +9,10 @@ single post-update transformation of the plain covariance).
 """
 
 import numpy as np
-from conftest import QUIET_QC, StationaryQuietScenario, initial_filter_bank
+from conftest import QUIET_QC, StationaryQuietScenario, bank_updates, initial_filter_bank
 
 from cteskf.errorstate import ErrorParam, relation_matrix, transformation_matrix
-from cteskf.filter import Strategy, propagate, step_observation
+from cteskf.filter import Strategy
 
 EKF = ErrorParam.ADDITIVE_EKF
 LEFT = ErrorParam.LEFT_INVARIANT
@@ -37,44 +37,28 @@ def test_relationship_diagram_closes_on_live_covariances():
         QUIET_QC,
         scen.earth,
     )
-    f_ekf, f_left, f_ct = bank
     earth = scen.earth
-    obs_iter = iter(scen.obs)
-    pending = next(obs_iter, None)
-    checked = 0
-    for u in scen.imu:
-        f_ekf = propagate(f_ekf, u, scen.dt)
-        f_left = propagate(f_left, u, scen.dt)
-        f_ct = propagate(f_ct, u, scen.dt)
-        while pending is not None and pending.time <= f_ekf.x.time + 0.5 * scen.dt:
-            x_pred = f_ekf.x.copy()
-            # predicted covariances are equivalent at the predicted state
-            a_pred = relation_matrix(EKF, LEFT, x_pred, earth)
-            assert rel_norm(a_pred @ f_ekf.P @ a_pred.T, f_left.P) < 1e-8
+    epochs = bank_updates(bank, scen.imu, scen.dt, scen.obs)
+    for (ekf_pre, f_ekf), (left_pre, f_left), (_, f_ct) in epochs:
+        x_pred = ekf_pre.x
+        # predicted covariances are equivalent at the predicted state
+        a_pred = relation_matrix(EKF, LEFT, x_pred, earth)
+        assert rel_norm(a_pred @ ekf_pre.P @ a_pred.T, left_pre.P) < 1e-8
 
-            p_ekf_pre = f_ekf.P.copy()
-            f_ekf, _ = step_observation(f_ekf, pending)
-            f_left, _ = step_observation(f_left, pending)
-            f_ct, _ = step_observation(f_ct, pending)
-            x_upd = f_ekf.x
+        # updated covariances relate through the *predicted* state
+        assert rel_norm(a_pred @ f_ekf.P @ a_pred.T, f_left.P) < 1e-9
 
-            # updated covariances relate through the *predicted* state
-            assert rel_norm(a_pred @ f_ekf.P @ a_pred.T, f_left.P) < 1e-9
+        # the transform filter equals the backward map at the updated
+        # state ...
+        x_upd = f_ekf.x
+        a_back = relation_matrix(LEFT, EKF, x_upd, earth)
+        assert rel_norm(a_back @ f_left.P @ a_back.T, f_ct.P) < 1e-9
 
-            # the transform filter equals the backward map at the updated
-            # state ...
-            a_back = relation_matrix(LEFT, EKF, x_upd, earth)
-            assert rel_norm(a_back @ f_left.P @ a_back.T, f_ct.P) < 1e-9
-
-            # ... and equals the single post-update transformation of the
-            # plain covariance (composition of the two relations above)
-            t = transformation_matrix(EKF, LEFT, x_upd, x_pred, earth)
-            assert rel_norm(t @ f_ekf.P @ t.T, f_ct.P) < 1e-9
-
-            assert p_ekf_pre is not None
-            checked += 1
-            pending = next(obs_iter, None)
-    assert checked >= 25
+        # ... and equals the single post-update transformation of the
+        # plain covariance (composition of the two relations above)
+        t = transformation_matrix(EKF, LEFT, x_upd, x_pred, earth)
+        assert rel_norm(t @ f_ekf.P @ t.T, f_ct.P) < 1e-9
+    assert len(epochs) >= 25
 
 
 def test_sweep_cells_coincide_under_first_order_injection():

@@ -66,10 +66,8 @@ class TestGenerateTruth:
         truth = generate_truth(cfg, earth)
         eps = 1e-4
         for t in (2.3, 5.7, 8.1):
-            before = truth.traj.state_at(t - eps, earth).pos
-            after = truth.traj.state_at(t + eps, earth).pos
-            vel = truth.traj.state_at(t, earth).vel
-            np.testing.assert_allclose((after - before) / (2 * eps), vel, atol=1e-6)
+            _, vel, pos = truth.traj.batch_states(np.array([t - eps, t, t + eps]))
+            np.testing.assert_allclose((pos[2] - pos[0]) / (2 * eps), vel[1], atol=1e-6)
 
     def test_unsupported_kind_rejected(self):
         with pytest.raises(ValueError):
@@ -78,6 +76,32 @@ class TestGenerateTruth:
     def test_duration_must_be_positive(self):
         with pytest.raises(ValueError):
             small_cfg(duration=0.0)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            dict(duration=np.nan),
+            dict(duration=np.inf),
+            dict(imu_rate=0.0),
+            dict(imu_rate=-200.0),
+            dict(imu_rate=np.nan),
+            dict(gnss_rate=0.0),
+            dict(gnss_rate=-1.0),
+            dict(gnss_rate=np.inf),
+            dict(use_odo=True, odo_rate=0.0),
+            dict(gnss_sigma=-0.2),
+            dict(gnss_sigma=np.nan),
+            dict(odo_sigma=-0.1),
+            dict(init_vel_sigma=-0.1),
+            dict(init_pos_sigma=-1.0),
+        ],
+    )
+    def test_rates_and_sigmas_validated(self, bad):
+        with pytest.raises(ValueError):
+            small_cfg(**bad)
+
+    def test_rate_of_disabled_sensor_unchecked(self):
+        assert small_cfg(use_odo=False, odo_rate=0.0).odo_rate == 0.0
 
     def test_waypoint_speed_constant(self):
         cfg = small_cfg(kind="waypoint", duration=30.0, radius=10.0)
@@ -90,10 +114,10 @@ class TestSynthesizeImu:
         cfg = small_cfg(kind="stationary", lat_deg=45.0)
         earth = cfg.earth()
         truth = generate_truth(cfg, earth)
-        gyro, accel = truth.traj.ideal_imu(1.0, earth)
+        gyro, accel = truth.traj.batch_ideal_imu(np.array([1.0]), earth)
         att = truth.att[0]
-        np.testing.assert_allclose(gyro, att.T @ earth.omega_ie, atol=1e-15)
-        np.testing.assert_allclose(accel, -(att.T @ earth.gravity(truth.pos[0])), atol=1e-12)
+        np.testing.assert_allclose(gyro[0], att.T @ earth.omega_ie, atol=1e-15)
+        np.testing.assert_allclose(accel[0], -(att.T @ earth.gravity(truth.pos[0])), atol=1e-12)
 
     def test_zero_noise_round_trip(self):
         # feeding the near-ideal IMU back through the mechanization recovers

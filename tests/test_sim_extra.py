@@ -1,6 +1,6 @@
 import numpy as np
+from conftest import assert_spd
 
-from cteskf.filter import assert_spd
 from cteskf.sim import ScenarioConfig, run_scenario
 
 
@@ -21,7 +21,7 @@ class TestStatisticalSanity:
 
     def test_covariance_stays_spd_through_update_cycles(self):
         from cteskf.errorstate import ErrorParam, relation_matrix
-        from cteskf.filter import FilterState, propagate, step_observation, mixed_sensor_strategy
+        from cteskf.filter import FilterState, mixed_sensor_strategy, run_filter
         from cteskf.errorstate import InjectionMode
         from cteskf.sim import generate_truth, initial_estimate, synthesize_gnss, synthesize_imu, synthesize_odo
 
@@ -40,14 +40,13 @@ class TestStatisticalSanity:
         a0 = relation_matrix(ErrorParam.ADDITIVE_EKF, ErrorParam.ADDITIVE_EKF, x0, earth)
         fs = FilterState(x0, a0 @ p0 @ a0.T, ErrorParam.ADDITIVE_EKF, mixed_sensor_strategy(),
                          InjectionMode.RETRACTION, cfg.imu.qc(), earth)
-        pending = iter(obs)
-        nxt = next(pending, None)
         checked = 0
-        for k in range(len(stream.t)):
-            fs = propagate(fs, stream.sample(k), stream.dt)
-            while nxt is not None and nxt.time <= fs.x.time + 0.5 * stream.dt:
-                fs, _ = step_observation(fs, nxt)
-                assert_spd(fs.P)
-                checked += 1
-                nxt = next(pending, None)
+
+        def check(before, after):
+            nonlocal checked
+            assert_spd(after.P)
+            checked += 1
+
+        run = run_filter(fs, stream, stream.dt, obs, check)
+        assert run.diverged is None
         assert checked > 100
