@@ -79,54 +79,58 @@ def system_matrix(
     """F and G for the requested parameterization, evaluated at the estimate.
 
     The sample ``u`` must already be bias-corrected.  Gravity terms are frozen
-    at the current position estimate; no gravity-gradient rows appear.
+    at the current position estimate; no gravity-gradient rows appear.  The
+    state and sample may carry a leading step axis (``att`` (..., 3, 3),
+    ``vel``/``pos``/``gyro``/``accel`` (..., 3)); F and G then stack the same
+    way, one pair per step.
     """
-    f = np.zeros((15, 15))
-    g = np.zeros((15, 12))
     att = x.att
+    batch = att.shape[:-2]
+    f = np.zeros(batch + (15, 15))
+    g = np.zeros(batch + (15, 12))
     omega_mat = earth.omega_mat
 
     if param is ErrorParam.ADDITIVE_EKF:
-        f[0:3, 0:3] = -omega_mat
-        f[0:3, 9:12] = att
-        f[3:6, 0:3] = -skew(att @ u.accel)
-        f[3:6, 3:6] = -2.0 * omega_mat
-        f[3:6, 12:15] = att
-        f[6:9, 3:6] = I3
-        g[0:3, 0:3] = att
-        g[3:6, 3:6] = att
+        f[..., 0:3, 0:3] = -omega_mat
+        f[..., 0:3, 9:12] = att
+        f[..., 3:6, 0:3] = -skew((att @ u.accel[..., None])[..., 0])
+        f[..., 3:6, 3:6] = -2.0 * omega_mat
+        f[..., 3:6, 12:15] = att
+        f[..., 6:9, 3:6] = I3
+        g[..., 0:3, 0:3] = att
+        g[..., 3:6, 3:6] = att
     elif param is ErrorParam.LEFT_INVARIANT:
         omega_b = skew(u.gyro)
-        f[0:3, 0:3] = -omega_b
-        f[0:3, 9:12] = -I3
-        f[3:6, 0:3] = -skew(u.accel)
-        f[3:6, 3:6] = -omega_b
-        f[3:6, 12:15] = -I3
-        f[6:9, 3:6] = I3
-        f[6:9, 6:9] = -omega_b
-        g[0:3, 0:3] = -I3
-        g[3:6, 3:6] = -I3
+        f[..., 0:3, 0:3] = -omega_b
+        f[..., 0:3, 9:12] = -I3
+        f[..., 3:6, 0:3] = -skew(u.accel)
+        f[..., 3:6, 3:6] = -omega_b
+        f[..., 3:6, 12:15] = -I3
+        f[..., 6:9, 3:6] = I3
+        f[..., 6:9, 6:9] = -omega_b
+        g[..., 0:3, 0:3] = -I3
+        g[..., 3:6, 3:6] = -I3
     elif param is ErrorParam.RIGHT_INVARIANT:
         nu_att = -skew(vel_frame_convert(x, earth)) @ att
         pos_att = -skew(x.pos) @ att
-        f[0:3, 0:3] = -omega_mat
-        f[0:3, 9:12] = -att
-        f[3:6, 0:3] = skew(gravitational_accel(x.pos, earth))
-        f[3:6, 3:6] = -omega_mat
-        f[3:6, 9:12] = nu_att
-        f[3:6, 12:15] = -att
-        f[6:9, 3:6] = I3
-        f[6:9, 6:9] = -omega_mat
-        f[6:9, 9:12] = pos_att
-        g[0:3, 0:3] = -att
-        g[3:6, 0:3] = nu_att
-        g[3:6, 3:6] = -att
-        g[6:9, 0:3] = pos_att
+        f[..., 0:3, 0:3] = -omega_mat
+        f[..., 0:3, 9:12] = -att
+        f[..., 3:6, 0:3] = skew(gravitational_accel(x.pos, earth))
+        f[..., 3:6, 3:6] = -omega_mat
+        f[..., 3:6, 9:12] = nu_att
+        f[..., 3:6, 12:15] = -att
+        f[..., 6:9, 3:6] = I3
+        f[..., 6:9, 6:9] = -omega_mat
+        f[..., 6:9, 9:12] = pos_att
+        g[..., 0:3, 0:3] = -att
+        g[..., 3:6, 0:3] = nu_att
+        g[..., 3:6, 3:6] = -att
+        g[..., 6:9, 0:3] = pos_att
     else:  # pragma: no cover - exhaustive enum
         raise ValueError(param)
 
-    g[9:12, 6:9] = I3
-    g[12:15, 9:12] = I3
+    g[..., 9:12, 6:9] = I3
+    g[..., 12:15, 9:12] = I3
     if qc is None:
         qc = np.zeros((12, 12))
     return SystemMatrices(f, g, qc)

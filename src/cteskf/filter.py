@@ -148,9 +148,11 @@ def _gain_and_update(
     return k, _symmetrize(p_new)
 
 
-def _canonical_correction(xi: np.ndarray, obs: Observation, injection: InjectionMode) -> np.ndarray:
-    """Wrap a rotation-vector correction beyond pi onto its canonical
-    representative (same rotation, magnitude <= pi).
+def _canonical_correction(
+    k: np.ndarray, dz: np.ndarray, obs: Observation, injection: InjectionMode
+) -> np.ndarray:
+    """The correction K dz, with a rotation-vector part beyond pi wrapped onto
+    its canonical representative (same rotation, magnitude <= pi).
 
     Transients under very large initial attitude errors can command such
     corrections; for the group-exponential injection the wrap is exact on the
@@ -158,6 +160,8 @@ def _canonical_correction(xi: np.ndarray, obs: Observation, injection: Injection
     are left for inject_error to reject.  A non-finite correction (from a
     non-finite observation) has no representative and ends the run.
     """
+    # a non-finite innovation skips the product, where inf * 0 would make NaN
+    xi = k @ dz if np.isfinite(dz).all() else dz
     if not np.isfinite(xi).all():
         raise FilterDivergence(f"non-finite correction from the {obs.kind} observation at t={obs.time:.3f}")
     norm = np.linalg.norm(xi[0:3])
@@ -178,7 +182,7 @@ def update_plain(fs: FilterState, obs: Observation) -> tuple[FilterState, Update
     dz = innovation(fs.x, obs, fs.earth, fs.time_tol)
     h = observation_matrix(fs.param, fs.x, obs.kind, fs.earth)
     k, p_new = _gain_and_update(fs.P, h, noise_covariance(obs), fs.joseph)
-    xi = _canonical_correction(k @ dz, obs, fs.injection)
+    xi = _canonical_correction(k, dz, obs, fs.injection)
     x_new = inject_error(fs.param, fs.x, xi, fs.earth, fs.injection)
     report = UpdateReport(dz, float(np.linalg.norm(k)), float(np.trace(fs.P)), float(np.trace(p_new)))
     return replace(fs, x=x_new, P=p_new), report
@@ -205,7 +209,7 @@ def update_switch(
     p_target = _symmetrize(a_fwd @ fs.P @ a_fwd.T)
     h = observation_matrix(target, fs.x, obs.kind, fs.earth)
     k, p_target_new = _gain_and_update(p_target, h, noise_covariance(obs), fs.joseph)
-    xi = _canonical_correction(k @ dz, obs, fs.injection)
+    xi = _canonical_correction(k, dz, obs, fs.injection)
     x_new = inject_error(target, fs.x, xi, fs.earth, fs.injection)
     back_state = fs.x if backward_at_predicted else x_new
     a_back = relation_matrix(target, fs.param, back_state, fs.earth)
@@ -283,11 +287,20 @@ def run_filter(fs: FilterState, samples, dt: float, observations, on_update=None
     After each propagation step, every observation stamped at or before the
     propagated state's time plus dt/2 is applied, in time order (a stable
     sort, so simultaneous observations keep their given order); observations
-    after the last sample are never applied.  ``on_update(before, after)``
+    after the last sample are never applied.  An observation stamped before
+    the initial state's time plus dt/2 matches no propagated epoch, so it
+    raises ``ValueError`` before the first step.  ``on_update(before, after)``
     receives the filter states around each update.  A
     :class:`FilterDivergence` ends the run at the last step completed before
     it.
     """
+    pending = sorted(observations, key=lambda o: o.time)
+    if pending and pending[0].time < fs.x.time + 0.5 * dt:
+        early = pending[0]
+        raise ValueError(
+            f"{early.kind} observation at t={early.time:.6g} precedes the first propagated "
+            f"epoch t={fs.x.time + dt:.6g} by more than dt/2"
+        )
     n = len(samples)
     run = FilterRun(
         np.empty(n + 1), np.empty((n + 1, 3, 3)), np.empty((n + 1, 3)), np.empty((n + 1, 3)),
@@ -301,7 +314,6 @@ def run_filter(fs: FilterState, samples, dt: float, observations, on_update=None
         run.p_trace[k] = f.P.diagonal().reshape(5, 3).sum(axis=1)
 
     record(0, fs.x.time, fs)
-    pending = sorted(observations, key=lambda o: o.time)
     j = 0
     for k in range(n):
         u = samples[k]
@@ -323,19 +335,9 @@ def run_filter(fs: FilterState, samples, dt: float, observations, on_update=None
 # ---------------------------------------------------------------------------
 # Batch helpers for long propagation-only runs.  These reproduce repeated
 # propagate()/propagate_state() calls to rounding without a Python loop over
-# matrices; equivalence is pinned by tests.
+# matrices; equivalence is pinned by tests.  F and G come from the same
+# system_matrix as the per-step path, evaluated on a stacked state.
 # ---------------------------------------------------------------------------
-
-
-def _skew_batch(v: np.ndarray) -> np.ndarray:
-    out = np.zeros(v.shape[:-1] + (3, 3))
-    out[..., 0, 1] = -v[..., 2]
-    out[..., 0, 2] = v[..., 1]
-    out[..., 1, 0] = v[..., 2]
-    out[..., 1, 2] = -v[..., 0]
-    out[..., 2, 0] = -v[..., 1]
-    out[..., 2, 1] = v[..., 0]
-    return out
 
 
 def _so3_exp_batch(phi: np.ndarray) -> np.ndarray:
@@ -345,7 +347,7 @@ def _so3_exp_batch(phi: np.ndarray) -> np.ndarray:
     with np.errstate(invalid="ignore", divide="ignore"):
         a = np.where(small, 1.0 - t2 / 6.0 + t2 * t2 / 120.0, np.sin(theta) / theta)
         b = np.where(small, 0.5 - t2 / 24.0 + t2 * t2 / 720.0, (1.0 - np.cos(theta)) / t2)
-    px = _skew_batch(phi)
+    px = lie.skew(phi)
     return np.eye(3) + a[..., None, None] * px + b[..., None, None] * (px @ px)
 
 
@@ -393,63 +395,6 @@ def mechanize_sequence(
         vels.append(vel)
         poss.append(pos)
     return atts, np.array(vels), np.array(poss)
-
-
-def _system_sequence(
-    param: ErrorParam,
-    atts: np.ndarray,
-    vels: np.ndarray,
-    poss: np.ndarray,
-    omega_b: np.ndarray,
-    f_b: np.ndarray,
-    earth: EarthModel,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked F (N,15,15) and G (N,15,12) at the given state/input history."""
-    n = len(omega_b)
-    f = np.zeros((n, 15, 15))
-    g = np.zeros((n, 15, 12))
-    omega_mat = earth.omega_mat
-    if param is ErrorParam.ADDITIVE_EKF:
-        f[:, 0:3, 0:3] = -omega_mat
-        f[:, 0:3, 9:12] = atts
-        f[:, 3:6, 0:3] = -_skew_batch(np.einsum("nij,nj->ni", atts, f_b))
-        f[:, 3:6, 3:6] = -2.0 * omega_mat
-        f[:, 3:6, 12:15] = atts
-        f[:, 6:9, 3:6] = np.eye(3)
-        g[:, 0:3, 0:3] = atts
-        g[:, 3:6, 3:6] = atts
-    elif param is ErrorParam.LEFT_INVARIANT:
-        ob = _skew_batch(omega_b)
-        f[:, 0:3, 0:3] = -ob
-        f[:, 0:3, 9:12] = -np.eye(3)
-        f[:, 3:6, 0:3] = -_skew_batch(f_b)
-        f[:, 3:6, 3:6] = -ob
-        f[:, 3:6, 12:15] = -np.eye(3)
-        f[:, 6:9, 3:6] = np.eye(3)
-        f[:, 6:9, 6:9] = -ob
-        g[:, 0:3, 0:3] = -np.eye(3)
-        g[:, 3:6, 3:6] = -np.eye(3)
-    else:
-        nus = vels + np.cross(np.broadcast_to(earth.omega_ie, vels.shape), poss)
-        g_ib = earth.gravity_batch(poss) + poss @ earth.omega_sq.T
-        nu_x = _skew_batch(nus)
-        pos_x = _skew_batch(poss)
-        f[:, 0:3, 0:3] = -omega_mat
-        f[:, 0:3, 9:12] = -atts
-        f[:, 3:6, 0:3] = _skew_batch(g_ib)
-        f[:, 3:6, 3:6] = -omega_mat
-        f[:, 3:6, 9:12] = -(nu_x @ atts)
-        f[:, 3:6, 12:15] = -atts
-        f[:, 6:9, 3:6] = np.eye(3)
-        f[:, 6:9, 6:9] = -omega_mat
-        f[:, 6:9, 9:12] = -(pos_x @ atts)
-        g[:, 0:3, 0:3] = -atts
-        g[:, 3:6, 0:3] = -(nu_x @ atts)
-        g[:, 3:6, 3:6] = -atts
-        g[:, 6:9, 0:3] = -(pos_x @ atts)
-    g[:, 9:12, 6:9] = np.eye(3)
-    g[:, 12:15, 9:12] = np.eye(3)
-    return f, g
 
 
 def _compose(phi: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -508,11 +453,14 @@ def propagate_covariance_sequence(
     seg = record_every or chunk
     for start in range(0, n, chunk):
         stop = min(start + chunk, n)
-        f_stack, g_stack = _system_sequence(
-            param, atts[start:stop], vels[start:stop], poss[start:stop], omega_b[start:stop], f_b[start:stop], earth
+        sm = system_matrix(
+            param,
+            NavState(atts[start:stop], vels[start:stop], poss[start:stop]),
+            ImuSample(0.0, omega_b[start:stop], f_b[start:stop]),
+            earth,
         )
-        phi = np.eye(15) + f_stack * dt
-        w = (g_stack @ qc @ g_stack.transpose(0, 2, 1)) * dt
+        phi = I15 + sm.F * dt
+        w = (sm.G @ qc @ sm.G.transpose(0, 2, 1)) * dt
         # a partial segment up to the first snapshot step in the chunk, whole
         # segments (composed as one batch), then a partial one to the chunk end
         head = min(-(-start // seg) * seg, stop) - start

@@ -41,7 +41,6 @@ class EarthModel:
     omega_ie: np.ndarray = field(default_factory=lambda: np.array([0.0, 0.0, WGS84_RATE]))
     gravity_mode: str = "spherical"
     gravity_const: np.ndarray = field(default_factory=lambda: np.array([0.0, 0.0, -G0]))
-    surface_guard: bool = False
 
     def __post_init__(self):
         self.omega_ie = np.asarray(self.omega_ie, dtype=float)
@@ -67,10 +66,26 @@ class EarthModel:
         return self._turn
 
     def gravity(self, r: np.ndarray) -> np.ndarray:
-        """Local gravity vector g(r): mass attraction plus centrifugal effect."""
+        """Local gravity vector g(r): mass attraction plus centrifugal effect,
+        for one position (3,) or a stack (..., 3).  One position goes through
+        :meth:`gravity_xyz`, which is faster than array arithmetic on 3-vectors."""
+        r = np.asarray(r, dtype=float)
+        if r.ndim == 1:
+            return np.array(self.gravity_xyz(*r.tolist()))
         if self.gravity_mode == "constant":
-            return self.gravity_const
-        return np.array(self.gravity_xyz(*np.asarray(r, dtype=float).tolist()))
+            return np.broadcast_to(self.gravity_const, r.shape).copy()
+        dist_sq = np.einsum("...i,...i->...", r, r)
+        if np.any(dist_sq == 0.0):
+            raise ValueError(f"{self.gravity_mode} gravity is undefined at the origin")
+        if self.gravity_mode == "spherical":
+            return (-EARTH_GM / (dist_sq * np.sqrt(dist_sq)))[..., None] * r - r @ self.omega_sq.T
+        sin_lat_sq = r[..., 2] ** 2 / dist_sq
+        gamma = (
+            _GAMMA_EQUATOR
+            * (1.0 + _SOMIGLIANA_K * sin_lat_sq)
+            / np.sqrt(1.0 - _ECC_SQ * sin_lat_sq)
+        )
+        return -(gamma / np.sqrt(dist_sq))[..., None] * r
 
     def gravity_xyz(self, x: float, y: float, z: float) -> tuple[float, float, float]:
         """:meth:`gravity` on the scalar components of r, for sequential loops
@@ -97,34 +112,20 @@ class EarthModel:
         c = -gamma / math.sqrt(dist_sq)
         return c * x, c * y, c * z
 
-    def gravity_batch(self, r: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`gravity` for an (N, 3) array of positions."""
-        r = np.asarray(r, dtype=float)
-        if self.gravity_mode == "constant":
-            return np.broadcast_to(self.gravity_const, r.shape).copy()
-        dist_sq = np.einsum("ni,ni->n", r, r)
-        if np.any(dist_sq == 0.0):
-            raise ValueError(f"{self.gravity_mode} gravity is undefined at the origin")
-        if self.gravity_mode == "spherical":
-            return -EARTH_GM / (dist_sq * np.sqrt(dist_sq))[:, None] * r - r @ self.omega_sq.T
-        sin_lat_sq = r[:, 2] ** 2 / dist_sq
-        gamma = (
-            _GAMMA_EQUATOR
-            * (1.0 + _SOMIGLIANA_K * sin_lat_sq)
-            / np.sqrt(1.0 - _ECC_SQ * sin_lat_sq)
-        )
-        return -(gamma / np.sqrt(dist_sq))[:, None] * r
-
 
 def gravitational_accel(r: np.ndarray, earth: EarthModel) -> np.ndarray:
-    """Gravitational (mass-attraction) acceleration: g(r) + (omega_ie x)^2 r."""
-    return earth.gravity(r) + earth.omega_sq @ np.asarray(r, dtype=float)
+    """Gravitational (mass-attraction) acceleration: g(r) + (omega_ie x)^2 r,
+    for one position (3,) or a stack (..., 3)."""
+    return earth.gravity(r) + r @ earth.omega_sq.T
 
 
 @dataclass
 class NavState:
     """Full navigation state: attitude DCM (body to ECEF), ECEF velocity and
-    position, gyro and accelerometer biases, and a timestamp."""
+    position, gyro and accelerometer biases, and a timestamp.
+
+    For :func:`cteskf.errorstate.system_matrix` the fields may also hold a
+    history: ``att`` (..., 3, 3), ``vel`` and ``pos`` (..., 3)."""
 
     att: np.ndarray
     vel: np.ndarray
@@ -138,18 +139,13 @@ class NavState:
             self.att.copy(), self.vel.copy(), self.pos.copy(), self.bg.copy(), self.ba.copy(), self.time
         )
 
-    def validate(self, earth: EarthModel | None = None, tol: float = 1e-9) -> None:
-        if np.linalg.norm(self.att.T @ self.att - np.eye(3)) > tol:
-            raise ValueError("attitude matrix is not orthonormal")
-        if earth is not None and earth.surface_guard:
-            dist = np.linalg.norm(self.pos)
-            if not (6.2e6 <= dist <= 1.2e7):
-                raise ValueError(f"position norm {dist:.3e} m outside Earth-surface window")
-
 
 @dataclass
 class ImuSample:
-    """Measured angular rate and specific force in the body frame."""
+    """Measured angular rate and specific force in the body frame.
+
+    For :func:`cteskf.errorstate.system_matrix` ``gyro`` and ``accel`` may
+    also hold a history (..., 3)."""
 
     time: float
     gyro: np.ndarray
@@ -224,8 +220,9 @@ def group_affine_derivative(
 
 
 def vel_frame_convert(x: NavState, earth: EarthModel) -> np.ndarray:
-    """Inertial velocity resolved in the Earth frame: v + omega_ie x r."""
-    return x.vel + earth.omega_mat @ x.pos
+    """Inertial velocity resolved in the Earth frame: v + omega_ie x r, for
+    one state or a stacked one (``vel``, ``pos`` of shape (..., 3))."""
+    return x.vel + x.pos @ earth.omega_mat.T
 
 
 def group_vel_to_classic(nu: np.ndarray, r: np.ndarray, earth: EarthModel) -> np.ndarray:
@@ -279,10 +276,7 @@ def propagate_state(
     )
     vel_new, pos_new = np.array(vel_new), np.array(pos_new)
 
-    out = NavState(att_new, vel_new, pos_new, x.bg.copy(), x.ba.copy(), x.time + dt)
-    if earth.surface_guard:
-        out.validate(earth)
-    return out
+    return NavState(att_new, vel_new, pos_new, x.bg.copy(), x.ba.copy(), x.time + dt)
 
 
 def midpoint_translation(

@@ -27,10 +27,22 @@ SMALL_ANGLE = 1e-7
 NEAR_PI = 1e-6
 
 
+# the so(3) generators of the three axes, each flattened row-major: row i of
+# this (3, 9) array is skew(e_i), so v @ _SO3_GENERATORS is skew(v) flattened
+_SO3_GENERATORS = np.array(
+    [
+        [0.0, 0.0, 0.0, 0.0, 0.0, -1.0, 0.0, 1.0, 0.0],
+        [0.0, 0.0, 1.0, 0.0, 0.0, 0.0, -1.0, 0.0, 0.0],
+        [0.0, -1.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    ]
+)
+
+
 def skew(v: np.ndarray) -> np.ndarray:
-    """Skew-symmetric matrix of ``v`` such that ``skew(v) @ w == cross(v, w)``."""
-    x, y, z = v
-    return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+    """Skew-symmetric matrix of ``v`` such that ``skew(v) @ w == cross(v, w)``;
+    a stack of vectors (..., 3) gives a stack of matrices (..., 3, 3)."""
+    v = np.asarray(v, dtype=float)
+    return (v @ _SO3_GENERATORS).reshape(v.shape[:-1] + (3, 3))
 
 
 def unskew(m: np.ndarray) -> np.ndarray:

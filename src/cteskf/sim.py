@@ -153,22 +153,22 @@ class _Leg:
     speed: float
     turn_rate: float
 
-    def state(self, t: float):
-        tau = t - self.t0
+    def state(self, t):
+        """Tangent-plane position (..., 2), heading and the heading's cosine
+        and sine at a time or an array of times."""
+        tau = np.asarray(t, dtype=float) - self.t0
         psi = self.psi0 + self.turn_rate * tau
         c, s = np.cos(psi), np.sin(psi)
         if self.turn_rate == 0.0:
-            p = self.p0 + self.speed * tau * np.array([np.cos(self.psi0), np.sin(self.psi0)])
+            p = self.p0 + self.speed * tau[..., None] * np.array([np.cos(self.psi0), np.sin(self.psi0)])
         else:
             rho = self.speed / self.turn_rate
-            p = self.p0 + rho * np.array([s - np.sin(self.psi0), np.cos(self.psi0) - c])
-        vel = self.speed * np.array([c, s])
-        acc = self.speed * self.turn_rate * np.array([-s, c])
-        return p, vel, acc, psi
+            p = self.p0 + rho * np.stack([s - np.sin(self.psi0), np.cos(self.psi0) - c], axis=-1)
+        return p, psi, c, s
 
     def end(self):
-        p, _, _, psi = self.state(self.t0 + self.duration)
-        return p, psi
+        p, psi, _, _ = self.state(self.t0 + self.duration)
+        return p, float(psi)
 
 
 class Trajectory:
@@ -238,14 +238,7 @@ class Trajectory:
         psi_all = np.empty(n)
         rate_all = np.empty(n)
         for leg, sl in self._leg_slices(ts):
-            tau = ts[sl] - leg.t0
-            psi = leg.psi0 + leg.turn_rate * tau
-            c, s = np.cos(psi), np.sin(psi)
-            if leg.turn_rate == 0.0:
-                p = leg.p0 + leg.speed * tau[:, None] * np.array([np.cos(leg.psi0), np.sin(leg.psi0)])
-            else:
-                rho = leg.speed / leg.turn_rate
-                p = leg.p0 + rho * np.stack([s - np.sin(leg.psi0), np.cos(leg.psi0) - c], axis=1)
+            p, psi, c, s = leg.state(ts[sl])
             pos[sl] = self.origin + (
                 p[:, 0, None] * self.frame[:, 0] + p[:, 1, None] * self.frame[:, 1]
             )
@@ -274,7 +267,7 @@ class Trajectory:
         gyro = np.einsum("nji,j->ni", att, earth.omega_ie)
         gyro[:, 2] += rate
         coriolis = 2.0 * (vel @ earth.omega_mat.T)
-        force_e = acc + coriolis - earth.gravity_batch(pos)
+        force_e = acc + coriolis - earth.gravity(pos)
         accel = np.einsum("nji,nj->ni", att, force_e)
         return gyro, accel
 

@@ -11,7 +11,7 @@ from cteskf.errorstate import (
     transformation_matrix,
     transformation_matrix_generic,
 )
-from cteskf.ins import EarthModel, ImuSample, NavState, propagate_state, vel_frame_convert
+from cteskf.ins import EARTH_RADIUS, EarthModel, ImuSample, NavState, propagate_state, vel_frame_convert
 
 PARAMS = [ErrorParam.ADDITIVE_EKF, ErrorParam.LEFT_INVARIANT, ErrorParam.RIGHT_INVARIANT]
 PAIRS = [(a, b) for a in PARAMS for b in PARAMS if a is not b]
@@ -56,6 +56,27 @@ class TestSystemMatrix:
         x2.pos = x2.pos + rng.normal(scale=1000.0, size=3)
         f2 = system_matrix(ErrorParam.LEFT_INVARIANT, x2, u, earth).F
         np.testing.assert_array_equal(f1, f2)
+
+    @pytest.mark.parametrize("mode", ["constant", "spherical", "normal"])
+    @pytest.mark.parametrize("param", PARAMS)
+    def test_stacked_state_matches_per_state_calls(self, param, mode):
+        # one call on a stacked state gives each step's F and G; only the
+        # gravity entries may differ, by rounding between the stacked and the
+        # one-position gravity formula
+        earth = EarthModel(gravity_mode=mode)
+        rng = np.random.default_rng(5)
+        n = 12
+        att = np.array([lie.so3_exp(rng.uniform(-2.0, 2.0, 3)) for _ in range(n)])
+        vel = rng.normal(scale=20.0, size=(n, 3))
+        pos = rng.normal(size=(n, 3))
+        pos *= EARTH_RADIUS / np.linalg.norm(pos, axis=1)[:, None]
+        gyro, accel = rng.normal(scale=0.3, size=(n, 3)), rng.normal(scale=5.0, size=(n, 3))
+        stacked = system_matrix(param, NavState(att, vel, pos), ImuSample(0.0, gyro, accel), earth)
+        assert stacked.F.shape == (n, 15, 15) and stacked.G.shape == (n, 15, 12)
+        for k in range(n):
+            one = system_matrix(param, NavState(att[k], vel[k], pos[k]), ImuSample(0.0, gyro[k], accel[k]), earth)
+            np.testing.assert_allclose(stacked.F[k], one.F, rtol=1e-15, atol=0.0)
+            np.testing.assert_array_equal(stacked.G[k], one.G)
 
     def test_g_relation_exact(self):
         # G_dst = A(x) G_src must hold identically for the printed blocks

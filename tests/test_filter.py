@@ -352,6 +352,19 @@ class TestRunFilter:
         for name in ("att", "vel", "pos", "bg", "ba", "p_trace"):
             np.testing.assert_array_equal(getattr(run, name), getattr(plain, name))
 
+    @pytest.mark.parametrize("time_tol", [np.inf, 0.006])
+    def test_observation_before_first_epoch_rejected(self, time_tol):
+        # the first propagated epoch is t=0.01: an observation stamped before
+        # t=0.005 matches no epoch, whatever the filter's time tolerance
+        fs = simple_filter()
+        fs.time_tol = time_tol
+        obs = [GnssVelObs(0.03, np.zeros(3)), GnssVelObs(0.004, np.ones(3))]
+        with pytest.raises(ValueError, match=r"gnss_vel observation at t=0\.004 precedes the first propagated epoch"):
+            run_filter(fs, self.samples(), self.DT, obs, lambda before, after: pytest.fail("updated"))
+        times = []
+        run_filter(fs, self.samples(), self.DT, [GnssVelObs(0.005, np.ones(3))], lambda before, after: times.append(before.x.time))
+        np.testing.assert_allclose(times, [0.01], rtol=0, atol=1e-12)
+
     def test_divergence_returns_trimmed_run(self):
         # a non-finite observation at the fifth step ends the run after four
         obs = [GnssVelObs(0.05, np.array([np.inf, 0.0, 0.0]))]

@@ -170,6 +170,25 @@ class TestGravity:
         with pytest.raises(ValueError):
             earth.gravity(np.zeros(3))
 
+    @pytest.mark.parametrize("mode", ["constant", "spherical", "normal"])
+    def test_stack_matches_per_row_scalar_path(self, mode):
+        # the stacked formula and the float path agree to rounding
+        earth = EarthModel(gravity_mode=mode)
+        rng = np.random.default_rng(12)
+        r = rng.normal(size=(40, 3))
+        r *= (EARTH_RADIUS + rng.uniform(-1e4, 1e5, 40))[:, None] / np.linalg.norm(r, axis=1)[:, None]
+        g = earth.gravity(r)
+        assert g.shape == (40, 3)
+        for r_k, g_k in zip(r, g):
+            np.testing.assert_allclose(g_k, earth.gravity_xyz(*r_k.tolist()), rtol=1e-15, atol=0.0)
+        np.testing.assert_array_equal(earth.gravity(r.reshape(4, 10, 3)), g.reshape(4, 10, 3))
+
+    @pytest.mark.parametrize("mode", ["spherical", "normal"])
+    def test_stack_with_origin_rejected(self, mode):
+        earth = EarthModel(gravity_mode=mode)
+        with pytest.raises(ValueError, match="undefined at the origin"):
+            earth.gravity(np.array([EQUATOR, np.zeros(3), EQUATOR]))
+
 
 class TestFrameTurn:
     def test_matches_exponential_as_dt_changes(self):
@@ -293,10 +312,3 @@ class TestPropagateState:
         a = propagate_state(x, u, 0.005, earth)
         b = propagate_state(x, u, 0.005, earth)
         assert np.array_equal(a.att, b.att) and np.array_equal(a.vel, b.vel) and np.array_equal(a.pos, b.pos)
-
-    def test_surface_guard(self):
-        earth = EarthModel(surface_guard=True)
-        x = NavState(np.eye(3), np.array([1e9, 0.0, 0.0]), EQUATOR)
-        u = ImuSample(0.0, np.zeros(3), np.zeros(3))
-        with pytest.raises(ValueError):
-            propagate_state(x, u, 0.1, earth)

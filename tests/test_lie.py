@@ -35,6 +35,15 @@ class TestSkew:
         m = lie.skew(np.array([0.3, -1.2, 2.0]))
         np.testing.assert_allclose(m, -m.T, atol=0.0)
 
+    def test_stack_matches_cross_product_row_wise(self):
+        rng = np.random.default_rng(1)
+        v, w = rng.normal(size=(4, 6, 3)), rng.normal(size=(4, 6, 3))
+        m = lie.skew(v)
+        assert m.shape == (4, 6, 3, 3)
+        np.testing.assert_allclose((m @ w[..., None])[..., 0], np.cross(v, w), atol=1e-15)
+        for idx in np.ndindex(4, 6):
+            np.testing.assert_array_equal(m[idx], lie.skew(v[idx]))
+
 
 class TestSo3ExpLog:
     def test_exp_zero_is_identity(self):
