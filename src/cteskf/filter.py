@@ -148,20 +148,26 @@ def _gain_and_update(
     return k, _symmetrize(p_new)
 
 
-def _canonical_correction(
-    k: np.ndarray, dz: np.ndarray, obs: Observation, injection: InjectionMode
-) -> np.ndarray:
-    """The correction K dz, with a rotation-vector part beyond pi wrapped onto
-    its canonical representative (same rotation, magnitude <= pi).
+def _innovation(fs: FilterState, obs: Observation) -> np.ndarray:
+    """The innovation of ``obs`` at the filter's state.  A non-finite one
+    (from a non-finite observation) has no finite correction and ends the
+    run before K dz is formed."""
+    dz = innovation(fs.x, obs, fs.earth, fs.time_tol)
+    if not np.isfinite(dz).all():
+        raise FilterDivergence(f"non-finite correction from the {obs.kind} observation at t={obs.time:.3f}")
+    return dz
+
+
+def _canonical_correction(xi: np.ndarray, obs: Observation, injection: InjectionMode) -> np.ndarray:
+    """Wrap a rotation-vector correction beyond pi onto its canonical
+    representative (same rotation, magnitude <= pi).
 
     Transients under very large initial attitude errors can command such
     corrections; for the group-exponential injection the wrap is exact on the
     rotation.  First-order injection has no valid reading of them, so they
     are left for inject_error to reject.  A non-finite correction (from a
-    non-finite observation) has no representative and ends the run.
+    non-finite gain) has no representative and ends the run.
     """
-    # a non-finite innovation skips the product, where inf * 0 would make NaN
-    xi = k @ dz if np.isfinite(dz).all() else dz
     if not np.isfinite(xi).all():
         raise FilterDivergence(f"non-finite correction from the {obs.kind} observation at t={obs.time:.3f}")
     norm = np.linalg.norm(xi[0:3])
@@ -179,10 +185,10 @@ def update_plain(fs: FilterState, obs: Observation) -> tuple[FilterState, Update
     The predicted error state is zero; the estimated error K dz is injected
     into the navigation state and implicitly reset to zero.
     """
-    dz = innovation(fs.x, obs, fs.earth, fs.time_tol)
+    dz = _innovation(fs, obs)
     h = observation_matrix(fs.param, fs.x, obs.kind, fs.earth)
     k, p_new = _gain_and_update(fs.P, h, noise_covariance(obs), fs.joseph)
-    xi = _canonical_correction(k, dz, obs, fs.injection)
+    xi = _canonical_correction(k @ dz, obs, fs.injection)
     x_new = inject_error(fs.param, fs.x, xi, fs.earth, fs.injection)
     report = UpdateReport(dz, float(np.linalg.norm(k)), float(np.trace(fs.P)), float(np.trace(p_new)))
     return replace(fs, x=x_new, P=p_new), report
@@ -204,12 +210,12 @@ def update_switch(
     """
     if target is fs.param:
         return update_plain(fs, obs)
-    dz = innovation(fs.x, obs, fs.earth, fs.time_tol)
+    dz = _innovation(fs, obs)
     a_fwd = relation_matrix(fs.param, target, fs.x, fs.earth)
     p_target = _symmetrize(a_fwd @ fs.P @ a_fwd.T)
     h = observation_matrix(target, fs.x, obs.kind, fs.earth)
     k, p_target_new = _gain_and_update(p_target, h, noise_covariance(obs), fs.joseph)
-    xi = _canonical_correction(k, dz, obs, fs.injection)
+    xi = _canonical_correction(k @ dz, obs, fs.injection)
     x_new = inject_error(target, fs.x, xi, fs.earth, fs.injection)
     back_state = fs.x if backward_at_predicted else x_new
     a_back = relation_matrix(target, fs.param, back_state, fs.earth)

@@ -27,22 +27,23 @@ SMALL_ANGLE = 1e-7
 NEAR_PI = 1e-6
 
 
-# the so(3) generators of the three axes, each flattened row-major: row i of
-# this (3, 9) array is skew(e_i), so v @ _SO3_GENERATORS is skew(v) flattened
-_SO3_GENERATORS = np.array(
-    [
-        [0.0, 0.0, 0.0, 0.0, 0.0, -1.0, 0.0, 1.0, 0.0],
-        [0.0, 0.0, 1.0, 0.0, 0.0, 0.0, -1.0, 0.0, 0.0],
-        [0.0, -1.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0],
-    ]
-)
-
-
 def skew(v: np.ndarray) -> np.ndarray:
     """Skew-symmetric matrix of ``v`` such that ``skew(v) @ w == cross(v, w)``;
-    a stack of vectors (..., 3) gives a stack of matrices (..., 3, 3)."""
+    a stack of vectors (..., 3) gives a stack of matrices (..., 3, 3).
+
+    Each entry is copied, not formed by a product, so a non-finite component
+    stays in its own entries, and a long stack makes no (multi-threaded)
+    BLAS call."""
     v = np.asarray(v, dtype=float)
-    return (v @ _SO3_GENERATORS).reshape(v.shape[:-1] + (3, 3))
+    if v.ndim == 1:
+        x, y, z = v.tolist()
+        return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+    x, y, z = v[..., 0], v[..., 1], v[..., 2]
+    out = np.zeros(v.shape[:-1] + (3, 3))
+    out[..., 0, 1], out[..., 0, 2] = -z, y
+    out[..., 1, 0], out[..., 1, 2] = z, -x
+    out[..., 2, 0], out[..., 2, 1] = -y, x
+    return out
 
 
 def unskew(m: np.ndarray) -> np.ndarray:

@@ -1,5 +1,7 @@
 """Shared scenario helpers for the filter-level and acceptance tests."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,16 @@ from cteskf.errorstate import ErrorParam, InjectionMode, process_noise, relation
 from cteskf.filter import FilterState, Strategy, run_filter
 from cteskf.ins import EarthModel, ImuSample, NavState
 from cteskf.sensors import GnssVelObs, OdoObs
+
+
+def pytest_collection_modifyitems(items):
+    # in this suite a warning is a failure: fix it where it arises or assert
+    # it with pytest.warns (a test's own filterwarnings mark still wins)
+    here = Path(__file__).parent
+    for item in items:
+        if here in item.path.parents:
+            item.add_marker(pytest.mark.filterwarnings("error"), append=False)
+
 
 # Aviation-grade IMU noise (per-axis densities, SI)
 QUIET_ARW = 0.001 * np.pi / 180.0 / 60.0  # rad/sqrt(s)

@@ -44,6 +44,14 @@ class TestSkew:
         for idx in np.ndindex(4, 6):
             np.testing.assert_array_equal(m[idx], lie.skew(v[idx]))
 
+    @pytest.mark.parametrize("shape", [(3,), (2, 3)])
+    def test_non_finite_component_stays_in_its_entries(self, shape):
+        # a non-finite state reaches the divergence checks as inf/NaN entries
+        # where it has them, with no numpy warning on the way
+        v = np.broadcast_to([np.inf, 1.0, np.nan], shape)
+        expected = np.array([[0.0, np.nan, 1.0], [np.nan, 0.0, -np.inf], [-1.0, np.inf, 0.0]])
+        np.testing.assert_array_equal(lie.skew(v), np.broadcast_to(expected, shape[:-1] + (3, 3)))
+
 
 class TestSo3ExpLog:
     def test_exp_zero_is_identity(self):
