@@ -18,17 +18,7 @@ import sys
 import numpy as np
 
 from . import io, verify
-from .sim import (
-    ImuSpec,
-    ScenarioConfig,
-    generate_truth,
-    monte_carlo_sweep,
-    run_scenario,
-    synthesize_gnss,
-    synthesize_imu,
-    synthesize_odo,
-    VARIANTS,
-)
+from .sim import VARIANTS, ImuSpec, ScenarioConfig, monte_carlo_sweep, run_scenario, synthesize
 
 log = logging.getLogger("cteskf")
 
@@ -141,25 +131,16 @@ def cmd_simulate(args) -> int:
     cfg = parse_config(args.config)
     scenario = scenario_from_config(cfg, args.seed)
     _reject_leftovers(cfg, ("sweep.", "run."))
-    earth = scenario.earth()
-    truth = generate_truth(scenario, earth)
-    stream = synthesize_imu(truth, scenario.imu, scenario, earth, np.random.SeedSequence([scenario.seed, 1]))
-    gnss = (
-        synthesize_gnss(truth, scenario.gnss_sigma, scenario.gnss_rate, scenario, np.random.SeedSequence([scenario.seed, 2]))
-        if scenario.use_gnss
-        else []
-    )
-    odo = (
-        synthesize_odo(truth, scenario.odo_sigma, scenario.odo_rate, scenario, np.random.SeedSequence([scenario.seed, 3]))
-        if scenario.use_odo
-        else []
-    )
+    sc = synthesize(scenario)
+    truth = sc.truth
     os.makedirs(args.out, exist_ok=True)
-    io.write_imu(os.path.join(args.out, "imu.csv"), stream.t, stream.gyro, stream.accel)
-    io.write_gnss(os.path.join(args.out, "gnss_vel.csv"), gnss)
-    io.write_odo(os.path.join(args.out, "odo.csv"), odo)
+    io.write_imu(os.path.join(args.out, "imu.csv"), sc.imu.t, sc.imu.gyro, sc.imu.accel)
+    io.write_gnss(os.path.join(args.out, "gnss_vel.csv"), sc.gnss)
+    io.write_odo(os.path.join(args.out, "odo.csv"), sc.odo)
     io.write_truth(os.path.join(args.out, "truth.csv"), truth.t, truth.att, truth.vel, truth.pos)
-    log.info("wrote dataset to %s (%d IMU samples, %d GNSS, %d ODO)", args.out, len(stream.t), len(gnss), len(odo))
+    log.info(
+        "wrote dataset to %s (%d IMU samples, %d GNSS, %d ODO)", args.out, len(sc.imu.t), len(sc.gnss), len(sc.odo)
+    )
     return 0
 
 

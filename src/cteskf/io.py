@@ -121,10 +121,7 @@ def read_odo(path):
 
 
 def write_truth(path, t, att, vel, pos):
-    rows = []
-    for k in range(len(t)):
-        q = rot_to_quat(att[k])
-        rows.append([t[k], *q, *vel[k], *pos[k]])
+    rows = np.column_stack([t, rot_to_quat(att), vel, pos]).tolist()
     _write(path, TRUTH_HEADER, rows, comment="body-to-ECEF quaternion, ECEF velocity and position")
 
 
@@ -145,10 +142,9 @@ def read_truth(path):
 
 
 def write_estimates(path, series):
-    rows = []
-    for k in range(len(series.t)):
-        q = rot_to_quat(series.att[k])
-        rows.append([series.t[k], *q, *series.vel[k], *series.pos[k], *series.p_trace[k]])
+    rows = np.column_stack(
+        [series.t, rot_to_quat(series.att), series.vel, series.pos, series.p_trace]
+    ).tolist()
     _write(path, ESTIMATE_HEADER, rows, comment="filter estimates with covariance block traces")
 
 

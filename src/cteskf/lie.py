@@ -281,30 +281,39 @@ def adjoint_inv(chi: GroupState) -> np.ndarray:
 
 
 def rot_to_quat(rot: np.ndarray) -> np.ndarray:
-    """Unit quaternion [w, x, y, z] of a rotation matrix (w >= 0)."""
-    t = np.trace(rot)
-    if t > 0.0:
-        s = np.sqrt(t + 1.0) * 2.0
-        q = np.array(
-            [
-                0.25 * s,
-                (rot[2, 1] - rot[1, 2]) / s,
-                (rot[0, 2] - rot[2, 0]) / s,
-                (rot[1, 0] - rot[0, 1]) / s,
-            ]
-        )
-    else:
-        i = int(np.argmax(np.diag(rot)))
+    """Unit quaternions [w, x, y, z] (w >= 0) of a rotation matrix or a
+    (..., 3, 3) stack of them.
+
+    A matrix with a positive trace takes the trace form; any other takes the
+    form built on its largest diagonal entry.  The norm is taken with the
+    dot kernel a single vector's ``np.linalg.norm`` uses, so a stack gives
+    the same bits as its matrices converted one at a time.
+    """
+    rot = np.asarray(rot, dtype=float)
+    m = rot.reshape(-1, 3, 3)
+    d = np.diagonal(m, axis1=-2, axis2=-1)
+    t = d[:, 0] + d[:, 1] + d[:, 2]
+    q = np.empty((len(m), 4))
+    pos = t > 0.0
+    mp = m[pos]
+    s = np.sqrt(t[pos] + 1.0) * 2.0
+    q[pos, 0] = 0.25 * s
+    q[pos, 1] = (mp[:, 2, 1] - mp[:, 1, 2]) / s
+    q[pos, 2] = (mp[:, 0, 2] - mp[:, 2, 0]) / s
+    q[pos, 3] = (mp[:, 1, 0] - mp[:, 0, 1]) / s
+    largest = np.argmax(d, axis=-1)
+    for i in range(3):
+        sel = ~pos & (largest == i)
+        mi = m[sel]
         j, k = (i + 1) % 3, (i + 2) % 3
-        s = np.sqrt(rot[i, i] - rot[j, j] - rot[k, k] + 1.0) * 2.0
-        q = np.empty(4)
-        q[0] = (rot[k, j] - rot[j, k]) / s
-        q[1 + i] = 0.25 * s
-        q[1 + j] = (rot[j, i] + rot[i, j]) / s
-        q[1 + k] = (rot[k, i] + rot[i, k]) / s
-    if q[0] < 0.0:
-        q = -q
-    return q / np.linalg.norm(q)
+        s = np.sqrt(mi[:, i, i] - mi[:, j, j] - mi[:, k, k] + 1.0) * 2.0
+        q[sel, 0] = (mi[:, k, j] - mi[:, j, k]) / s
+        q[sel, 1 + i] = 0.25 * s
+        q[sel, 1 + j] = (mi[:, j, i] + mi[:, i, j]) / s
+        q[sel, 1 + k] = (mi[:, k, i] + mi[:, i, k]) / s
+    q[q[:, 0] < 0.0] *= -1.0
+    q /= np.sqrt(np.matmul(q[:, None, :], q[:, :, None]))[:, 0]
+    return q.reshape(rot.shape[:-2] + (4,))
 
 
 def quat_to_rot(q: np.ndarray) -> np.ndarray:

@@ -17,14 +17,7 @@ import numpy as np
 
 from . import lie
 from .errorstate import ErrorParam, InjectionMode, process_noise, relation_matrix
-from .filter import (
-    FilterState,
-    Strategy,
-    mixed_sensor_strategy,
-    propagate_covariance_sequence,
-    mechanize_sequence,
-    run_filter,
-)
+from .filter import FilterState, Strategy, mixed_sensor_strategy, run_filter
 from .ins import EARTH_RADIUS, G0, EarthModel, ImuSample, NavState
 from .sensors import GnssVelObs, OdoObs
 
@@ -122,6 +115,11 @@ class ScenarioConfig:
             raise ValueError("origin anchor requires a position-independent gravity mode")
         if not 0 < self.imu_rate < np.inf:
             raise ValueError("IMU rate must be positive and finite")
+        # the observation synthesis stamps the first fix on IMU sample
+        # round(obs_start_s * imu_rate); sample 0 is the initial state, which
+        # no update can follow
+        if not np.isfinite(self.obs_start_s) or round(self.obs_start_s * self.imu_rate) < 1:
+            raise ValueError("obs_start_s must be finite and round to IMU sample 1 or later")
         for name in ("gnss_sigma", "odo_sigma", "init_vel_sigma", "init_pos_sigma"):
             if not 0 <= getattr(self, name) < np.inf:
                 raise ValueError(f"{name} must be finite and not negative")
@@ -301,14 +299,11 @@ class ImuStream:
     bias_gyro: np.ndarray
     bias_accel: np.ndarray
 
-    def sample(self, k: int) -> ImuSample:
-        return ImuSample(self.t[k], self.gyro[k], self.accel[k])
-
     def __len__(self) -> int:
         return len(self.t)
 
     def __getitem__(self, k: int) -> ImuSample:
-        return self.sample(k)
+        return ImuSample(self.t[k], self.gyro[k], self.accel[k])
 
 
 def generate_truth(cfg: ScenarioConfig, earth: EarthModel) -> TruthSeries:
@@ -414,6 +409,49 @@ def initial_estimate(cfg: ScenarioConfig, truth0: NavState, rng) -> tuple[NavSta
 
 
 @dataclass
+class Scenario:
+    """A config's synthesized inputs: the Earth model, the truth, the IMU
+    stream, the GNSS and odometry observations (empty when the sensor is
+    disabled) and the initial estimate with its additive-parameterization
+    covariance."""
+
+    earth: EarthModel
+    truth: TruthSeries
+    imu: ImuStream
+    gnss: list
+    odo: list
+    x0: NavState
+    p0: np.ndarray
+
+
+def synthesize(cfg: ScenarioConfig) -> Scenario:
+    """Synthesize everything a run of ``cfg`` consumes.
+
+    This is the one place that derives the seed streams: the IMU, GNSS and
+    odometry draws and the initial estimate each take their own child of
+    ``cfg.seed`` (``SeedSequence([seed, 1 | 2 | 3 | 0xC0FFEE])``).  Runs of
+    one config therefore see the same inputs, and enabling a sensor leaves
+    the other draws unchanged.
+    """
+    earth = cfg.earth()
+    truth = generate_truth(cfg, earth)
+    imu = synthesize_imu(truth, cfg.imu, cfg, earth, np.random.SeedSequence([cfg.seed, 1]))
+    gnss = (
+        synthesize_gnss(truth, cfg.gnss_sigma, cfg.gnss_rate, cfg, np.random.SeedSequence([cfg.seed, 2]))
+        if cfg.use_gnss
+        else []
+    )
+    odo = (
+        synthesize_odo(truth, cfg.odo_sigma, cfg.odo_rate, cfg, np.random.SeedSequence([cfg.seed, 3]))
+        if cfg.use_odo
+        else []
+    )
+    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0xC0FFEE]))
+    x0, p0 = initial_estimate(cfg, truth.state(0), rng)
+    return Scenario(earth, truth, imu, gnss, odo, x0, p0)
+
+
+@dataclass
 class EstimateSeries:
     """Filter output on the IMU grid with errors against the truth."""
 
@@ -439,30 +477,21 @@ def run_scenario(cfg: ScenarioConfig, variant: str) -> tuple[EstimateSeries, dic
     Returns the estimate series and a metrics dict with per-axis RMSE after
     the settling window; a diverged run is flagged instead of raising.
     """
-    earth = cfg.earth()
-    truth = generate_truth(cfg, earth)
-    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0xC0FFEE]))
-    imu = synthesize_imu(truth, cfg.imu, cfg, earth, np.random.SeedSequence([cfg.seed, 1]))
-    observations = []
-    if cfg.use_gnss:
-        observations += synthesize_gnss(truth, cfg.gnss_sigma, cfg.gnss_rate, cfg, np.random.SeedSequence([cfg.seed, 2]))
-    if cfg.use_odo:
-        observations += synthesize_odo(truth, cfg.odo_sigma, cfg.odo_rate, cfg, np.random.SeedSequence([cfg.seed, 3]))
-
+    sc = synthesize(cfg)
+    truth = sc.truth
     param, strategy = variant_config(variant)
-    x0, p0_ekf = initial_estimate(cfg, truth.state(0), rng)
-    a0 = relation_matrix(ErrorParam.ADDITIVE_EKF, param, x0, earth)
+    a0 = relation_matrix(ErrorParam.ADDITIVE_EKF, param, sc.x0, sc.earth)
     fs = FilterState(
-        x0,
-        a0 @ p0_ekf @ a0.T,
+        sc.x0,
+        a0 @ sc.p0 @ a0.T,
         param,
         strategy,
         cfg.injection_mode(),
         cfg.imu.qc(),
-        earth,
-        time_tol=0.6 * imu.dt,
+        sc.earth,
+        time_tol=0.6 * sc.imu.dt,
     )
-    run = run_filter(fs, imu, imu.dt, observations)
+    run = run_filter(fs, sc.imu, sc.imu.dt, sc.gnss + sc.odo)
 
     m = len(run.t)
     att_err = np.empty((m, 3))
@@ -533,42 +562,3 @@ def monte_carlo_sweep(
         rows = [_sweep_cell(t) for t in tasks]
     return SweepResult(yaw_grid, tuple(variants), np.vstack(rows))
 
-
-def covariance_comparison(
-    cfg: ScenarioConfig, params=(ErrorParam.ADDITIVE_EKF, ErrorParam.LEFT_INVARIANT, ErrorParam.RIGHT_INVARIANT),
-    record_every: int | None = None,
-) -> dict:
-    """Propagation-only covariance evolution, converted to the left-invariant
-    representation at every recorded epoch for a unified comparison.
-
-    Returns {param: (M, 5) block traces} plus the recording times under "t".
-    """
-    earth = cfg.earth()
-    truth = generate_truth(cfg, earth)
-    imu = synthesize_imu(truth, cfg.imu, cfg, earth, np.random.SeedSequence([cfg.seed, 1]))
-    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0xC0FFEE]))
-    x0, p0_ekf = initial_estimate(cfg, truth.state(0), rng)
-
-    atts, vels, poss = mechanize_sequence(x0, imu.gyro, imu.accel, imu.dt, earth)
-    n = len(imu.t)
-    every = record_every or max(1, n // 200)
-    qc = cfg.imu.qc()
-
-    out = {}
-    for param in params:
-        a0 = relation_matrix(ErrorParam.ADDITIVE_EKF, param, x0, earth)
-        _, history = propagate_covariance_sequence(
-            param, a0 @ p0_ekf @ a0.T, atts, vels, poss, imu.gyro, imu.accel,
-            np.zeros(3), np.zeros(3), imu.dt, qc, earth, record_every=every,
-        )
-        out.setdefault("t", truth.t[::every][: len(history)])
-        traces = np.empty((len(history), 5))
-        for m, p in enumerate(history):
-            idx = m * every
-            x = NavState(atts[idx], vels[idx], poss[idx])
-            rel = relation_matrix(param, ErrorParam.LEFT_INVARIANT, x, earth)
-            p_l = rel @ p @ rel.T
-            for b in range(5):
-                traces[m, b] = np.trace(p_l[3 * b : 3 * b + 3, 3 * b : 3 * b + 3])
-        out[param] = traces
-    return out

@@ -35,25 +35,13 @@ from .filter import (
     FilterState,
     Strategy,
     mechanize_sequence,
-    propagate,
     propagate_covariance_sequence,
     run_filter,
     state_difference,
-    update_plain,
     update_switch,
 )
 from .ins import EarthModel, NavState, left_rate_matrix, right_rate_matrix
-from .sim import (
-    AVIATION_IMU,
-    ImuSpec,
-    ScenarioConfig,
-    generate_truth,
-    initial_estimate,
-    monte_carlo_sweep,
-    run_scenario,
-    synthesize_gnss,
-    synthesize_imu,
-)
+from .sim import AVIATION_IMU, ImuSpec, ScenarioConfig, monte_carlo_sweep, run_scenario, synthesize
 
 EKF = ErrorParam.ADDITIVE_EKF
 LEFT = ErrorParam.LEFT_INVARIANT
@@ -202,10 +190,9 @@ def check_propagation_equivalence(rate=200.0, tol=1e-3, seed=0) -> PropertyResul
     """
     t0 = time.time()
     cfg = replace(_criterion1_config(rate), seed=seed)
-    earth = cfg.earth()
-    truth = generate_truth(cfg, earth)
-    stream = synthesize_imu(truth, cfg.imu, cfg, earth, np.random.SeedSequence([cfg.seed, 1]))
-    x0 = truth.state(0)
+    sc = synthesize(cfg)
+    earth, stream = sc.earth, sc.imu
+    x0 = sc.truth.state(0)
     err = np.radians(np.asarray(cfg.init_att_err_deg))
     p0 = np.diag(
         np.concatenate(
@@ -283,17 +270,13 @@ def check_first_update_identity(seed=0) -> PropertyResult:
     the negative control."""
     t0 = time.time()
     cfg = _quiet_config(duration=2.0, imu_rate=200.0, init_att_err_deg=(60.0, 60.0, 120.0), seed=seed)
-    earth = cfg.earth()
-    truth = generate_truth(cfg, earth)
+    sc = synthesize(cfg)
+    earth, x0, p0, obs = sc.earth, sc.x0, sc.p0, sc.gnss[0]
     # noise-free IMU keeps the error-relation matrices exactly constant over
     # the pre-update propagation, so the update-identity premises hold exactly; the
-    # filters still run the full aviation-grade Qc and a noisy observation
-    ideal = ImuSpec(1e-15, 1e-15, 1e-15, 1e-15)
-    stream = synthesize_imu(truth, ideal, cfg, earth, np.random.SeedSequence([cfg.seed, 1]))
-    gnss = synthesize_gnss(truth, cfg.gnss_sigma, cfg.gnss_rate, cfg, np.random.SeedSequence([cfg.seed, 2]))
-    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0xC0FFEE]))
-    x0, p0 = initial_estimate(cfg, truth.state(0), rng)
-    obs = gnss[0]
+    # filters still run the full aviation-grade Qc and a noisy observation.
+    # Only the IMU comes from the ideal spec: p0's bias blocks follow cfg.imu
+    stream = synthesize(replace(cfg, imu=ImuSpec(1e-15, 1e-15, 1e-15, 1e-15))).imu
 
     def run_bank(equivalent: bool):
         updates = []  # (before, after) of each filter's update
@@ -344,29 +327,25 @@ def check_switch_ineffectiveness(duration=60.0, tol=1e-12, seed=0) -> PropertyRe
     onto the plain one, covariance and all."""
     t0 = time.time()
     cfg = _quiet_config(duration=duration, seed=seed)
-    earth = cfg.earth()
-    truth = generate_truth(cfg, earth)
-    stream = synthesize_imu(truth, cfg.imu, cfg, earth, np.random.SeedSequence([cfg.seed, 1]))
-    gnss = synthesize_gnss(truth, cfg.gnss_sigma, cfg.gnss_rate, cfg, np.random.SeedSequence([cfg.seed, 2]))
-    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0xC0FFEE]))
-    x0, p0 = initial_estimate(cfg, truth.state(0), rng)
-    plain = FilterState(x0.copy(), p0.copy(), EKF, Strategy(), InjectionMode.FIRST_ORDER, cfg.imu.qc(), earth)
-    witness = replace(plain, x=x0.copy(), P=p0.copy())
-    worst = 0.0
-    # the one event loop outside run_filter: the witness updates through
-    # update_switch(backward_at_predicted=True), which no Strategy selects
-    obs_iter = iter(gnss)
-    pending = next(obs_iter, None)
-    for k in range(len(stream.t)):
-        u = stream.sample(k)
-        plain = propagate(plain, u, stream.dt)
-        witness = propagate(witness, u, stream.dt)
-        while pending is not None and pending.time <= plain.x.time + 0.5 * stream.dt:
-            plain, _ = update_plain(plain, pending)
-            witness, _ = update_switch(witness, pending, LEFT, backward_at_predicted=True)
-            worst = max(worst, float(np.linalg.norm(plain.P - witness.P)))
-            worst = max(worst, state_difference(plain.x, witness.x))
-            pending = next(obs_iter, None)
+    sc = synthesize(cfg)
+    plain = FilterState(sc.x0, sc.p0, EKF, Strategy(), InjectionMode.FIRST_ORDER, cfg.imu.qc(), sc.earth)
+
+    def witness(fs, obs):
+        # an update no Strategy selects: switch to the left-invariant
+        # representation and back at the predicted state
+        return update_switch(fs, obs, LEFT, backward_at_predicted=True)
+
+    logs = []
+    for update in (None, witness):
+        log = []
+        run = run_filter(plain, sc.imu, sc.imu.dt, sc.gnss, lambda before, after: log.append(after), update)
+        if run.diverged or not log or len(log) < len(sc.gnss):
+            detail = run.diverged or f"{len(log)} of {len(sc.gnss)} observations applied"
+            return PropertyResult("switch-ineffectiveness", False, np.inf, tol, detail, time.time() - t0)
+        logs.append(log)
+    worst = max(
+        max(float(np.linalg.norm(a.P - b.P)), state_difference(a.x, b.x)) for a, b in zip(*logs)
+    )
     return _result("switch-ineffectiveness", worst, tol, t0)
 
 

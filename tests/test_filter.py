@@ -98,7 +98,7 @@ class TestUpdatePlain:
         fs = simple_filter()
         h = np.zeros((3, 15))
         h[:, 3:6] = np.eye(3)
-        k, _ = _gain_and_update(fs.P, h, 0.04 * np.eye(3), joseph=False)
+        k, _ = _gain_and_update(fs.P, h, 0.04 * np.eye(3))
         # only rows coupled to the velocity block respond
         np.testing.assert_allclose(k[0:3], 0.0, atol=1e-15)
         np.testing.assert_allclose(k[6:15], 0.0, atol=1e-15)
@@ -116,19 +116,9 @@ class TestUpdatePlain:
         r = noise_covariance(obs)
         for target in (LEFT, RIGHT):
             a = relation_matrix(EKF, target, x, earth)
-            k_b, _ = _gain_and_update(p_ekf, observation_matrix(EKF, x, "gnss_vel", earth), r, False)
-            k_a, _ = _gain_and_update(a @ p_ekf @ a.T, observation_matrix(target, x, "gnss_vel", earth), r, False)
+            k_b, _ = _gain_and_update(p_ekf, observation_matrix(EKF, x, "gnss_vel", earth), r)
+            k_a, _ = _gain_and_update(a @ p_ekf @ a.T, observation_matrix(target, x, "gnss_vel", earth), r)
             assert np.abs(a @ k_b - k_a).max() < 1e-10 * max(1.0, np.abs(k_a).max())
-
-    def test_joseph_form_agrees_with_short_form(self):
-        fs = simple_filter()
-        obs = GnssVelObs(0.0, np.array([0.1, -0.2, 0.05]))
-        out_short, _ = update_plain(fs, obs)
-        fs_j = simple_filter()
-        fs_j.joseph = True
-        out_joseph, _ = update_plain(fs_j, obs)
-        np.testing.assert_allclose(out_joseph.P, out_short.P, atol=1e-12)
-        assert state_difference(out_joseph.x, out_short.x) == 0.0
 
     def test_singular_innovation_rejected(self):
         fs = simple_filter(p_scale=0.0)
@@ -185,6 +175,19 @@ class TestUpdateSwitch:
         # exactly the plain one, covariance included (criterion 04, shortened)
         result = verify.check_switch_ineffectiveness(duration=10.0, tol=1e-12)
         assert result.passed, result.line()
+
+    def test_switch_ineffectiveness_fails_without_compared_updates(self, monkeypatch):
+        # no observation before the run ends: nothing was compared
+        result = verify.check_switch_ineffectiveness(duration=0.5, tol=1e-12)
+        assert not result.passed and "0 of 0 observations applied" in result.detail
+
+        # a witness run that diverges
+        def diverging(*args, **kwargs):
+            raise FilterDivergence("witness diverged")
+
+        monkeypatch.setattr(verify, "update_switch", diverging)
+        result = verify.check_switch_ineffectiveness(duration=10.0, tol=1e-12)
+        assert not result.passed and result.detail == "witness diverged"
 
 
 class TestUpdateTransform:
@@ -364,6 +367,24 @@ class TestRunFilter:
         times = []
         run_filter(fs, self.samples(), self.DT, [GnssVelObs(0.005, np.ones(3))], lambda before, after: times.append(before.x.time))
         np.testing.assert_allclose(times, [0.01], rtol=0, atol=1e-12)
+
+    def test_update_argument_applies_every_observation(self):
+        # a counting wrapper around the default update is called once per
+        # applied observation and leaves the run bit-identical
+        obs = [GnssVelObs(0.03, np.array([0.1, 0.0, 0.0])), GnssVelObs(0.07, np.array([0.0, 0.1, 0.0])),
+               GnssVelObs(0.2, np.ones(3))]
+        applied = []
+
+        def counting(fs, o):
+            applied.append(o.time)
+            return step_observation(fs, o)
+
+        fs = simple_filter(strategy=mixed_sensor_strategy())
+        run = run_filter(fs, self.samples(), self.DT, obs, update=counting)
+        default = run_filter(fs, self.samples(), self.DT, obs)
+        assert applied == [0.03, 0.07]
+        for name in ("t", "att", "vel", "pos", "bg", "ba", "p_trace"):
+            assert np.array_equal(getattr(run, name), getattr(default, name)), name
 
     def test_divergence_returns_trimmed_run(self):
         # a non-finite observation at the fifth step ends the run after four

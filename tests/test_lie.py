@@ -295,3 +295,39 @@ class TestQuaternions:
 
     def test_identity(self):
         np.testing.assert_allclose(lie.rot_to_quat(np.eye(3)), [1.0, 0.0, 0.0, 0.0], atol=0.0)
+
+    @staticmethod
+    def branch_stack():
+        """Rotations covering the trace branch and each largest-diagonal
+        branch, including angles at and just below pi about each axis."""
+        from scipy.spatial.transform import Rotation
+
+        mats = [Rotation.random(400, random_state=3).as_matrix()]
+        for axis in np.eye(3):
+            for angle in (np.pi, np.pi - 1e-9, np.pi - 1e-6, 2.0):
+                mats.append(lie.so3_exp(axis * angle)[None])
+        return np.concatenate(mats)
+
+    def test_stack_matches_one_by_one_on_every_branch(self):
+        rots = self.branch_stack()
+        diag = np.diagonal(rots, axis1=1, axis2=2)
+        branch = np.where(diag.sum(axis=1) > 0.0, 3, np.argmax(diag, axis=1))
+        assert set(branch) == {0, 1, 2, 3}
+        stacked = lie.rot_to_quat(rots)
+        assert np.array_equal(stacked, np.array([lie.rot_to_quat(r) for r in rots]))
+        assert np.array_equal(lie.rot_to_quat(rots.reshape(2, -1, 3, 3)), stacked.reshape(2, -1, 4))
+
+    def test_stack_agrees_with_scipy_and_round_trips(self):
+        from scipy.spatial.transform import Rotation
+
+        rots = self.branch_stack()
+        q = lie.rot_to_quat(rots)
+        assert (q[:, 0] >= 0.0).all()
+        np.testing.assert_allclose(np.linalg.norm(q, axis=1), 1.0, rtol=0, atol=1e-15)
+        ref = np.roll(Rotation.from_matrix(rots).as_quat(), 1, axis=1)
+        ref *= np.where(ref[:, :1] < 0.0, -1.0, 1.0)
+        # at exactly pi both signs have w = 0
+        err = np.minimum(np.abs(q - ref).max(axis=1), np.abs(q + ref).max(axis=1))
+        assert err.max() < 1e-12
+        back = np.array([lie.quat_to_rot(qk) for qk in q])
+        np.testing.assert_allclose(back, rots, rtol=0, atol=1e-12)

@@ -1,19 +1,23 @@
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import cteskf
 from cteskf import lie
 from cteskf.errorstate import ErrorParam, relation_matrix
 from cteskf.filter import mechanize_sequence, propagate_covariance_sequence
+from cteskf.ins import NavState
 from cteskf.sim import (
     AVIATION_IMU,
     CONSUMER_IMU,
     ImuSpec,
     ScenarioConfig,
-    covariance_comparison,
     generate_truth,
-    initial_estimate,
     monte_carlo_sweep,
     run_scenario,
+    synthesize,
     synthesize_gnss,
     synthesize_imu,
     synthesize_odo,
@@ -21,6 +25,7 @@ from cteskf.sim import (
 )
 
 TINY_IMU = ImuSpec(1e-9, 1e-7, 1e-8, 1e-6)
+PARAMS = (ErrorParam.ADDITIVE_EKF, ErrorParam.LEFT_INVARIANT, ErrorParam.RIGHT_INVARIANT)
 
 
 def small_cfg(**kw):
@@ -99,6 +104,20 @@ class TestGenerateTruth:
     def test_rates_and_sigmas_validated(self, bad):
         with pytest.raises(ValueError):
             small_cfg(**bad)
+
+    @pytest.mark.parametrize("obs_start_s", [0.0, 0.002, -0.99, np.nan])
+    def test_obs_start_before_first_sample_rejected(self, obs_start_s):
+        # at 200 Hz, 0.0 and 0.002 round to IMU sample 0 (the initial state),
+        # -0.99 to a negative index and nan to none
+        with pytest.raises(ValueError, match="obs_start_s"):
+            small_cfg(duration=2.0, imu_rate=200.0, obs_start_s=obs_start_s)
+
+    def test_obs_start_on_first_sample_accepted(self):
+        cfg = small_cfg(duration=2.0, imu_rate=200.0, obs_start_s=0.005, use_odo=True)
+        sc = synthesize(cfg)
+        assert sc.gnss[0].time == sc.odo[0].time == sc.imu.t[0]
+        _, metrics = run_scenario(cfg, "ekf")
+        assert metrics["diverged"] is None
 
     def test_rate_of_disabled_sensor_unchecked(self):
         assert small_cfg(use_odo=False, odo_rate=0.0).odo_rate == 0.0
@@ -238,25 +257,67 @@ class TestMonteCarloSweep:
         np.testing.assert_array_equal(serial.rmse_deg, parallel.rmse_deg)
 
 
-class TestCovarianceComparison:
-    def test_self_conversion_is_identity(self):
-        cfg = small_cfg(duration=5.0, init_att_err_deg=(10.0, 10.0, 20.0))
-        earth = cfg.earth()
-        out = covariance_comparison(cfg, params=(ErrorParam.LEFT_INVARIANT,), record_every=100)
-        truth = generate_truth(cfg, earth)
-        stream = synthesize_imu(truth, cfg.imu, cfg, earth, np.random.SeedSequence([cfg.seed, 1]))
-        rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0xC0FFEE]))
-        x0, p0 = initial_estimate(cfg, truth.state(0), rng)
-        atts, vels, poss = mechanize_sequence(x0, stream.gyro, stream.accel, stream.dt, earth)
-        a0 = relation_matrix(ErrorParam.ADDITIVE_EKF, ErrorParam.LEFT_INVARIANT, x0, earth)
-        _, history = propagate_covariance_sequence(
-            ErrorParam.LEFT_INVARIANT, a0 @ p0 @ a0.T, atts, vels, poss,
-            stream.gyro, stream.accel, np.zeros(3), np.zeros(3), stream.dt,
-            cfg.imu.qc(), earth, record_every=100,
-        )
-        raw = np.array([[np.trace(p[3 * b : 3 * b + 3, 3 * b : 3 * b + 3]) for b in range(5)] for p in history])
-        np.testing.assert_allclose(out[ErrorParam.LEFT_INVARIANT], raw, rtol=1e-12)
+class TestSynthesize:
+    @staticmethod
+    def assert_same_inputs(a, b, sensors=("gnss", "odo")):
+        for name in ("t", "gyro", "accel", "bias_gyro", "bias_accel"):
+            assert np.array_equal(getattr(a.imu, name), getattr(b.imu, name)), name
+        for sensor in sensors:
+            obs_a, obs_b = getattr(a, sensor), getattr(b, sensor)
+            assert len(obs_a) == len(obs_b) > 0
+            for oa, ob in zip(obs_a, obs_b):
+                for name, value in vars(oa).items():
+                    assert np.array_equal(value, getattr(ob, name)), (sensor, name)
+        for name, value in vars(a.x0).items():
+            assert np.array_equal(value, getattr(b.x0, name)), name
+        assert np.array_equal(a.p0, b.p0)
 
+    def test_same_config_gives_same_inputs(self):
+        cfg = small_cfg(use_odo=True)
+        self.assert_same_inputs(synthesize(cfg), synthesize(cfg))
+
+    def test_streams_independent_of_enabled_sensors(self):
+        # run_scenario's variant comparisons rely on each stream having its
+        # own seed: enabling odometry leaves the other draws untouched
+        cfg = small_cfg(use_odo=False)
+        without, with_odo = synthesize(cfg), synthesize(replace(cfg, use_odo=True))
+        assert without.odo == [] and len(with_odo.odo) > 0
+        self.assert_same_inputs(without, with_odo, sensors=("gnss",))
+
+    def test_seed_policy_lives_in_sim_only(self):
+        # synthesize is the one place that derives the seed streams
+        package = Path(cteskf.__file__).parent
+        for path in sorted(package.glob("*.py")):
+            text = path.read_text()
+            if path.name != "sim.py":
+                assert "SeedSequence" not in text and "0xC0FFEE" not in text, path.name
+
+
+def left_invariant_traces(cfg, record_every=None):
+    """Propagation-only covariance of each parameterization from the
+    scenario's initial estimate, mapped to the left-invariant representation
+    at every recorded epoch: {param: (M, 5) block traces}."""
+    sc = synthesize(cfg)
+    imu, earth = sc.imu, sc.earth
+    atts, vels, poss = mechanize_sequence(sc.x0, imu.gyro, imu.accel, imu.dt, earth)
+    every = record_every or max(1, len(imu.t) // 200)
+    out = {}
+    for param in PARAMS:
+        a0 = relation_matrix(ErrorParam.ADDITIVE_EKF, param, sc.x0, earth)
+        _, history = propagate_covariance_sequence(
+            param, a0 @ sc.p0 @ a0.T, atts, vels, poss, imu.gyro, imu.accel,
+            np.zeros(3), np.zeros(3), imu.dt, cfg.imu.qc(), earth, record_every=every,
+        )
+        traces = []
+        for m, p in enumerate(history):
+            x = NavState(atts[m * every], vels[m * every], poss[m * every])
+            rel = relation_matrix(param, ErrorParam.LEFT_INVARIANT, x, earth)
+            traces.append((rel @ p @ rel.T).diagonal().reshape(5, 3).sum(axis=1))
+        out[param] = np.array(traces)
+    return out
+
+
+class TestCovarianceComparison:
     def test_converted_traces_agree_long_run(self):
         # propagation-only, all three parameterizations to a common
         # representation: traces overlap.  Desk-scale anchor keeps the
@@ -266,7 +327,7 @@ class TestCovarianceComparison:
             init_att_err_deg=(60.0, 60.0, 120.0),
             anchor="origin", gravity_mode="zero", earth_rotation=False,
         )
-        out = covariance_comparison(cfg)
+        out = left_invariant_traces(cfg)
         ref = out[ErrorParam.LEFT_INVARIANT]
         for param in (ErrorParam.ADDITIVE_EKF, ErrorParam.RIGHT_INVARIANT):
             rel = np.abs(out[param] - ref) / np.abs(ref)
@@ -276,7 +337,7 @@ class TestCovarianceComparison:
         # at ECEF position magnitudes the right-invariant trace readout is
         # limited by double-precision cancellation near the 1e-2 level
         cfg = small_cfg(duration=200.0, imu_rate=100.0, radius=500.0, init_att_err_deg=(60.0, 60.0, 120.0))
-        out = covariance_comparison(cfg)
+        out = left_invariant_traces(cfg)
         ref = out[ErrorParam.LEFT_INVARIANT]
         for param in (ErrorParam.ADDITIVE_EKF, ErrorParam.RIGHT_INVARIANT):
             rel = np.abs(out[param] - ref) / np.abs(ref)
@@ -287,7 +348,7 @@ class TestCovarianceComparison:
             kind="stationary", duration=100.0, imu_rate=2.0, init_att_err_deg=(10.0, 10.0, 20.0),
             use_gnss=False, anchor="origin", gravity_mode="zero", earth_rotation=False,
         )
-        out = covariance_comparison(cfg, record_every=20)
+        out = left_invariant_traces(cfg, record_every=20)
         ref = out[ErrorParam.LEFT_INVARIANT]
         for param in (ErrorParam.ADDITIVE_EKF, ErrorParam.RIGHT_INVARIANT):
             rel = np.abs(out[param] - ref) / np.abs(ref)

@@ -20,26 +20,17 @@ class TestStatisticalSanity:
         assert rmse[0] < rmse[1] < rmse[2]
 
     def test_covariance_stays_spd_through_update_cycles(self):
-        from cteskf.errorstate import ErrorParam, relation_matrix
+        from cteskf.errorstate import ErrorParam, InjectionMode
         from cteskf.filter import FilterState, mixed_sensor_strategy, run_filter
-        from cteskf.errorstate import InjectionMode
-        from cteskf.sim import generate_truth, initial_estimate, synthesize_gnss, synthesize_imu, synthesize_odo
+        from cteskf.sim import synthesize
 
         cfg = ScenarioConfig(
             kind="circle", duration=20.0, speed=5.0, radius=100.0, imu_rate=50.0,
             use_gnss=True, use_odo=True, init_att_err_deg=(30.0, 30.0, 60.0), seed=6,
         )
-        earth = cfg.earth()
-        truth = generate_truth(cfg, earth)
-        stream = synthesize_imu(truth, cfg.imu, cfg, earth, np.random.SeedSequence([cfg.seed, 1]))
-        obs = synthesize_gnss(truth, cfg.gnss_sigma, cfg.gnss_rate, cfg, np.random.SeedSequence([cfg.seed, 2]))
-        obs += synthesize_odo(truth, cfg.odo_sigma, cfg.odo_rate, cfg, np.random.SeedSequence([cfg.seed, 3]))
-        obs.sort(key=lambda o: o.time)
-        rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0xC0FFEE]))
-        x0, p0 = initial_estimate(cfg, truth.state(0), rng)
-        a0 = relation_matrix(ErrorParam.ADDITIVE_EKF, ErrorParam.ADDITIVE_EKF, x0, earth)
-        fs = FilterState(x0, a0 @ p0 @ a0.T, ErrorParam.ADDITIVE_EKF, mixed_sensor_strategy(),
-                         InjectionMode.RETRACTION, cfg.imu.qc(), earth)
+        sc = synthesize(cfg)
+        fs = FilterState(sc.x0, sc.p0, ErrorParam.ADDITIVE_EKF, mixed_sensor_strategy(),
+                         InjectionMode.RETRACTION, cfg.imu.qc(), sc.earth)
         checked = 0
 
         def check(before, after):
@@ -47,6 +38,6 @@ class TestStatisticalSanity:
             assert_spd(after.P)
             checked += 1
 
-        run = run_filter(fs, stream, stream.dt, obs, check)
+        run = run_filter(fs, sc.imu, sc.imu.dt, sc.gnss + sc.odo, check)
         assert run.diverged is None
         assert checked > 100
