@@ -178,6 +178,8 @@ def cmd_sweep(args) -> int:
     _reject_leftovers(cfg, ())
     if yaw_step <= 0 or yaw_max < yaw_min:
         raise ConfigError("sweep grid is empty or inverted")
+    if n_seeds < 1:
+        raise ConfigError(f"sweep.seeds must be at least 1, got {n_seeds}")
     grid = np.arange(yaw_min, yaw_max + yaw_step / 2, yaw_step)
     result = monte_carlo_sweep(scenario, grid, n_seeds, variants=variants, jobs=args.jobs)
     os.makedirs(args.out, exist_ok=True)

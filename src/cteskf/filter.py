@@ -18,7 +18,10 @@ correction in the target parameterization equals injecting it in the
 filter's own.  Under the default retraction injection they differ.
 
 :func:`run_filter` is the one event loop that drives a filter through an IMU
-sample sequence and its observations.
+sample sequence and its observations.  Between two observations it
+propagates the whole segment at once with :func:`mechanize_sequence` and
+:func:`propagate_covariance_sequence`, the one strapdown mechanization and
+the one covariance recursion of the package.
 """
 
 from __future__ import annotations
@@ -37,10 +40,14 @@ from .errorstate import (
     system_matrix,
     transformation_matrix,
 )
-from .ins import EarthModel, ImuSample, NavState, correct_imu, midpoint_translation, propagate_state
+from .ins import EarthModel, ImuSample, NavState, midpoint_translation
 from .sensors import Observation, innovation, noise_covariance, observation_matrix
 
 I15 = np.eye(15)
+_THREE_I3 = 3.0 * np.eye(3)
+
+MAX_DT = 0.5  # s, the longest propagation step run_filter accepts
+CHUNK = 1024  # steps of F, G and P held in memory at once
 
 
 class FilterDivergence(RuntimeError):
@@ -95,27 +102,6 @@ class FilterState:
 
 def _symmetrize(p: np.ndarray) -> np.ndarray:
     return (p + p.T) / 2.0
-
-
-def propagate(fs: FilterState, u: ImuSample, dt: float) -> FilterState:
-    """Advance state and covariance by one IMU step.
-
-    The covariance uses the first-order transition I + F dt with F, G frozen
-    at the pre-step estimate: P <- Phi P Phi^T + G Qc G^T dt.
-    """
-    if not np.isfinite(fs.P).all():
-        raise FilterDivergence(f"covariance is non-finite at t={fs.x.time:.3f} ({fs.param.value})")
-    corrected = ImuSample(u.time, *correct_imu(fs.x, u))
-    sm = system_matrix(fs.param, fs.x, corrected, fs.earth, fs.qc)
-    x_new = propagate_state(fs.x, corrected, dt, fs.earth, subtract_biases=False)
-    phi = I15 + sm.F * dt
-    p_new = phi @ fs.P @ phi.T + (sm.G @ sm.Qc @ sm.G.T) * dt
-    p_new = _symmetrize(p_new)
-    if not np.isfinite(p_new).all():
-        raise FilterDivergence(
-            f"covariance became non-finite at t={x_new.time:.3f} ({fs.param.value})"
-        )
-    return replace(fs, x=x_new, P=p_new)
 
 
 def _gain_and_update(p: np.ndarray, h: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -271,81 +257,108 @@ class FilterRun:
     diverged: str | None = None
 
 
-def run_filter(fs: FilterState, samples, dt: float, observations, on_update=None, update=None) -> FilterRun:
-    """Drive one filter through a sequence of IMU samples (anything with a
-    length and integer indexing, read one sample per step) and its
-    observations.
+def run_filter(fs: FilterState, imu, dt: float, observations, on_update=None, update=None) -> FilterRun:
+    """Drive one filter through IMU samples and observations.
 
-    After each propagation step, every observation stamped at or before the
-    propagated state's time plus dt/2 is applied, in time order (a stable
-    sort, so simultaneous observations keep their given order); observations
-    after the last sample are never applied.  An observation stamped before
-    the initial state's time plus dt/2 matches no propagated epoch, so it
-    raises ``ValueError`` before the first step.  ``update(fs, obs)`` applies
-    one observation and returns ``(fs, report)``; ``None`` selects
-    :func:`step_observation`, looked up at call time so that a wrapper bound
-    to the module attribute (the benchmark's tracer) sees every update.
-    ``on_update(before, after)`` receives the filter states around each
-    update.  A
-    :class:`FilterDivergence` ends the run at the last step completed before
-    it.
+    ``imu`` holds the samples as arrays, as :class:`cteskf.sim.ImuStream`
+    does: times ``t`` (N,) and raw rates ``gyro``, ``accel`` (N, 3), sample k
+    held over step k; 0 < ``dt`` <= :data:`MAX_DT`.  The state time after k
+    steps is the initial time plus k dt.  After each step, every observation
+    stamped at or before that time plus dt/2 is applied, in time order (a
+    stable sort); observations after the last sample are never applied, and
+    one stamped before the initial time plus dt/2 raises ``ValueError``
+    before the first step.  ``update(fs, obs)`` applies one observation and
+    returns ``(fs, report)``; ``None`` selects :func:`step_observation`,
+    looked up at call time so that a wrapper bound to the module attribute
+    (the benchmark's tracer) sees every update.  ``on_update(before, after)``
+    receives the filter states around each update.
+
+    The steps up to the next observation (at most :data:`CHUNK`) form one
+    segment, propagated at the state's biases by one
+    :func:`mechanize_sequence` and one :func:`propagate_covariance_sequence`
+    call.  A :class:`FilterDivergence` from an update, or a state or
+    covariance that stops being finite, ends the run at the last step
+    completed before it.
     """
+    if not 0.0 < dt <= MAX_DT:
+        raise ValueError(f"propagation step dt={dt} s must be positive and at most {MAX_DT} s")
     update = step_observation if update is None else update
     pending = sorted(observations, key=lambda o: o.time)
-    if pending and pending[0].time < fs.x.time + 0.5 * dt:
+    t0 = fs.x.time
+    if pending and pending[0].time < t0 + 0.5 * dt:
         early = pending[0]
         raise ValueError(
             f"{early.kind} observation at t={early.time:.6g} precedes the first propagated "
-            f"epoch t={fs.x.time + dt:.6g} by more than dt/2"
+            f"epoch t={t0 + dt:.6g} by more than dt/2"
         )
-    n = len(samples)
+    n = len(imu.t)
+    # the step after which each observation is applied: the first whose end
+    # time plus dt/2 reaches its stamp (n: after the last sample, never)
+    due = np.searchsorted(t0 + dt * np.arange(1.5, n + 1.0), [o.time for o in pending]).tolist() + [n]
     run = FilterRun(
-        np.empty(n + 1), np.empty((n + 1, 3, 3)), np.empty((n + 1, 3)), np.empty((n + 1, 3)),
-        np.empty((n + 1, 3)), np.empty((n + 1, 3)), np.empty((n + 1, 5)),
+        np.concatenate(([t0], imu.t)), np.empty((n + 1, 3, 3)), *np.empty((4, n + 1, 3)), np.empty((n + 1, 5))
     )
+    _store(run, 0, fs)
 
-    def record(k, t, f):
-        run.t[k] = t
-        run.att[k], run.vel[k], run.pos[k] = f.x.att, f.x.vel, f.x.pos
-        run.bg[k], run.ba[k] = f.x.bg, f.x.ba
-        run.p_trace[k] = f.P.diagonal().reshape(5, 3).sum(axis=1)
+    def trimmed(rows, message):
+        arrays = {name: getattr(run, name)[:rows] for name in ("t", "att", "vel", "pos", "bg", "ba", "p_trace")}
+        return FilterRun(**arrays, diverged=message)
 
-    record(0, fs.x.time, fs)
-    j = 0
-    for k in range(n):
-        u = samples[k]
+    k = j = 0
+    while k < n:
+        stop = min(due[j] + 1, k + CHUNK, n)
+        x = fs.x
+        gyro, accel = imu.gyro[k:stop], imu.accel[k:stop]
+        # a non-finite input or result is found below and ends the run
+        with np.errstate(invalid="ignore", over="ignore"):
+            atts, vels, poss = mechanize_sequence(x, gyro, accel, dt, fs.earth)
+            p, history = propagate_covariance_sequence(
+                fs.param, fs.P, atts, vels, poss, gyro, accel, x.bg, x.ba, dt, fs.qc, fs.earth, record_every=1
+            )
+        m = stop - k
+        ps = np.array(history[1:])
+        finite = np.isfinite(
+            np.concatenate((atts[1:].reshape(m, 9), vels[1:], poss[1:], ps.reshape(m, 225)), axis=1)
+        ).all(axis=1)
+        # the segment's rows but its last, which holds the state after the
+        # updates that follow it
+        rows = slice(k + 1, stop)
+        run.att[rows], run.vel[rows], run.pos[rows], run.bg[rows], run.ba[rows] = (
+            atts[1:-1], vels[1:-1], poss[1:-1], x.bg, x.ba
+        )
+        run.p_trace[rows] = ps[:-1].diagonal(axis1=1, axis2=2).reshape(m - 1, 5, 3).sum(axis=2)
+        if not finite.all():
+            bad = k + int(np.argmin(finite))
+            return trimmed(
+                bad + 1, f"state or covariance became non-finite at t={run.t[bad + 1]:.3f} ({fs.param.value})"
+            )
+        fs = replace(fs, x=NavState(atts[-1], vels[-1], poss[-1], x.bg, x.ba, t0 + stop * dt), P=p)
         try:
-            fs = propagate(fs, u, dt)
-            while j < len(pending) and pending[j].time <= fs.x.time + 0.5 * dt:
+            while due[j] < stop:
                 before = fs
                 fs, _ = update(fs, pending[j])
                 j += 1
                 if on_update is not None:
                     on_update(before, fs)
         except FilterDivergence as exc:
-            arrays = {name: getattr(run, name)[: k + 1] for name in ("t", "att", "vel", "pos", "bg", "ba", "p_trace")}
-            return FilterRun(**arrays, diverged=str(exc))
-        record(k + 1, u.time, fs)
+            return trimmed(stop, str(exc))
+        _store(run, stop, fs)
+        k = stop
     return run
 
 
-# ---------------------------------------------------------------------------
-# Batch helpers for long propagation-only runs.  These reproduce repeated
-# propagate()/propagate_state() calls to rounding without a Python loop over
-# matrices; equivalence is pinned by tests.  F and G come from the same
-# system_matrix as the per-step path, evaluated on a stacked state.
-# ---------------------------------------------------------------------------
+def _store(run: FilterRun, row: int, fs: FilterState) -> None:
+    """Record the filter state and its covariance block traces in one row."""
+    x = fs.x
+    run.att[row], run.vel[row], run.pos[row], run.bg[row], run.ba[row] = x.att, x.vel, x.pos, x.bg, x.ba
+    run.p_trace[row] = fs.P.diagonal().reshape(5, 3).sum(axis=1)
 
 
-def _so3_exp_batch(phi: np.ndarray) -> np.ndarray:
-    theta = np.linalg.norm(phi, axis=-1)
-    small = theta < lie.SMALL_ANGLE
-    t2 = theta * theta
-    with np.errstate(invalid="ignore", divide="ignore"):
-        a = np.where(small, 1.0 - t2 / 6.0 + t2 * t2 / 120.0, np.sin(theta) / theta)
-        b = np.where(small, 0.5 - t2 / 24.0 + t2 * t2 / 720.0, (1.0 - np.cos(theta)) / t2)
-    px = lie.skew(phi)
-    return np.eye(3) + a[..., None, None] * px + b[..., None, None] * (px @ px)
+# ---------------------------------------------------------------------------
+# The propagation engine: whole segments of steps at fixed biases, without a
+# Python loop over matrices.  F and G come from system_matrix evaluated on
+# the stacked state history.
+# ---------------------------------------------------------------------------
 
 
 def _prefix_products(m: np.ndarray) -> np.ndarray:
@@ -362,32 +375,37 @@ def _prefix_products(m: np.ndarray) -> np.ndarray:
 def mechanize_sequence(
     x0: NavState, gyro: np.ndarray, accel: np.ndarray, dt: float, earth: EarthModel
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Run :func:`cteskf.ins.propagate_state` over raw IMU arrays.
+    """Strapdown mechanization over raw IMU arrays, biases held at x0's
+    values; each sample is the constant rate over its step.
 
-    Returns attitude (N+1,3,3), velocity (N+1,3) and position (N+1,3)
-    histories including the initial state.  Biases are held at x0's values.
+    Per step the attitude advances by the body rotation increment composed
+    with the Earth rotation over the step, and velocity and position by the
+    midpoint rule of :func:`cteskf.ins.midpoint_translation`.  Returns
+    attitude (N+1,3,3), velocity (N+1,3) and position (N+1,3) histories
+    including the initial state.
     """
     n = len(gyro)
     omega_b = gyro - x0.bg
     f_b = accel - x0.ba
-    earth_half = earth.frame_turn(0.5 * dt)
-    body_half = _so3_exp_batch(omega_b * (0.5 * dt))
+    body_half = lie.so3_exp(omega_b * (0.5 * dt))
 
-    # attitude: without the per-step renormalization the update
-    # R <- E (E R B_k) B_k composes into R_k = E^(2k) R_0 B_0^2 ... B_(k-1)^2,
-    # a prefix product; one Newton step restores orthonormality at the end
-    earth_turn = _so3_exp_batch(np.arange(1, n + 1)[:, None] * (earth.omega_ie * -dt))
+    # attitude: the update R <- E (E R B_k) B_k composes into
+    # R_k = E^(2k) R_0 B_0^2 ... B_(k-1)^2, a prefix product, which keeps
+    # orthonormality to a few ulps; one Newton step of symmetric
+    # orthogonalization, R <- R (3I - R^T R)/2, restores it on the last
+    # attitude, where the next segment starts
     atts = np.empty((n + 1, 3, 3))
     atts[0] = x0.att
-    atts[1:] = earth_turn @ x0.att @ _prefix_products(body_half @ body_half)
-    atts[1:] = atts[1:] @ ((3.0 * np.eye(3) - np.swapaxes(atts[1:], -1, -2) @ atts[1:]) / 2.0)
-    att_mid = earth_half @ atts[:-1] @ body_half
+    atts[1:] = earth.frame_turns(dt, n) @ x0.att @ _prefix_products(body_half @ body_half)
+    atts[-1] = atts[-1] @ ((_THREE_I3 - atts[-1].T @ atts[-1]) / 2.0)
 
     # velocity and position: the midpoint rule on Python floats, since
-    # gravity at the current position keeps this loop sequential
+    # gravity at the current position keeps this loop sequential; the
+    # specific force is resolved at the midpoint attitude E R_k B_k
+    forces = earth.frame_turn(0.5 * dt) @ atts[:-1] @ (body_half @ f_b[:, :, None])
     vel, pos = tuple(x0.vel.tolist()), tuple(x0.pos.tolist())
     vels, poss = [vel], [pos]
-    for f_e in np.einsum("nij,nj->ni", att_mid, f_b).tolist():
+    for f_e in forces[:, :, 0].tolist():
         vel, pos = midpoint_translation(f_e, vel, pos, dt, earth)
         vels.append(vel)
         poss.append(pos)
@@ -430,11 +448,12 @@ def propagate_covariance_sequence(
     qc: np.ndarray,
     earth: EarthModel,
     record_every: int = 0,
-    chunk: int = 1024,
+    chunk: int = CHUNK,
 ) -> tuple[np.ndarray, list]:
     """Covariance recursion P <- (I + F dt) P (I + F dt)^T + G Qc G^T dt over a
-    precomputed state history; matches repeated :func:`propagate` calls to
-    rounding.
+    precomputed state history, with F and G frozen at each step's pre-step
+    state and bias-corrected sample; the composition of steps matches the
+    step-by-step recursion to rounding.
 
     The steps between snapshots are composed into one transition pair
     (:func:`_compose`) and applied to P at once; at most ``chunk`` steps are
@@ -444,7 +463,7 @@ def propagate_covariance_sequence(
     n = len(gyro)
     omega_b = gyro - bg
     f_b = accel - ba
-    p = _symmetrize(np.array(p0, dtype=float))
+    p = np.array(p0, dtype=float)
     history = []
     # segments end on snapshot steps; without snapshots a chunk is a segment
     seg = record_every or chunk
@@ -475,9 +494,9 @@ def propagate_covariance_sequence(
         step = start
         for length, phi_seg, w_seg in pairs:
             if record_every and step % record_every == 0:
-                history.append(p.copy())
+                history.append(p)
             p = _symmetrize(phi_seg @ p @ phi_seg.T + w_seg)
             step += length
     if record_every and n % record_every == 0:
-        history.append(p.copy())
+        history.append(p)
     return p, history

@@ -1,4 +1,5 @@
-"""ECEF strapdown INS: state types, kinematic models and discrete propagation.
+"""ECEF strapdown INS: state types, kinematic models and the midpoint rule
+of the discrete mechanization (:func:`cteskf.filter.mechanize_sequence`).
 
 Two equivalent formulations of the inertial kinematics are provided: the
 classical one in terms of the Earth-relative velocity, and the group-affine
@@ -54,6 +55,10 @@ class EarthModel:
         self._omega_xyz = tuple(self.omega_ie.tolist())
         self._omega_sq_rows = self.omega_sq.tolist()
         self._turn_dt, self._turn = None, None
+        # rate and unit-axis skew (and its square) of the Earth rotation
+        self._rate = float(np.linalg.norm(self.omega_ie))
+        self._axis_mat = skew(self.omega_ie / self._rate) if self._rate > 0.0 else np.zeros((3, 3))
+        self._axis_sq = self._axis_mat @ self._axis_mat
 
     def frame_turn(self, dt: float) -> np.ndarray:
         """Rotation so3_exp(-omega_ie dt) that the Earth frame turns through
@@ -64,6 +69,15 @@ class EarthModel:
             turn.flags.writeable = False
             self._turn_dt, self._turn = dt, turn
         return self._turn
+
+    def frame_turns(self, dt: float, n: int) -> np.ndarray:
+        """The rotations so3_exp(-omega_ie k dt), k = 1..n, that the Earth
+        frame turns through over the first n steps of length dt, (n, 3, 3).
+        All turn about the one axis a of the Earth rotation, so Rodrigues'
+        formula I - sin(b) [a]x + (1 - cos(b)) [a]x^2 with b = |omega_ie| k dt
+        needs no per-step axis."""
+        angle = np.arange(1, n + 1)[:, None, None] * (self._rate * dt)
+        return np.eye(3) - np.sin(angle) * self._axis_mat + (1.0 - np.cos(angle)) * self._axis_sq
 
     def gravity(self, r: np.ndarray) -> np.ndarray:
         """Local gravity vector g(r): mass attraction plus centrifugal effect,
@@ -168,20 +182,11 @@ class StateDerivative:
     dba: np.ndarray = field(default_factory=lambda: np.zeros(3))
 
 
-def correct_imu(x: NavState, u: ImuSample) -> tuple[np.ndarray, np.ndarray]:
-    """Subtract the state's bias estimates from a raw IMU sample."""
-    return u.gyro - x.bg, u.accel - x.ba
-
-
-def classic_derivative(
-    x: NavState, u: ImuSample, earth: EarthModel, subtract_biases: bool = True
-) -> StateDerivative:
-    """Classical ECEF kinematics: transport and Coriolis on the Earth-relative
-    velocity, gravity included; bias means are constant."""
-    if subtract_biases:
-        omega_b, f_b = correct_imu(x, u)
-    else:
-        omega_b, f_b = u.gyro, u.accel
+def classic_derivative(x: NavState, u: ImuSample, earth: EarthModel) -> StateDerivative:
+    """Classical ECEF kinematics of a raw IMU sample: transport and Coriolis
+    on the Earth-relative velocity, gravity included; bias means are
+    constant."""
+    omega_b, f_b = u.gyro - x.bg, u.accel - x.ba
     datt = x.att @ skew(omega_b) - earth.omega_mat @ x.att
     dvel = x.att @ f_b - 2.0 * (earth.omega_mat @ x.vel) + earth.gravity(x.pos)
     rate_body = omega_b - x.att.T @ earth.omega_ie
@@ -243,42 +248,6 @@ def nav_from_group(
     return NavState(chi.rot.copy(), vel, chi.rho.copy(), bg.copy(), ba.copy(), time)
 
 
-def propagate_state(
-    x: NavState,
-    u: ImuSample,
-    dt: float,
-    earth: EarthModel,
-    max_dt: float = 0.5,
-    subtract_biases: bool = True,
-) -> NavState:
-    """Single-step strapdown update.
-
-    Attitude advances by the body rotation increment composed with the Earth
-    rotation over the step; velocity and position use a midpoint rule.  The
-    sample is treated as the constant rate over the step.
-    """
-    if dt <= 0.0:
-        raise ValueError("propagation step must be positive")
-    if dt > max_dt:
-        raise ValueError(f"propagation step {dt} s exceeds the {max_dt} s cap")
-    if subtract_biases:
-        omega_b, f_b = correct_imu(x, u)
-    else:
-        omega_b, f_b = u.gyro, u.accel
-
-    earth_half = earth.frame_turn(0.5 * dt)
-    body_half = lie.so3_exp(omega_b * (0.5 * dt))
-    att_mid = earth_half @ x.att @ body_half
-    att_new = lie.renormalize(earth_half @ att_mid @ body_half)
-
-    vel_new, pos_new = midpoint_translation(
-        (att_mid @ f_b).tolist(), x.vel.tolist(), x.pos.tolist(), dt, earth
-    )
-    vel_new, pos_new = np.array(vel_new), np.array(pos_new)
-
-    return NavState(att_new, vel_new, pos_new, x.bg.copy(), x.ba.copy(), x.time + dt)
-
-
 def midpoint_translation(
     f_e: list, vel: list, pos: list, dt: float, earth: EarthModel
 ) -> tuple[tuple, tuple]:
@@ -286,9 +255,9 @@ def midpoint_translation(
     kinematics, acc = f_e - 2 omega_ie x v + g(r), on Python floats.
 
     f_e is the specific force resolved in the Earth frame, held over the step;
-    the acceleration is evaluated at the start and at the midpoint.  Shared by
-    :func:`propagate_state` and the sequential loop of the batch mechanization,
-    where array overhead would dominate on 3-vectors.
+    the acceleration is evaluated at the start and at the midpoint.  The
+    sequential loop of :func:`cteskf.filter.mechanize_sequence` calls it once
+    per step, where array overhead would dominate on 3-vectors.
     """
     wx, wy, wz = earth._omega_xyz
     fx, fy, fz = f_e

@@ -62,8 +62,13 @@ def _sincos_coeffs(theta: float) -> tuple[float, float]:
 
 
 def so3_exp(phi: np.ndarray) -> np.ndarray:
-    """Rodrigues exponential of a rotation vector (rad)."""
-    phi = np.asarray(phi, dtype=float).tolist()
+    """Rodrigues exponential of a rotation vector (rad); a stack of vectors
+    (..., 3) gives a stack of rotations (..., 3, 3).  A non-finite vector
+    gives NaN entries (in a stack with numpy's invalid-value warning)."""
+    phi = np.asarray(phi, dtype=float)
+    if phi.ndim > 1:
+        return _so3_exp_stack(phi)
+    phi = phi.tolist()
     theta = math.hypot(*phi)
     if not math.isfinite(theta):
         return _NAN33.copy()
@@ -109,6 +114,20 @@ def so3_log(rot: np.ndarray) -> np.ndarray:
     return np.array([c * (r21 - r12), c * (r02 - r20), c * (r10 - r01)])
 
 
+def _so3_exp_stack(phi: np.ndarray) -> np.ndarray:
+    """:func:`so3_exp` of a (..., 3) stack.  With h = theta/2 and
+    s = sin(h)/h, sin(theta)/theta = s cos(h) and (1 - cos(theta))/theta^2 =
+    s^2/2; h is floored at the smallest normal float, where s is exactly 1,
+    so no small-angle branch is needed."""
+    half = np.maximum(0.5 * np.sqrt((phi * phi).sum(axis=-1)), _TINY)[..., None, None]
+    s = np.sin(half) / half
+    px = skew(phi)
+    return _I3 + (s * np.cos(half)) * px + (0.5 * s * s) * (px @ px)
+
+
+_TINY = np.finfo(float).tiny
+_I3 = np.eye(3)
+
 # what the exponential and the Jacobians give for a non-finite rotation
 # vector; math.sin and math.cos raise on infinities where numpy gives NaN
 _NAN33 = np.full((3, 3), np.nan)
@@ -116,8 +135,8 @@ _NAN33 = np.full((3, 3), np.nan)
 
 def _skew_poly(phi: list, b: float, c: float) -> np.ndarray:
     """I + b skew(phi) + c skew(phi)^2 for phi given as three floats,
-    evaluated elementwise with skew(phi)^2 = phi phi^T - |phi|^2 I; on the
-    per-step path this beats building and multiplying 3x3 arrays."""
+    evaluated elementwise with skew(phi)^2 = phi phi^T - |phi|^2 I; for one
+    vector this beats building and multiplying 3x3 arrays."""
     x, y, z = phi
     xx, yy, zz = x * x, y * y, z * z
     cxy, cxz, cyz = c * x * y, c * x * z, c * y * z
@@ -158,18 +177,6 @@ def so3_left_jacobian_inv(phi: np.ndarray) -> np.ndarray:
     else:
         c = 1.0 / theta**2 - (1.0 + math.cos(theta)) / (2.0 * theta * math.sin(theta))
     return _skew_poly(phi, -0.5, c)
-
-
-_THREE_I3 = 3.0 * np.eye(3)
-
-
-def renormalize(rot: np.ndarray) -> np.ndarray:
-    """One symmetric-orthogonalization Newton step, R <- R (3I - R^T R)/2.
-
-    Quadratically convergent for nearly orthonormal input; cheap enough for
-    the 200 Hz propagation loop.
-    """
-    return rot @ ((_THREE_I3 - rot.T @ rot) / 2.0)
 
 
 def orthonormalize(rot: np.ndarray) -> np.ndarray:

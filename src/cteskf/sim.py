@@ -18,7 +18,7 @@ import numpy as np
 from . import lie
 from .errorstate import ErrorParam, InjectionMode, process_noise, relation_matrix
 from .filter import FilterState, Strategy, mixed_sensor_strategy, run_filter
-from .ins import EARTH_RADIUS, G0, EarthModel, ImuSample, NavState
+from .ins import EARTH_RADIUS, G0, EarthModel, NavState
 from .sensors import GnssVelObs, OdoObs
 
 DEG = np.pi / 180.0
@@ -120,6 +120,9 @@ class ScenarioConfig:
         # no update can follow
         if not np.isfinite(self.obs_start_s) or round(self.obs_start_s * self.imu_rate) < 1:
             raise ValueError("obs_start_s must be finite and round to IMU sample 1 or later")
+        last_sample = round(self.duration * self.imu_rate)
+        if (self.use_gnss or self.use_odo) and round(self.obs_start_s * self.imu_rate) > last_sample:
+            raise ValueError(f"obs_start_s={self.obs_start_s} s lies after the scenario end: no observation is made")
         for name in ("gnss_sigma", "odo_sigma", "init_vel_sigma", "init_pos_sigma"):
             if not 0 <= getattr(self, name) < np.inf:
                 raise ValueError(f"{name} must be finite and not negative")
@@ -130,6 +133,9 @@ class ScenarioConfig:
                 ratio = self.imu_rate / rate
                 if abs(ratio - round(ratio)) > 1e-9:
                     raise ValueError("observation rates must divide the IMU rate")
+        # an unknown gravity or injection mode fails here, not in a run
+        self.earth()
+        self.injection_mode()
 
     def earth(self) -> EarthModel:
         omega = np.array([0.0, 0.0, 7.292115e-5]) if self.earth_rotation else np.zeros(3)
@@ -298,12 +304,6 @@ class ImuStream:
     dt: float
     bias_gyro: np.ndarray
     bias_accel: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.t)
-
-    def __getitem__(self, k: int) -> ImuSample:
-        return ImuSample(self.t[k], self.gyro[k], self.accel[k])
 
 
 def generate_truth(cfg: ScenarioConfig, earth: EarthModel) -> TruthSeries:
@@ -551,6 +551,8 @@ def monte_carlo_sweep(
     yaw_grid = np.asarray(list(yaw_grid_deg), dtype=float)
     if yaw_grid.size == 0:
         raise ValueError("yaw grid must not be empty")
+    if n_seeds < 1:
+        raise ValueError(f"a sweep needs at least one seed per cell, got {n_seeds}")
     tasks = [
         (cfg, yaw, [cfg.seed ^ (cell << 16) ^ s for s in range(n_seeds)], tuple(variants))
         for cell, yaw in enumerate(yaw_grid)

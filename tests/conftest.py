@@ -8,8 +8,9 @@ import pytest
 from cteskf import lie
 from cteskf.errorstate import ErrorParam, InjectionMode, process_noise, relation_matrix
 from cteskf.filter import FilterState, Strategy, run_filter
-from cteskf.ins import EarthModel, ImuSample, NavState
+from cteskf.ins import EarthModel, NavState
 from cteskf.sensors import GnssVelObs, OdoObs
+from cteskf.sim import ImuStream
 
 
 def pytest_collection_modifyitems(items):
@@ -47,6 +48,14 @@ def assert_spd(p: np.ndarray, tol_factor: float = 1e-10) -> None:
     eigmin = float(np.linalg.eigvalsh(p)[0])
     if eigmin < -tol_factor * np.trace(p):
         raise AssertionError(f"covariance has negative eigenvalue {eigmin:.3e}")
+
+
+def imu_stream(dt: float, gyro, accel, t0: float = 0.0) -> ImuStream:
+    """Raw IMU arrays as run_filter takes them: sample k ends at
+    t0 + (k + 1) dt; the bias truth is zero."""
+    gyro, accel = np.asarray(gyro, dtype=float), np.asarray(accel, dtype=float)
+    n = len(gyro)
+    return ImuStream(t0 + dt * np.arange(1, n + 1), gyro, accel, dt, np.zeros((n, 3)), np.zeros((n, 3)))
 
 
 def bank_updates(bank: list[FilterState], samples, dt: float, observations) -> list:
@@ -131,14 +140,14 @@ class StationaryQuietScenario:
         self.p0 = default_p0(att0, err)
         self.truth = NavState(np.eye(3), np.zeros(3), self.pos0.copy())
 
-        self.imu = [
-            ImuSample(
-                (k + 1) * self.dt,
+        noise = np.array([
+            (
                 rng.normal(scale=noise_scale * QUIET_ARW / np.sqrt(self.dt), size=3),
                 rng.normal(scale=noise_scale * QUIET_VRW / np.sqrt(self.dt), size=3),
             )
-            for k in range(n)
-        ]
+            for _ in range(n)
+        ])
+        self.imu = imu_stream(self.dt, noise[:, 0], noise[:, 1])
         self.obs = []
         for rate, sigma, ctor in (
             (gnss_rate, gnss_sigma, lambda t, v, s: GnssVelObs(t, v, s)),

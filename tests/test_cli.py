@@ -102,8 +102,9 @@ class TestSimulate:
         for name in ("imu.csv", "gnss_vel.csv", "odo.csv", "truth.csv"):
             assert (out1 / name).read_text() == (out2 / name).read_text()
 
-    def test_bad_config_writes_nothing(self, tmp_path):
-        cfg = write_cfg(tmp_path, MINIMAL + "\nbogus.key = 1\n")
+    @pytest.mark.parametrize("line", ["bogus.key = 1", "scenario.gravity = bogus", "scenario.injection = bogus"])
+    def test_bad_config_writes_nothing(self, tmp_path, line):
+        cfg = write_cfg(tmp_path, MINIMAL + f"\n{line}\n")
         out = tmp_path / "data"
         assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
         assert not out.exists()
@@ -162,9 +163,11 @@ class TestSweep:
         main(["sweep", "--config", cfg, "--out", str(out2)])
         assert (out1 / "rmse.csv").read_text() == (out2 / "rmse.csv").read_text()
 
-    def test_bad_grid_rejected(self, tmp_path):
-        cfg = write_cfg(tmp_path, SWEEP_CFG + "\nsweep.yaw_step_deg = -5\n")
+    @pytest.mark.parametrize("line", ["sweep.yaw_step_deg = -5", "sweep.seeds = 0"])
+    def test_bad_grid_rejected(self, tmp_path, line):
+        cfg = write_cfg(tmp_path, SWEEP_CFG + f"\n{line}\n")
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "z")]) == 2
+        assert not (tmp_path / "z").exists()
 
 
 class TestVerifyCommand:

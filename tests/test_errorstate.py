@@ -11,7 +11,8 @@ from cteskf.errorstate import (
     transformation_matrix,
     transformation_matrix_generic,
 )
-from cteskf.ins import EARTH_RADIUS, EarthModel, ImuSample, NavState, propagate_state, vel_frame_convert
+from cteskf.filter import mechanize_sequence
+from cteskf.ins import EARTH_RADIUS, EarthModel, ImuSample, NavState, vel_frame_convert
 
 PARAMS = [ErrorParam.ADDITIVE_EKF, ErrorParam.LEFT_INVARIANT, ErrorParam.RIGHT_INVARIANT]
 PAIRS = [(a, b) for a in PARAMS for b in PARAMS if a is not b]
@@ -31,6 +32,12 @@ def random_state(rng, pos_scale=30.0, vel_scale=5.0):
         bg=rng.normal(scale=1e-4, size=3),
         ba=rng.normal(scale=1e-3, size=3),
     )
+
+
+def one_step(x, u, dt, earth):
+    """The state after one mechanize_sequence step with the raw sample u."""
+    atts, vels, poss = mechanize_sequence(x, u.gyro[None], u.accel[None], dt, earth)
+    return NavState(atts[1], vels[1], poss[1], x.bg, x.ba)
 
 
 def random_imu(rng):
@@ -101,8 +108,8 @@ class TestSystemMatrix:
         for _ in range(5):
             x0 = random_state(rng)
             u = random_imu(rng)
-            x1 = propagate_state(x0, u, eps, earth)
-            x2 = propagate_state(x1, u, eps, earth)
+            x1 = one_step(x0, u, eps, earth)
+            x2 = one_step(x1, u, eps, earth)
             u_corr = ImuSample(0.0, u.gyro - x1.bg, u.accel - x1.ba)
             f_src = system_matrix(src, x1, u_corr, earth).F
             f_dst = system_matrix(dst, x1, u_corr, earth).F

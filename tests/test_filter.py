@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from conftest import (
@@ -6,20 +8,21 @@ from conftest import (
     assert_spd,
     bank_updates,
     default_p0,
+    imu_stream,
     initial_filter_bank,
     quiet_earth,
 )
 
-from cteskf import lie, verify
-from cteskf.errorstate import ErrorParam, InjectionMode, process_noise, relation_matrix
+from cteskf import lie, sim, verify
+from cteskf.errorstate import ErrorParam, InjectionMode, process_noise, relation_matrix, system_matrix
 from cteskf.filter import (
+    CHUNK,
     FilterDivergence,
     FilterState,
     Strategy,
     _gain_and_update,
     mechanize_sequence,
     mixed_sensor_strategy,
-    propagate,
     propagate_covariance_sequence,
     run_filter,
     state_difference,
@@ -28,7 +31,7 @@ from cteskf.filter import (
     update_switch,
     update_transform,
 )
-from cteskf.ins import EarthModel, ImuSample, NavState, EARTH_RADIUS, propagate_state
+from cteskf.ins import EarthModel, ImuSample, NavState, EARTH_RADIUS
 from cteskf.sensors import GnssVelObs
 
 EKF = ErrorParam.ADDITIVE_EKF
@@ -55,10 +58,53 @@ def correlated_filter():
     return fs
 
 
+def stepwise_mechanization(x0, gyro, accel, dt, earth) -> list:
+    """The state after each step, from one-step mechanize_sequence calls."""
+    x, out = x0, []
+    for g, a in zip(gyro, accel):
+        atts, vels, poss = mechanize_sequence(x, g[None], a[None], dt, earth)
+        x = NavState(atts[1], vels[1], poss[1], x.bg, x.ba, x.time + dt)
+        out.append(x)
+    return out
+
+
+def covariance_step(param, p, x, gyro, accel, dt, qc, earth):
+    """One step of P <- (I + F dt) P (I + F dt)^T + G Qc G^T dt, F and G from
+    system_matrix at the pre-step state and bias-corrected sample."""
+    sm = system_matrix(param, x, ImuSample(0.0, gyro - x.bg, accel - x.ba), earth, qc)
+    phi = np.eye(15) + sm.F * dt
+    p = phi @ p @ phi.T + sm.G @ sm.Qc @ sm.G.T * dt
+    return (p + p.T) / 2.0
+
+
+def stepwise_run(fs, imu, dt, observations) -> list:
+    """Reference for run_filter, one step at a time: the filter state after
+    each step and the updates that follow it."""
+    pending = sorted(observations, key=lambda o: o.time)
+    out, j = [fs], 0
+    for g, a in zip(imu.gyro, imu.accel):
+        (x,) = stepwise_mechanization(fs.x, g[None], a[None], dt, fs.earth)
+        fs = replace(fs, x=x, P=covariance_step(fs.param, fs.P, fs.x, g, a, dt, fs.qc, fs.earth))
+        while j < len(pending) and pending[j].time <= x.time + 0.5 * dt:
+            fs, _ = step_observation(fs, pending[j])
+            j += 1
+        out.append(fs)
+    return out
+
+
+def propagated(fs, n=1, dt=0.01):
+    """The filter state run_filter reaches after n zero-rate IMU steps, read
+    at a pass-through update after the last step."""
+    seen = []
+    imu = imu_stream(dt, np.zeros((n, 3)), np.zeros((n, 3)), fs.x.time)
+    last = [GnssVelObs(imu.t[-1], np.zeros(3))]
+    run_filter(fs, imu, dt, last, lambda before, after: seen.append(after), lambda f, obs: (f, None))
+    return seen[0]
+
+
 class TestPropagate:
     def test_zero_noise_zero_dynamics_keeps_zero_covariance(self):
-        fs = simple_filter(p_scale=0.0)
-        out = propagate(fs, ImuSample(0.0, np.zeros(3), np.zeros(3)), 0.01)
+        out = propagated(simple_filter(p_scale=0.0))
         np.testing.assert_array_equal(out.P, np.zeros((15, 15)))
 
     def test_scalar_riccati_analogue(self):
@@ -75,15 +121,16 @@ class TestPropagate:
     def test_covariance_grows_with_noise(self):
         qc = process_noise(1e-8, 1e-6, 1e-15, 1e-13)
         fs = simple_filter(qc=qc)
-        out = propagate(fs, ImuSample(0.0, np.zeros(3), np.zeros(3)), 0.01)
+        out = propagated(fs)
         assert np.trace(out.P) > np.trace(fs.P)
         assert_spd(out.P)
 
-    def test_nonfinite_covariance_raises(self):
+    def test_nonfinite_covariance_ends_run(self):
         fs = simple_filter()
         fs.P[0, 0] = np.inf
-        with pytest.raises(FilterDivergence):
-            propagate(fs, ImuSample(0.0, np.zeros(3), np.zeros(3)), 0.01)
+        run = run_filter(fs, imu_stream(0.01, np.zeros((5, 3)), np.zeros((5, 3))), 0.01, [])
+        assert run.diverged == "state or covariance became non-finite at t=0.010 (ekf)"
+        assert len(run.t) == 1
 
 
 class TestUpdatePlain:
@@ -177,9 +224,10 @@ class TestUpdateSwitch:
         assert result.passed, result.line()
 
     def test_switch_ineffectiveness_fails_without_compared_updates(self, monkeypatch):
-        # no observation before the run ends: nothing was compared
-        result = verify.check_switch_ineffectiveness(duration=0.5, tol=1e-12)
-        assert not result.passed and "0 of 0 observations applied" in result.detail
+        # no observation before the run ends: the scenario itself is
+        # rejected, since the check could compare nothing
+        with pytest.raises(ValueError, match="obs_start_s"):
+            verify.check_switch_ineffectiveness(duration=0.5, tol=1e-12)
 
         # a witness run that diverges
         def diverging(*args, **kwargs):
@@ -295,7 +343,8 @@ class TestFirstUpdateIdentity:
         truth_gyro = att_t.T @ earth.omega_ie
         truth_f = att_t.T @ (-earth.gravity(pos0))
         dt = 1.0 / 200.0
-        imu = [ImuSample((k + 1) * dt, truth_gyro, truth_f) for k in range(600)]
+        imu = imu_stream(dt, np.tile(truth_gyro, (600, 1)), np.tile(truth_f, (600, 1)))
+        imu_later = imu_stream(dt, imu.gyro[200:], imu.accel[200:], t0=1.0)
         obs = [GnssVelObs(1.0, np.zeros(3)), GnssVelObs(2.0, np.zeros(3)), GnssVelObs(3.0, np.zeros(3))]
 
         # run the additive filter through all three updates; at its first
@@ -309,7 +358,7 @@ class TestFirstUpdateIdentity:
         def first_and_later_diffs(param):
             (other,) = initial_filter_bank(pre.x, pre.P, [(param, Strategy())], QUIET_QC, earth)
             other_first, _ = step_observation(other, obs[0])
-            (other_later,) = zip(*bank_updates([other_first], imu[200:], dt, obs[1:]))
+            (other_later,) = zip(*bank_updates([other_first], imu_later, dt, obs[1:]))
             later = [state_difference(e.x, o.x) for (_, e), (_, o) in zip(ekf_log[1:], other_later)]
             return state_difference(ekf_first.x, other_first.x), later
 
@@ -330,7 +379,12 @@ class TestRunFilter:
     DT = 0.01
 
     def samples(self, n=10):
-        return [ImuSample((k + 1) * self.DT, np.zeros(3), np.zeros(3)) for k in range(n)]
+        return imu_stream(self.DT, np.zeros((n, 3)), np.zeros((n, 3)))
+
+    @pytest.mark.parametrize("dt", [0.0, -0.01, 0.75, np.inf, np.nan])
+    def test_rejects_bad_dt(self, dt):
+        with pytest.raises(ValueError, match="propagation step"):
+            run_filter(simple_filter(), self.samples(), dt, [])
 
     def test_observation_at_sample_time_applied_after_that_step(self):
         # observations given out of order are applied in time order, each
@@ -395,6 +449,63 @@ class TestRunFilter:
         assert np.isfinite(run.att).all() and np.isfinite(run.vel).all()
         np.testing.assert_array_equal(run.t, np.arange(5) * self.DT)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("param", [EKF, LEFT, RIGHT])
+    def test_nonfinite_imu_sample_ends_run_at_its_step(self, param, bad):
+        # the bad sample of the step ending at t=0.07 lies inside the segment
+        # between the observations at t=0.03 and t=0.1
+        imu = self.samples()
+        imu.gyro[6, 1] = bad
+        obs = [GnssVelObs(0.03, np.zeros(3)), GnssVelObs(0.1, np.zeros(3))]
+        base = simple_filter()
+        (fs,) = initial_filter_bank(base.x, base.P, [(param, Strategy())], QUIET_QC, base.earth)
+        run = run_filter(fs, imu, self.DT, obs)
+        assert run.diverged == f"state or covariance became non-finite at t=0.070 ({param.value})"
+        assert len(run.t) == len(run.att) == len(run.p_trace) == 7
+        assert np.isfinite(run.att).all() and np.isfinite(run.vel).all() and np.isfinite(run.p_trace).all()
+        np.testing.assert_array_equal(run.t, np.arange(7) * self.DT)
+
+
+class TestSegmentEngine:
+    """run_filter, which propagates whole segments between observations,
+    against the stepwise reference."""
+
+    @staticmethod
+    def _filter_and_inputs(variant, imu_rate, duration, gnss_rate):
+        # desk-scale coordinates: at ECEF magnitudes the right-invariant
+        # updates amplify rounding differences beyond these tolerances
+        cfg = sim.ScenarioConfig(
+            duration=duration, radius=100.0, imu_rate=imu_rate, use_gnss=gnss_rate > 0.0, gnss_rate=gnss_rate or 1.0,
+            init_att_err_deg=(5.0, 5.0, 10.0), seed=3, anchor="origin", gravity_mode="constant",
+        )
+        sc = sim.synthesize(cfg)
+        param, strategy = sim.variant_config(variant)
+        a0 = relation_matrix(EKF, param, sc.x0, sc.earth)
+        fs = FilterState(sc.x0, a0 @ sc.p0 @ a0.T, param, strategy, cfg.injection_mode(), cfg.imu.qc(), sc.earth)
+        return fs, sc.imu, sc.gnss
+
+    @staticmethod
+    def _assert_matches(run, reference):
+        assert run.diverged is None and len(run.t) == len(reference)
+        np.testing.assert_allclose(run.att, [f.x.att for f in reference], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(run.vel, [f.x.vel for f in reference], rtol=0, atol=1e-9)
+        np.testing.assert_allclose(run.pos, [f.x.pos for f in reference], rtol=0, atol=1e-7)
+        traces = [f.P.diagonal().reshape(5, 3).sum(axis=1) for f in reference]
+        np.testing.assert_allclose(run.p_trace, traces, rtol=1e-10)
+
+    @pytest.mark.parametrize("variant", ["ekf", "l-inekf", "r-inekf", "ct-ekf"])
+    @pytest.mark.parametrize("segment", [1, 3, 20])
+    def test_segments_match_stepwise(self, segment, variant):
+        # GNSS every `segment` IMU steps from t = 1 s on
+        fs, imu, obs = self._filter_and_inputs(variant, 60.0, 2.0, 60.0 / segment)
+        self._assert_matches(run_filter(fs, imu, imu.dt, obs), stepwise_run(fs, imu, imu.dt, obs))
+
+    @pytest.mark.parametrize("variant", ["ekf", "l-inekf", "r-inekf"])
+    def test_run_without_observations_longer_than_a_chunk(self, variant):
+        fs, imu, obs = self._filter_and_inputs(variant, 100.0, 11.0, 0.0)
+        assert obs == [] and len(imu.t) > CHUNK
+        self._assert_matches(run_filter(fs, imu, imu.dt, []), stepwise_run(fs, imu, imu.dt, []))
+
 
 class TestStrategyDispatch:
     def test_mixed_strategy_targets(self):
@@ -419,9 +530,7 @@ class TestBatchHelpers:
         gyro = rng.normal(scale=0.1, size=(n, 3))
         accel = rng.normal(scale=1.0, size=(n, 3)) + np.array([0.0, 0.0, 9.8])
         atts, vels, poss = mechanize_sequence(x0, gyro, accel, dt, earth)
-        x = x0.copy()
-        for k in range(n):
-            x = propagate_state(x, ImuSample((k + 1) * dt, gyro[k], accel[k]), dt, earth)
+        x = stepwise_mechanization(x0, gyro, accel, dt, earth)[-1]
         np.testing.assert_allclose(atts[-1], x.att, atol=1e-12)
         np.testing.assert_allclose(vels[-1], x.vel, atol=1e-9)
         np.testing.assert_allclose(poss[-1], x.pos, atol=1e-7)
@@ -437,11 +546,10 @@ class TestBatchHelpers:
 
     @staticmethod
     def _stepwise_covariances(param, p0, x0, gyro, accel, dt, qc, earth):
-        fs = FilterState(x0.copy(), p0, param, Strategy(), InjectionMode.FIRST_ORDER, qc, earth)
-        out = [fs.P]
-        for k in range(len(gyro)):
-            fs = propagate(fs, ImuSample((k + 1) * dt, gyro[k], accel[k]), dt)
-            out.append(fs.P)
+        states = [x0] + stepwise_mechanization(x0, gyro, accel, dt, earth)
+        out = [p0]
+        for x, g, a in zip(states, gyro, accel):
+            out.append(covariance_step(param, out[-1], x, g, a, dt, qc, earth))
         return out
 
     @pytest.mark.parametrize("param", [EKF, LEFT, RIGHT])

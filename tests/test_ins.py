@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from cteskf import lie
+from cteskf.filter import mechanize_sequence
 from cteskf.ins import (
     EarthModel,
     ImuSample,
@@ -16,7 +17,6 @@ from cteskf.ins import (
     group_vel_to_classic,
     left_rate_matrix,
     nav_from_group,
-    propagate_state,
     right_rate_matrix,
     vel_frame_convert,
 )
@@ -196,6 +196,15 @@ class TestFrameTurn:
         for dt in (0.01, 0.5, 0.5, 0.01):
             np.testing.assert_array_equal(earth.frame_turn(dt), lie.so3_exp(earth.omega_ie * -dt))
 
+    @pytest.mark.parametrize("omega", [(0.0, 0.0, WGS84_RATE), (1e-4, -2e-4, 3e-4), (0.0, 0.0, 0.0)])
+    def test_stack_matches_exponential(self, omega):
+        earth = EarthModel(omega_ie=np.array(omega))
+        for dt, n in ((0.01, 3), (0.5, 20), (1.0, 3600)):
+            turns = earth.frame_turns(dt, n)
+            assert turns.shape == (n, 3, 3)
+            for k in (0, n // 2, n - 1):
+                np.testing.assert_allclose(turns[k], lie.so3_exp(earth.omega_ie * (-(k + 1) * dt)), rtol=0, atol=1e-15)
+
 
 class TestVelFrameConvert:
     def test_no_rotation(self):
@@ -229,33 +238,27 @@ class TestVelFrameConvert:
         np.testing.assert_array_equal(back.pos, x.pos)
 
 
-class TestPropagateState:
+def mechanize(x, gyro, accel, dt, earth) -> NavState:
+    """The state after mechanize_sequence's steps through the samples."""
+    atts, vels, poss = mechanize_sequence(x, np.atleast_2d(gyro), np.atleast_2d(accel), dt, earth)
+    return NavState(atts[-1], vels[-1], poss[-1], x.bg, x.ba)
+
+
+class TestMechanizeSequence:
     def test_vanishing_step_limit(self):
         earth = EarthModel()
         rng = np.random.default_rng(6)
         x = NavState(lie.so3_exp(rng.normal(size=3)), np.zeros(3), EQUATOR)
-        u = ImuSample(0.0, stationary_gyro(x, earth), stationary_specific_force(x, earth))
-        out = propagate_state(x, u, 1e-9, earth)
+        out = mechanize(x, stationary_gyro(x, earth), stationary_specific_force(x, earth), 1e-9, earth)
         np.testing.assert_allclose(out.att, x.att, atol=1e-12)
         np.testing.assert_allclose(out.vel, x.vel, atol=1e-12)
         np.testing.assert_allclose(out.pos, x.pos, atol=1e-12 * EARTH_RADIUS)
 
-    def test_rejects_bad_dt(self):
-        earth = EarthModel()
-        x = NavState(np.eye(3), np.zeros(3), EQUATOR)
-        u = ImuSample(0.0, np.zeros(3), np.zeros(3))
-        with pytest.raises(ValueError):
-            propagate_state(x, u, 0.0, earth)
-        with pytest.raises(ValueError):
-            propagate_state(x, u, 0.75, earth)
-
     def test_constant_rate_yaw(self):
         earth = quiet_earth()
         x = NavState(np.eye(3), np.zeros(3), np.zeros(3))
-        u = ImuSample(0.0, np.array([0.0, 0.0, 0.1]), np.zeros(3))
         dt = 1.0 / 200.0
-        for _ in range(2000):
-            x = propagate_state(x, u, dt, earth)
+        x = mechanize(x, np.tile([0.0, 0.0, 0.1], (2000, 1)), np.zeros((2000, 3)), dt, earth)
         yaw = lie.so3_log(x.att)
         np.testing.assert_allclose(yaw, [0.0, 0.0, 1.0], atol=1e-6)
 
@@ -282,11 +285,9 @@ class TestPropagateState:
         sol = solve_ivp(ode, (0.0, 1.0), y0, rtol=1e-12, atol=1e-12, method="DOP853")
         ref_vel, ref_pos = sol.y[9:12, -1], sol.y[12:15, -1]
 
-        x = x0.copy()
         dt = 1.0 / 200.0
-        for k in range(200):
-            t_mid = (k + 0.5) * dt
-            x = propagate_state(x, ImuSample(t_mid, gyro(t_mid), accel(t_mid)), dt, earth)
+        t_mid = (np.arange(200) + 0.5) * dt
+        x = mechanize(x0, [gyro(t) for t in t_mid], [accel(t) for t in t_mid], dt, earth)
         assert np.linalg.norm(x.pos - ref_pos) < 1e-6
         assert np.linalg.norm(x.vel - ref_vel) < 1e-6
 
@@ -298,17 +299,26 @@ class TestPropagateState:
         gyro = stationary_gyro(x, earth)
         f = stationary_specific_force(x, earth)
         dt = 1.0 / 200.0
-        state = x.copy()
-        for _ in range(12000):
-            state = propagate_state(state, ImuSample(0.0, gyro, f), dt, earth)
+        state = mechanize(x, np.tile(gyro, (12000, 1)), np.tile(f, (12000, 1)), dt, earth)
         assert np.linalg.norm(state.vel) < 1e-6
         assert np.linalg.norm(state.pos - x.pos) < 1e-4
+
+    def test_attitude_stays_orthonormal(self):
+        # a long leg composes every step's increment into one prefix product,
+        # renormalized once at the end
+        earth = EarthModel()
+        rng = np.random.default_rng(19)
+        x = NavState(lie.so3_exp(rng.normal(size=3)), np.zeros(3), EQUATOR)
+        n = 50_000
+        atts, _, _ = mechanize_sequence(x, rng.normal(scale=1.0, size=(n, 3)), np.zeros((n, 3)), 0.005, earth)
+        drift = np.linalg.norm(np.swapaxes(atts, -1, -2) @ atts - np.eye(3), axis=(1, 2))
+        assert drift.max() < 1e-12
 
     def test_deterministic(self):
         earth = EarthModel()
         rng = np.random.default_rng(8)
         x = NavState(lie.so3_exp(rng.normal(size=3)), rng.normal(size=3), EQUATOR)
-        u = ImuSample(0.0, rng.normal(size=3), rng.normal(size=3))
-        a = propagate_state(x, u, 0.005, earth)
-        b = propagate_state(x, u, 0.005, earth)
+        gyro, accel = rng.normal(size=(2, 5, 3))
+        a = mechanize(x, gyro, accel, 0.005, earth)
+        b = mechanize(x, gyro, accel, 0.005, earth)
         assert np.array_equal(a.att, b.att) and np.array_equal(a.vel, b.vel) and np.array_equal(a.pos, b.pos)

@@ -112,6 +112,18 @@ class TestGenerateTruth:
         with pytest.raises(ValueError, match="obs_start_s"):
             small_cfg(duration=2.0, imu_rate=200.0, obs_start_s=obs_start_s)
 
+    def test_obs_start_after_end_rejected(self):
+        # no observation could be made: the run would score an unaided filter
+        with pytest.raises(ValueError, match="obs_start_s"):
+            small_cfg(duration=2.0, obs_start_s=5.0)
+        assert small_cfg(duration=2.0, obs_start_s=5.0, use_gnss=False).obs_start_s == 5.0
+        assert len(synthesize(small_cfg(duration=2.0, obs_start_s=2.0)).gnss) == 1
+
+    @pytest.mark.parametrize("bad", [dict(gravity_mode="bogus"), dict(injection="bogus")])
+    def test_unknown_mode_rejected(self, bad):
+        with pytest.raises(ValueError, match="bogus"):
+            small_cfg(**bad)
+
     def test_obs_start_on_first_sample_accepted(self):
         cfg = small_cfg(duration=2.0, imu_rate=200.0, obs_start_s=0.005, use_odo=True)
         sc = synthesize(cfg)
@@ -248,6 +260,10 @@ class TestMonteCarloSweep:
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             monte_carlo_sweep(small_cfg(), [], 1)
+
+    def test_no_seeds_rejected(self):
+        with pytest.raises(ValueError, match="at least one seed"):
+            monte_carlo_sweep(small_cfg(), [0.0], 0)
 
     def test_parallel_matches_serial(self):
         cfg = small_cfg(duration=5.0, imu_rate=50.0, init_att_err_deg=(10.0, 10.0, 0.0))
