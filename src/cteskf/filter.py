@@ -413,25 +413,25 @@ def mechanize_sequence(
 
 
 def _compose(phi: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Compose per-step transition pairs along axis -3, earliest step first.
+    """Compose per-step transition pairs (N,15,15), earliest step first.
 
     The recursion P <- Phi P Phi^T + W composes associatively,
     (Phi2, W2) o (Phi1, W1) = (Phi2 Phi1, Phi2 W1 Phi2^T + W2), so adjacent
     pairs are merged level by level; a step left over at an odd level is
     folded into the last merged pair.  Returns the pair of the whole sequence.
     """
-    while phi.shape[-3] > 1:
-        odd = phi.shape[-3] % 2
+    while len(phi) > 1:
+        odd = len(phi) % 2
         if odd:
-            last_phi, last_w = phi[..., -1, :, :], w[..., -1, :, :]
-            phi, w = phi[..., :-1, :, :], w[..., :-1, :, :]
-        late = phi[..., 1::2, :, :]
-        w = late @ w[..., 0::2, :, :] @ np.swapaxes(late, -1, -2) + w[..., 1::2, :, :]
-        phi = late @ phi[..., 0::2, :, :]
+            last_phi, last_w = phi[-1], w[-1]
+            phi, w = phi[:-1], w[:-1]
+        late = phi[1::2]
+        w = late @ w[0::2] @ late.transpose(0, 2, 1) + w[1::2]
+        phi = late @ phi[0::2]
         if odd:
-            w[..., -1, :, :] = last_phi @ w[..., -1, :, :] @ np.swapaxes(last_phi, -1, -2) + last_w
-            phi[..., -1, :, :] = last_phi @ phi[..., -1, :, :]
-    return phi[..., 0, :, :], w[..., 0, :, :]
+            w[-1] = last_phi @ w[-1] @ last_phi.T + last_w
+            phi[-1] = last_phi @ phi[-1]
+    return phi[0], w[0]
 
 
 def propagate_covariance_sequence(
@@ -465,8 +465,9 @@ def propagate_covariance_sequence(
     f_b = accel - ba
     p = np.array(p0, dtype=float)
     history = []
-    # segments end on snapshot steps; without snapshots a chunk is a segment
-    seg = record_every or chunk
+    # segments end on snapshot steps and at chunk ends; without snapshots a
+    # chunk is one segment
+    every = record_every or chunk
     for start in range(0, n, chunk):
         stop = min(start + chunk, n)
         sm = system_matrix(
@@ -477,26 +478,12 @@ def propagate_covariance_sequence(
         )
         phi = I15 + sm.F * dt
         w = (sm.G @ qc @ sm.G.transpose(0, 2, 1)) * dt
-        # a partial segment up to the first snapshot step in the chunk, whole
-        # segments (composed as one batch), then a partial one to the chunk end
-        head = min(-(-start // seg) * seg, stop) - start
-        full = (stop - start - head) // seg
-        tail = head + full * seg
-        pairs = []
-        if head:
-            pairs.append((head, *_compose(phi[:head], w[:head])))
-        if full:
-            shape = (full, seg, 15, 15)
-            phis, ws = _compose(phi[head:tail].reshape(shape), w[head:tail].reshape(shape))
-            pairs += [(seg, phi_seg, w_seg) for phi_seg, w_seg in zip(phis, ws)]
-        if tail < stop - start:
-            pairs.append((stop - start - tail, *_compose(phi[tail:], w[tail:])))
-        step = start
-        for length, phi_seg, w_seg in pairs:
-            if record_every and step % record_every == 0:
+        bounds = [start, *range(start - start % every + every, stop, every), stop]
+        for a, b in zip(bounds[:-1], bounds[1:]):
+            if record_every and a % record_every == 0:
                 history.append(p)
+            phi_seg, w_seg = _compose(phi[a - start : b - start], w[a - start : b - start])
             p = _symmetrize(phi_seg @ p @ phi_seg.T + w_seg)
-            step += length
     if record_every and n % record_every == 0:
         history.append(p)
     return p, history
