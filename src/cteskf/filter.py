@@ -26,6 +26,7 @@ the one covariance recursion of the package.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -135,22 +136,27 @@ def _innovation(fs: FilterState, obs: Observation) -> np.ndarray:
 
 def _canonical_correction(xi: np.ndarray, obs: Observation, injection: InjectionMode) -> np.ndarray:
     """Wrap a rotation-vector correction beyond pi onto its canonical
-    representative (same rotation, magnitude <= pi).
+    representative (same rotation, magnitude < pi).
 
     Transients under very large initial attitude errors can command such
     corrections; for the group-exponential injection the wrap is exact on the
-    rotation.  First-order injection has no valid reading of them, so they
-    are left for inject_error to reject.  A non-finite correction (from a
-    non-finite gain) has no representative and ends the run.
+    rotation: one step scales the vector to the remainder of its norm modulo
+    2 pi.  First-order injection has no valid reading of them, so they are
+    left for inject_error to reject.  A non-finite correction (from a
+    non-finite gain or a norm that overflows), or one whose wrapped norm is
+    still pi (an odd multiple of pi, with two representatives), has no
+    representative and ends the run.
     """
-    if not np.isfinite(xi).all():
+    norm = math.hypot(*xi[0:3].tolist())
+    if not (math.isfinite(norm) and np.isfinite(xi).all()):
         raise FilterDivergence(f"non-finite correction from the {obs.kind} observation at t={obs.time:.3f}")
-    norm = np.linalg.norm(xi[0:3])
     if norm >= np.pi and injection is InjectionMode.RETRACTION:
         xi = xi.copy()
-        while norm >= np.pi:
-            xi[0:3] *= 1.0 - 2.0 * np.pi / norm
-            norm = np.linalg.norm(xi[0:3])
+        xi[0:3] *= math.remainder(norm, 2.0 * np.pi) / norm
+        if np.linalg.norm(xi[0:3]) >= np.pi:
+            raise FilterDivergence(
+                f"attitude correction of norm pi from the {obs.kind} observation at t={obs.time:.3f}"
+            )
     return xi
 
 

@@ -128,17 +128,8 @@ def write_truth(path, t, att, vel, pos):
 def read_truth(path):
     rows = _read(path, TRUTH_HEADER)
     _check_monotone(path, rows)
-    n = len(rows)
-    t = np.empty(n)
-    att = np.empty((n, 3, 3))
-    vel = np.empty((n, 3))
-    pos = np.empty((n, 3))
-    for k, (v, _) in enumerate(rows):
-        t[k] = v[0]
-        att[k] = quat_to_rot(np.array(v[1:5]))
-        vel[k] = v[5:8]
-        pos[k] = v[8:11]
-    return t, att, vel, pos
+    data = np.array([v for v, _ in rows]) if rows else np.empty((0, 11))
+    return data[:, 0], quat_to_rot(data[:, 1:5]), data[:, 5:8], data[:, 8:11]
 
 
 def write_estimates(path, series):

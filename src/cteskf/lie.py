@@ -22,10 +22,6 @@ import numpy as np
 # their 4th-order Taylor expansions to avoid cancellation.
 SMALL_ANGLE = 1e-7
 
-# Angles closer to pi than this use the symmetric-part axis extraction in
-# so3_log (the sin(theta) denominator of the standard formula degenerates).
-NEAR_PI = 1e-6
-
 
 def skew(v: np.ndarray) -> np.ndarray:
     """Skew-symmetric matrix of ``v`` such that ``skew(v) @ w == cross(v, w)``;
@@ -77,41 +73,20 @@ def so3_exp(phi: np.ndarray) -> np.ndarray:
 
 
 def so3_log(rot: np.ndarray) -> np.ndarray:
-    """Rotation vector of an orthonormal ``rot``; result norm is <= pi.
+    """Rotation vector (norm <= pi) of a rotation matrix; a (..., 3, 3) stack
+    gives a (..., 3) stack, each row the same bits as its matrix alone.
 
-    Near theta = pi the rotation axis is extracted from the symmetric part
-    (R + R^T)/2, where the usual antisymmetric-part formula degenerates.
-    The axis sign there is fixed so its first nonzero component is positive.
-    """
-    rot = np.asarray(rot, dtype=float)
-    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = rot.tolist()
-    theta = math.acos(min(max((r00 + r11 + r22 - 1.0) / 2.0, -1.0), 1.0))
-    if theta < SMALL_ANGLE:
-        # log(R) ~ antisymmetric part, second-order accurate near identity
-        return np.array([r21 - r12, r02 - r20, r10 - r01]) / 2.0
-    if np.pi - theta < NEAR_PI:
-        # arccos is ill-conditioned near pi; recover theta from the
-        # antisymmetric part instead (|unskew(R - R^T)/2| = sin(theta)).
-        sin_t = min(float(np.linalg.norm(unskew(rot - rot.T) / 2.0)), 1.0)
-        theta = np.pi - np.arcsin(sin_t)
-        sym = (rot + rot.T) / 2.0
-        cos_t = np.cos(theta)
-        axis_sq = np.clip((np.diag(sym) - cos_t) / (1.0 - cos_t), 0.0, None)
-        axis = np.sqrt(axis_sq)
-        # Off-diagonal terms carry the relative signs of the axis components.
-        i = int(np.argmax(axis))
-        if axis[i] > 0.0:
-            for j in range(3):
-                if j != i and sym[i, j] / (1.0 - cos_t) < 0.0:
-                    axis[j] = -axis[j]
-        for c in axis:
-            if c != 0.0:
-                if c < 0.0:
-                    axis = -axis
-                break
-        return theta * axis / np.linalg.norm(axis)
-    c = theta / (2.0 * math.sin(theta))
-    return np.array([c * (r21 - r12), c * (r02 - r20), c * (r10 - r01)])
+    With the unit quaternion [w, v] of :func:`rot_to_quat` (w >= 0),
+    phi = v 2 atan2(|v|, w) / |v| (Sola, Deray & Atchuthan, arXiv:1812.01537),
+    which stays accurate at every angle up to pi; at exactly pi both signs
+    of the axis are logarithms of ``rot``.  |v| is floored at the smallest
+    normal float, so the identity gives a zero vector and no small-angle
+    branch is needed.  A non-finite matrix gives NaN."""
+    with np.errstate(invalid="ignore"):
+        q = rot_to_quat(rot)
+        v = q[..., 1:]
+        norm = np.maximum(np.sqrt((v * v).sum(axis=-1, keepdims=True)), _TINY)
+        return v * (2.0 * np.arctan2(norm, q[..., :1]) / norm)
 
 
 def _so3_exp_stack(phi: np.ndarray) -> np.ndarray:
@@ -324,12 +299,16 @@ def rot_to_quat(rot: np.ndarray) -> np.ndarray:
 
 
 def quat_to_rot(q: np.ndarray) -> np.ndarray:
-    """Rotation matrix of a quaternion [w, x, y, z] (normalized internally)."""
-    w, x, y, z = np.asarray(q, dtype=float) / np.linalg.norm(q)
-    return np.array(
+    """Rotation matrix of a quaternion [w, x, y, z] (normalized internally);
+    a (..., 4) stack gives a (..., 3, 3) stack.  The norm takes the dot
+    kernel of a single vector's ``np.linalg.norm``, as in :func:`rot_to_quat`."""
+    q = np.asarray(q, dtype=float)
+    w, x, y, z = np.moveaxis(q / np.sqrt(np.matmul(q[..., None, :], q[..., :, None]))[..., 0], -1, 0)
+    return np.stack(
         [
-            [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-            [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-            [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-        ]
-    )
+            1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y),
+            2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x),
+            2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y),
+        ],
+        axis=-1,
+    ).reshape(q.shape[:-1] + (3, 3))

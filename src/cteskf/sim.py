@@ -227,11 +227,9 @@ class Trajectory:
         """Yield (leg, slice) pairs covering a sorted time array."""
         idx = np.searchsorted(self._starts, ts, side="right") - 1
         idx = np.clip(idx, 0, len(self.legs) - 1)
-        start = 0
-        for k in range(1, len(ts) + 1):
-            if k == len(ts) or idx[k] != idx[start]:
-                yield self.legs[idx[start]], slice(start, k)
-                start = k
+        starts = np.flatnonzero(np.diff(idx, prepend=-1)).tolist()
+        for start, stop in zip(starts, starts[1:] + [len(ts)]):
+            yield self.legs[idx[start]], slice(start, stop)
 
     def _batch_full(self, ts: np.ndarray):
         n = len(ts)
@@ -467,10 +465,6 @@ class EstimateSeries:
     ba: np.ndarray = None
 
 
-def _attitude_error(att_est: np.ndarray, att_true: np.ndarray) -> np.ndarray:
-    return lie.so3_log(att_est @ att_true.T)
-
-
 def run_scenario(cfg: ScenarioConfig, variant: str) -> tuple[EstimateSeries, dict]:
     """Propagate/update a single filter variant through the scenario.
 
@@ -494,9 +488,7 @@ def run_scenario(cfg: ScenarioConfig, variant: str) -> tuple[EstimateSeries, dic
     run = run_filter(fs, sc.imu, sc.imu.dt, sc.gnss + sc.odo)
 
     m = len(run.t)
-    att_err = np.empty((m, 3))
-    for idx in range(m):
-        att_err[idx] = _attitude_error(run.att[idx], truth.att[idx])
+    att_err = lie.so3_log(run.att @ truth.att[:m].transpose(0, 2, 1))
     series = EstimateSeries(
         run.t, run.att, run.vel, run.pos, att_err, run.vel - truth.vel[:m], run.pos - truth.pos[:m],
         run.p_trace, run.bg, run.ba,

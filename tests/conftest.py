@@ -1,9 +1,13 @@
 """Shared scenario helpers for the filter-level and acceptance tests."""
 
+import os
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from cteskf import lie
 from cteskf.errorstate import ErrorParam, InjectionMode, process_noise, relation_matrix
@@ -11,6 +15,26 @@ from cteskf.filter import FilterState, Strategy, run_filter
 from cteskf.ins import EarthModel, NavState
 from cteskf.sensors import GnssVelObs, OdoObs
 from cteskf.sim import ImuStream
+
+
+# property tests draw the same examples on every run, never fail on a slow
+# example of a shared machine, and keep no example database
+settings.register_profile("cteskf", derandomize=True, deadline=None, database=None)
+settings.load_profile("cteskf")
+# even without a database hypothesis caches the constants it finds in the
+# source under its storage directory; keep that out of the checkout
+_HYPOTHESIS_STORAGE = tempfile.TemporaryDirectory(prefix="cteskf-hypothesis-")
+os.environ.setdefault("HYPOTHESIS_STORAGE_DIRECTORY", _HYPOTHESIS_STORAGE.name)
+
+
+@pytest.hookimpl(wrapper=True, tryfirst=True)
+def pytest_runtest_makereport(item, call):
+    # hypothesis reports a failing example through a libcst import that warns
+    # about mypy_extensions; under the mark below that warning would abort the
+    # session instead of reporting the failure
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "mypy_extensions.TypedDict", DeprecationWarning)
+        return (yield)
 
 
 def pytest_collection_modifyitems(items):

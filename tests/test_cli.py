@@ -182,11 +182,22 @@ class TestVerifyCommand:
         names = {entry["name"] for entry in payload}
         assert {"group-affine-property", "switch-effectiveness", "first-update-identity"} <= names
 
-    def test_sign_flip_hook_fails_closure(self):
-        from cteskf.verify import check_transform_closure
+    def test_sign_flip_fails_closure(self, monkeypatch):
+        from cteskf import verify
+        from cteskf.errorstate import ErrorParam
 
-        ok = check_transform_closure(seed=0, trials=5, corrupt=False)
-        bad = check_transform_closure(seed=0, trials=5, corrupt=True)
+        ok = verify.check_transform_closure(seed=0, trials=5)
+        closed_form = verify.transformation_matrix
+
+        def flipped(src, dst, *args):
+            t = closed_form(src, dst, *args)
+            if src is ErrorParam.ADDITIVE_EKF and dst is ErrorParam.RIGHT_INVARIANT:
+                t = t.copy()
+                t[6:9, 0:3] = -t[6:9, 0:3]
+            return t
+
+        monkeypatch.setattr(verify, "transformation_matrix", flipped)
+        bad = verify.check_transform_closure(seed=0, trials=5)
         assert ok.passed and not bad.passed
 
 

@@ -1,4 +1,10 @@
+import math
+import os
+import pickle
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +26,7 @@ from cteskf.filter import (
     FilterDivergence,
     FilterState,
     Strategy,
+    _canonical_correction,
     _gain_and_update,
     mechanize_sequence,
     mixed_sensor_strategy,
@@ -33,6 +40,8 @@ from cteskf.filter import (
 )
 from cteskf.ins import EarthModel, ImuSample, NavState, EARTH_RADIUS
 from cteskf.sensors import GnssVelObs
+from hypothesis import given
+from hypothesis import strategies as st
 
 EKF = ErrorParam.ADDITIVE_EKF
 LEFT = ErrorParam.LEFT_INVARIANT
@@ -182,6 +191,56 @@ class TestUpdatePlain:
         fs = correlated_filter()
         with pytest.raises(FilterDivergence, match=r"gnss_vel observation at t=0\.250"):
             update_plain(fs, GnssVelObs(0.25, np.array([bad, 0.0, 0.0])))
+
+    @pytest.mark.parametrize("speed", [1e10, 1e20])
+    def test_huge_correction_wraps_in_one_step(self, speed):
+        # the wrap used to take |xi|/2pi passes; run in a child process so a
+        # hang fails on the timeout instead of stalling the suite
+        fs = correlated_filter()
+        obs = GnssVelObs(0.0, np.array([speed, 0.0, 0.0]))
+        code = (
+            "import pickle, sys\n"
+            "from cteskf.filter import update_plain\n"
+            "fs, obs = pickle.load(sys.stdin.buffer)\n"
+            "x = update_plain(fs, obs)[0].x\n"
+            "print(abs(x.vel[0]))\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            input=pickle.dumps((fs, obs)),
+            capture_output=True,
+            timeout=60,
+            env=dict(os.environ, PYTHONPATH=str(Path(lie.__file__).parents[1])),
+        )
+        assert done.returncode == 0, done.stderr.decode()
+        assert float(done.stdout) > 0.1 * speed
+
+    def test_correction_of_norm_pi_diverges(self):
+        # at exactly pi both signs are the same rotation, and the loop that
+        # wrapped it flipped the sign forever
+        xi = np.zeros(15)
+        xi[0:3] = [0.0, np.pi, 0.0]
+        with pytest.raises(FilterDivergence, match=r"norm pi from the gnss_vel observation at t=0\.250"):
+            _canonical_correction(xi, GnssVelObs(0.25, np.zeros(3)), InjectionMode.RETRACTION)
+
+    @given(
+        st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda a: math.hypot(*a) > 0.1),
+        st.floats(np.pi, 4.0 * np.pi, exclude_max=True),
+    )
+    def test_wrapped_correction_keeps_rotation(self, axis, norm):
+        xi = np.zeros(15)
+        xi[0:3] = norm * np.array(axis) / math.hypot(*axis)
+        xi[3:] = np.arange(12.0)
+        obs = GnssVelObs(0.0, np.zeros(3))
+        try:
+            out = _canonical_correction(xi, obs, InjectionMode.RETRACTION)
+        except FilterDivergence:
+            assert abs(math.remainder(np.linalg.norm(xi[0:3]), 2.0 * np.pi)) > np.pi - 1e-12
+            return
+        assert np.linalg.norm(out[0:3]) < np.pi
+        np.testing.assert_allclose(lie.so3_exp(out[0:3]), lie.so3_exp(xi[0:3]), rtol=0, atol=1e-14)
+        assert np.array_equal(out[3:], xi[3:])
+        assert np.array_equal(_canonical_correction(xi, obs, InjectionMode.FIRST_ORDER), xi)
 
     def test_indefinite_innovation_rejected(self):
         # well conditioned but negative definite: the Cholesky factor fails

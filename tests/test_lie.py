@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 from scipy.linalg import expm
+from scipy.spatial.transform import Rotation
 
 from cteskf import lie
 
@@ -117,6 +120,93 @@ class TestSo3ExpLog:
             phi = rng.uniform(-1.0, 1.0, 3) * 0.99 * np.pi / np.sqrt(3.0)
             back = lie.so3_log(lie.so3_exp(phi))
             np.testing.assert_allclose(back, phi, rtol=1e-9, atol=1e-12)
+
+
+    @staticmethod
+    def unit_axes(rng, n):
+        axes = rng.normal(size=(n, 3))
+        return axes / np.linalg.norm(axes, axis=1, keepdims=True)
+
+    def test_log_matches_scipy_near_pi(self):
+        # the arccos form lost up to 7e-4 rad just outside a near-pi branch
+        rng = np.random.default_rng(21)
+        for gap in (1.01e-6, 2e-6, 5e-6, 1e-5, 1e-4, 1e-3):
+            rots = Rotation.from_rotvec((np.pi - gap) * self.unit_axes(rng, 5000)).as_matrix()
+            err = np.abs(lie.so3_log(rots) - Rotation.from_matrix(rots).as_rotvec()).max()
+            assert err <= 1e-14, (gap, err)
+        rots = Rotation.random(20000, random_state=22).as_matrix()
+        assert np.abs(lie.so3_log(rots) - Rotation.from_matrix(rots).as_rotvec()).max() <= 1e-14
+
+    def test_log_matches_scipy_near_identity(self):
+        rng = np.random.default_rng(23)
+        for angle in (0.0, 1e-12, 1e-9, 1e-7):
+            rots = Rotation.from_rotvec(angle * self.unit_axes(rng, 1000)).as_matrix()
+            assert np.abs(lie.so3_log(rots) - Rotation.from_matrix(rots).as_rotvec()).max() <= 1e-14
+
+    def test_log_stack_shape(self):
+        rots = Rotation.random(12, random_state=24).as_matrix()
+        stacked = lie.so3_log(rots)
+        assert stacked.shape == (12, 3)
+        assert np.array_equal(lie.so3_log(rots.reshape(3, 4, 3, 3)), stacked.reshape(3, 4, 3))
+        assert lie.so3_log(np.empty((0, 3, 3))).shape == (0, 3)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_log_of_non_finite_is_nan(self, bad):
+        # warnings fail this suite, so this also checks that none is raised
+        for entries in ((0, 0), (0, 1), (2, 2)):
+            rot = np.eye(3)
+            rot[entries] = bad
+            assert np.isnan(lie.so3_log(rot)).all()
+        assert np.isnan(lie.so3_log(np.full((2, 3, 3), bad))).all()
+
+
+def rotation_vectors(min_angle=0.0, max_angle=np.pi):
+    """Rotation vectors with an angle in [min_angle, max_angle] about an
+    arbitrary axis."""
+    axis = st.tuples(*[st.floats(-1.0, 1.0)] * 3).map(np.array).filter(lambda a: np.linalg.norm(a) > 0.1)
+    angle = st.floats(min_angle, max_angle)
+    return st.builds(lambda a, t: t * a / np.linalg.norm(a), axis, angle)
+
+
+class TestProperties:
+    @given(rotation_vectors(max_angle=1e-6))
+    def test_log_inverts_exp_near_identity(self, phi):
+        np.testing.assert_allclose(lie.so3_log(lie.so3_exp(phi)), phi, rtol=0, atol=1e-13)
+
+    @given(rotation_vectors(np.pi - 1e-2, np.pi - 1e-9))
+    def test_log_inverts_exp_near_pi(self, phi):
+        # closer to pi than 1e-9, rounding leaves the sign of the axis open
+        np.testing.assert_allclose(lie.so3_log(lie.so3_exp(phi)), phi, rtol=0, atol=1e-13)
+
+    @given(rotation_vectors())
+    def test_exp_inverts_log(self, phi):
+        rot = lie.so3_exp(phi)
+        np.testing.assert_allclose(lie.so3_exp(lie.so3_log(rot)), rot, rtol=0, atol=1e-14)
+
+    @given(st.lists(rotation_vectors(), min_size=1, max_size=20))
+    def test_log_stack_equals_one_at_a_time(self, phis):
+        rots = np.array([lie.so3_exp(phi) for phi in phis])
+        assert np.array_equal(lie.so3_log(rots), np.array([lie.so3_log(r) for r in rots]))
+
+    @given(
+        rotation_vectors(max_angle=np.pi - 1e-3),
+        st.tuples(*[st.floats(-100.0, 100.0)] * 6).map(np.array),
+    )
+    def test_se23_log_inverts_exp(self, phi, cols):
+        xi = np.concatenate([phi, cols])
+        np.testing.assert_allclose(lie.se23_log(lie.se23_exp(xi)), xi, rtol=0, atol=1e-9)
+
+    @given(rotation_vectors(min_angle=2.5), st.floats(0.0, 1.0))
+    def test_quaternion_round_trip_on_every_branch(self, phi, small):
+        # large angles about the three cyclic permutations of an axis take the
+        # three largest-diagonal branches; a small angle takes the trace branch
+        rots = np.array([lie.so3_exp(np.roll(phi, k)) for k in range(3)] + [lie.so3_exp(small * phi)])
+        diag = np.diagonal(rots, axis1=1, axis2=2)
+        assume(len(set(np.where(diag.sum(axis=1) > 0.0, 3, np.argmax(diag, axis=1)))) == 4)
+        q = lie.rot_to_quat(rots)
+        back = lie.quat_to_rot(q)
+        assert np.array_equal(back, np.array([lie.quat_to_rot(qk) for qk in q]))
+        np.testing.assert_allclose(back, rots, rtol=0, atol=1e-14)
 
 
 class TestJacobians:

@@ -14,6 +14,7 @@ from cteskf.sim import (
     CONSUMER_IMU,
     ImuSpec,
     ScenarioConfig,
+    Trajectory,
     generate_truth,
     monte_carlo_sweep,
     run_scenario,
@@ -73,6 +74,21 @@ class TestGenerateTruth:
         for t in (2.3, 5.7, 8.1):
             _, vel, pos = truth.traj.batch_states(np.array([t - eps, t, t + eps]))
             np.testing.assert_allclose((pos[2] - pos[0]) / (2 * eps), vel[1], atol=1e-6)
+
+    @pytest.mark.parametrize("kind", ["stationary", "circle", "figure-eight", "waypoint"])
+    def test_leg_slices_split_times_at_leg_starts(self, kind):
+        traj = Trajectory(small_cfg(kind=kind, radius=1.0))
+        ts = np.linspace(0.0, 10.0, 1001)
+        pairs = list(traj._leg_slices(ts))
+        assert len(pairs) == sum(leg.t0 <= ts[-1] for leg in traj.legs)
+        assert [sl.start for _, sl in pairs] == [0] + [sl.stop for _, sl in pairs[:-1]]
+        assert pairs[-1][1].stop == len(ts)
+        for (leg, sl), (following, _) in zip(pairs, pairs[1:] + [(None, None)]):
+            assert (ts[sl] >= leg.t0).all()
+            if following is not None:
+                assert following is not leg and (ts[sl] < following.t0).all()
+        assert list(traj._leg_slices(np.empty(0))) == []
+        assert traj.batch_states(np.empty(0))[0].shape == (0, 3, 3)
 
     def test_unsupported_kind_rejected(self):
         with pytest.raises(ValueError):
