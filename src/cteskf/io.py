@@ -128,7 +128,7 @@ def write_truth(path, t, att, vel, pos):
 def read_truth(path):
     rows = _read(path, TRUTH_HEADER)
     _check_monotone(path, rows)
-    data = np.array([v for v, _ in rows]) if rows else np.empty((0, 11))
+    data = np.array([v for v, _ in rows]) if rows else np.empty((0, len(TRUTH_HEADER)))
     return data[:, 0], quat_to_rot(data[:, 1:5]), data[:, 5:8], data[:, 8:11]
 
 

@@ -27,14 +27,14 @@ _HYPOTHESIS_STORAGE = tempfile.TemporaryDirectory(prefix="cteskf-hypothesis-")
 os.environ.setdefault("HYPOTHESIS_STORAGE_DIRECTORY", _HYPOTHESIS_STORAGE.name)
 
 
-@pytest.hookimpl(wrapper=True, tryfirst=True)
-def pytest_runtest_makereport(item, call):
+@pytest.hookimpl(hookwrapper=True, tryfirst=True)
+def pytest_runtest_makereport():
     # hypothesis reports a failing example through a libcst import that warns
     # about mypy_extensions; under the mark below that warning would abort the
     # session instead of reporting the failure
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", "mypy_extensions.TypedDict", DeprecationWarning)
-        return (yield)
+        yield
 
 
 def pytest_collection_modifyitems(items):

@@ -192,10 +192,11 @@ class TestUpdatePlain:
         with pytest.raises(FilterDivergence, match=r"gnss_vel observation at t=0\.250"):
             update_plain(fs, GnssVelObs(0.25, np.array([bad, 0.0, 0.0])))
 
-    @pytest.mark.parametrize("speed", [1e10, 1e20])
+    @pytest.mark.parametrize("speed", [1e10, 1e20, 1e300])
     def test_huge_correction_wraps_in_one_step(self, speed):
         # the wrap used to take |xi|/2pi passes; run in a child process so a
-        # hang fails on the timeout instead of stalling the suite
+        # hang fails on the timeout instead of stalling the suite.  At 1e300
+        # the squared norm overflows, so the norm must not be formed from it
         fs = correlated_filter()
         obs = GnssVelObs(0.0, np.array([speed, 0.0, 0.0]))
         code = (
