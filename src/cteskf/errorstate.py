@@ -136,10 +136,16 @@ def system_matrix(
     return SystemMatrices(f, g, qc)
 
 
-def _extend(nav_block: np.ndarray) -> np.ndarray:
-    out = np.eye(15)
-    out[:9, :9] = nav_block
-    return out
+def _extended(batch: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """A (*batch, 15, 15) stack with a zero navigation block and an identity
+    bias block, and a view of its 9x9 navigation block to fill in."""
+    out = np.zeros(batch + (15, 15))
+    out[..., 9:, 9:] = np.eye(6)
+    return out, out[..., :9, :9]
+
+
+def _identity(batch: tuple) -> np.ndarray:
+    return np.broadcast_to(np.eye(15), batch + (15, 15)).copy()
 
 
 def relation_matrix(
@@ -148,56 +154,57 @@ def relation_matrix(
     """Matrix A with xi_dst = A xi_src, evaluated at the state estimate.
 
     All six directed pairs are closed forms (each is the analytic inverse of
-    its reverse), extended to 15x15 with an identity bias block.
+    its reverse), extended to 15x15 with an identity bias block.  A state
+    whose fields carry a leading member axis gives one matrix per member.
     """
-    if src is dst:
-        return np.eye(15)
     att = x.att
-    rt = att.T
+    batch = att.shape[:-2]
+    if src is dst:
+        return _identity(batch)
+    rt = att.swapaxes(-1, -2)
     omega_mat = earth.omega_mat
+    out, block = _extended(batch)
 
     if src is ErrorParam.ADDITIVE_EKF and dst is ErrorParam.LEFT_INVARIANT:
-        block = np.zeros((9, 9))
-        block[0:3, 0:3] = -rt
-        block[3:6, 3:6] = -rt
-        block[3:6, 6:9] = -(rt @ omega_mat)
-        block[6:9, 6:9] = -rt
-        return _extend(block)
+        block[..., 0:3, 0:3] = -rt
+        block[..., 3:6, 3:6] = -rt
+        block[..., 3:6, 6:9] = -(rt @ omega_mat)
+        block[..., 6:9, 6:9] = -rt
+        return out
     if src is ErrorParam.LEFT_INVARIANT and dst is ErrorParam.ADDITIVE_EKF:
-        block = np.zeros((9, 9))
-        block[0:3, 0:3] = -att
-        block[3:6, 3:6] = -att
-        block[3:6, 6:9] = omega_mat @ att
-        block[6:9, 6:9] = -att
-        return _extend(block)
+        block[..., 0:3, 0:3] = -att
+        block[..., 3:6, 3:6] = -att
+        block[..., 3:6, 6:9] = omega_mat @ att
+        block[..., 6:9, 6:9] = -att
+        return out
 
     nu = vel_frame_convert(x, earth)
     nu_x = skew(nu)
     pos_x = skew(x.pos)
 
     if src is ErrorParam.ADDITIVE_EKF and dst is ErrorParam.RIGHT_INVARIANT:
-        block = np.zeros((9, 9))
-        block[0:3, 0:3] = -I3
-        block[3:6, 0:3] = -nu_x
-        block[3:6, 3:6] = -I3
-        block[3:6, 6:9] = -omega_mat
-        block[6:9, 0:3] = -pos_x
-        block[6:9, 6:9] = -I3
-        return _extend(block)
+        block[..., 0:3, 0:3] = -I3
+        block[..., 3:6, 0:3] = -nu_x
+        block[..., 3:6, 3:6] = -I3
+        block[..., 3:6, 6:9] = -omega_mat
+        block[..., 6:9, 0:3] = -pos_x
+        block[..., 6:9, 6:9] = -I3
+        return out
     if src is ErrorParam.RIGHT_INVARIANT and dst is ErrorParam.ADDITIVE_EKF:
-        block = np.zeros((9, 9))
-        block[0:3, 0:3] = -I3
-        block[3:6, 0:3] = nu_x - omega_mat @ pos_x
-        block[3:6, 3:6] = -I3
-        block[3:6, 6:9] = omega_mat
-        block[6:9, 0:3] = pos_x
-        block[6:9, 6:9] = -I3
-        return _extend(block)
+        block[..., 0:3, 0:3] = -I3
+        block[..., 3:6, 0:3] = nu_x - omega_mat @ pos_x
+        block[..., 3:6, 3:6] = -I3
+        block[..., 3:6, 6:9] = omega_mat
+        block[..., 6:9, 0:3] = pos_x
+        block[..., 6:9, 6:9] = -I3
+        return out
 
     chi = lie.GroupState(att, nu, x.pos)
     if src is ErrorParam.LEFT_INVARIANT and dst is ErrorParam.RIGHT_INVARIANT:
-        return _extend(lie.adjoint(chi))
-    return _extend(lie.adjoint_inv(chi))
+        block[...] = lie.adjoint(chi)
+    else:
+        block[...] = lie.adjoint_inv(chi)
+    return out
 
 
 def transformation_matrix_generic(
@@ -226,62 +233,68 @@ def transformation_matrix(
     Applied as P <- T P T^T to the covariance of a filter running in the
     ``original`` parameterization right after its update; x_plus / x_minus are
     the updated and predicted states of that update.  Determinant is one.
+    States whose fields carry a leading member axis give one matrix per
+    member.
     """
-    if original is target:
-        return np.eye(15)
-    omega_mat = earth.omega_mat
     att_p, att_m = x_plus.att, x_minus.att
-    block = np.zeros((9, 9))
+    batch = att_p.shape[:-2]
+    if original is target:
+        return _identity(batch)
+    omega_mat = earth.omega_mat
+    out, block = _extended(batch)
+
+    def t(m):
+        return m.swapaxes(-1, -2)
 
     if original is ErrorParam.ADDITIVE_EKF and target is ErrorParam.LEFT_INVARIANT:
-        d = att_p @ att_m.T
-        block[0:3, 0:3] = d
-        block[3:6, 3:6] = d
-        block[3:6, 6:9] = d @ omega_mat - omega_mat @ d
-        block[6:9, 6:9] = d
-        return _extend(block)
+        d = att_p @ t(att_m)
+        block[..., 0:3, 0:3] = d
+        block[..., 3:6, 3:6] = d
+        block[..., 3:6, 6:9] = d @ omega_mat - omega_mat @ d
+        block[..., 6:9, 6:9] = d
+        return out
     if original is ErrorParam.LEFT_INVARIANT and target is ErrorParam.ADDITIVE_EKF:
-        e = att_p.T @ att_m
-        block[0:3, 0:3] = e
-        block[3:6, 3:6] = e
-        block[6:9, 6:9] = e
-        return _extend(block)
+        e = t(att_p) @ att_m
+        block[..., 0:3, 0:3] = e
+        block[..., 3:6, 3:6] = e
+        block[..., 6:9, 6:9] = e
+        return out
 
     nu_p = vel_frame_convert(x_plus, earth)
     nu_m = vel_frame_convert(x_minus, earth)
     if original is ErrorParam.ADDITIVE_EKF and target is ErrorParam.RIGHT_INVARIANT:
-        block[0:3, 0:3] = I3
-        block[3:6, 3:6] = I3
-        block[6:9, 6:9] = I3
-        block[3:6, 0:3] = (
+        block[..., 0:3, 0:3] = I3
+        block[..., 3:6, 3:6] = I3
+        block[..., 6:9, 6:9] = I3
+        block[..., 3:6, 0:3] = (
             -skew(nu_p) + omega_mat @ skew(x_plus.pos) + skew(nu_m) - omega_mat @ skew(x_minus.pos)
         )
-        block[6:9, 0:3] = -skew(x_plus.pos) + skew(x_minus.pos)
-        return _extend(block)
+        block[..., 6:9, 0:3] = -skew(x_plus.pos) + skew(x_minus.pos)
+        return out
     if original is ErrorParam.RIGHT_INVARIANT and target is ErrorParam.ADDITIVE_EKF:
-        block[0:3, 0:3] = I3
-        block[3:6, 3:6] = I3
-        block[6:9, 6:9] = I3
-        block[3:6, 0:3] = skew(nu_p) - skew(nu_m)
-        block[6:9, 0:3] = skew(x_plus.pos) - skew(x_minus.pos)
-        return _extend(block)
+        block[..., 0:3, 0:3] = I3
+        block[..., 3:6, 3:6] = I3
+        block[..., 6:9, 6:9] = I3
+        block[..., 3:6, 0:3] = skew(nu_p) - skew(nu_m)
+        block[..., 6:9, 0:3] = skew(x_plus.pos) - skew(x_minus.pos)
+        return out
 
     if original is ErrorParam.LEFT_INVARIANT and target is ErrorParam.RIGHT_INVARIANT:
-        e = att_p.T @ att_m
-        block[0:3, 0:3] = e
-        block[3:6, 3:6] = e
-        block[6:9, 6:9] = e
-        block[3:6, 0:3] = att_p.T @ (skew(nu_m) - skew(nu_p)) @ att_m
-        block[6:9, 0:3] = att_p.T @ (skew(x_minus.pos) - skew(x_plus.pos)) @ att_m
-        return _extend(block)
+        e = t(att_p) @ att_m
+        block[..., 0:3, 0:3] = e
+        block[..., 3:6, 3:6] = e
+        block[..., 6:9, 6:9] = e
+        block[..., 3:6, 0:3] = t(att_p) @ (skew(nu_m) - skew(nu_p)) @ att_m
+        block[..., 6:9, 0:3] = t(att_p) @ (skew(x_minus.pos) - skew(x_plus.pos)) @ att_m
+        return out
     # right-invariant -> left-invariant
-    d = att_p @ att_m.T
-    block[0:3, 0:3] = d
-    block[3:6, 3:6] = d
-    block[6:9, 6:9] = d
-    block[3:6, 0:3] = skew(nu_p) @ d - d @ skew(nu_m)
-    block[6:9, 0:3] = skew(x_plus.pos) @ d - d @ skew(x_minus.pos)
-    return _extend(block)
+    d = att_p @ t(att_m)
+    block[..., 0:3, 0:3] = d
+    block[..., 3:6, 3:6] = d
+    block[..., 6:9, 6:9] = d
+    block[..., 3:6, 0:3] = skew(nu_p) @ d - d @ skew(nu_m)
+    block[..., 6:9, 0:3] = skew(x_plus.pos) @ d - d @ skew(x_minus.pos)
+    return out
 
 
 def inject_error(
@@ -295,38 +308,39 @@ def inject_error(
 
     In first-order mode the three parameterizations of equivalent errors
     produce identical states up to rounding; retraction uses the group
-    exponential instead of the linearized factor.
+    exponential instead of the linearized factor.  A state whose fields
+    carry a leading member axis takes one error state per member, (..., 15).
     """
     xi_plus = np.asarray(xi_plus, dtype=float)
-    phi = xi_plus[0:3]
-    if np.linalg.norm(phi) >= np.pi:
+    phi = xi_plus[..., 0:3]
+    if np.any(np.linalg.norm(phi, axis=-1) >= np.pi):
         raise ValueError("attitude error at or beyond pi cannot be injected")
-    bg = x_minus.bg - xi_plus[9:12]
-    ba = x_minus.ba - xi_plus[12:15]
+    bg = x_minus.bg - xi_plus[..., 9:12]
+    ba = x_minus.ba - xi_plus[..., 12:15]
 
     if param is ErrorParam.ADDITIVE_EKF:
         if mode is InjectionMode.RETRACTION:
             att = lie.so3_exp(-phi) @ x_minus.att
         else:
             att = lie.orthonormalize((I3 - skew(phi)) @ x_minus.att)
-        vel = x_minus.vel - xi_plus[3:6]
-        pos = x_minus.pos - xi_plus[6:9]
+        vel = x_minus.vel - xi_plus[..., 3:6]
+        pos = x_minus.pos - xi_plus[..., 6:9]
         return NavState(att, vel, pos, bg, ba, x_minus.time)
 
     chi_hat = group_from_nav(x_minus, earth)
     if mode is InjectionMode.RETRACTION:
-        delta = lie.se23_exp(xi_plus[:9])
+        delta = lie.se23_exp(xi_plus[..., :9])
         if param is ErrorParam.LEFT_INVARIANT:
             chi = lie.compose(chi_hat, delta)
         else:
             chi = lie.compose(delta, chi_hat)
         chi.rot = lie.orthonormalize(chi.rot)
     else:
-        dnu, drho = xi_plus[3:6], xi_plus[6:9]
+        dnu, drho = xi_plus[..., 3:6], xi_plus[..., 6:9]
         if param is ErrorParam.LEFT_INVARIANT:
             rot = chi_hat.rot @ (I3 + skew(phi))
-            nu = chi_hat.nu + chi_hat.rot @ dnu
-            rho = chi_hat.rho + chi_hat.rot @ drho
+            nu = chi_hat.nu + lie.matvec(chi_hat.rot, dnu)
+            rho = chi_hat.rho + lie.matvec(chi_hat.rot, drho)
         else:
             rot = (I3 + skew(phi)) @ chi_hat.rot
             nu = chi_hat.nu + np.cross(phi, chi_hat.nu) + dnu

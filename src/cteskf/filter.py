@@ -1,8 +1,11 @@
 """Continuous-discrete error-state Kalman filter engine.
 
 A :class:`FilterState` is a self-contained value (state, covariance and
-configuration); every operation returns a new one.  Three update strategies
-are provided:
+configuration); every operation returns a new one.  Its state and covariance
+may carry a leading member axis (``P`` (N, 15, 15), ``x.att`` (N, 3, 3),
+...): a *bank* of N filters of one configuration, which every operation
+below advances at once.  A single filter is evaluated as a bank of one.
+Three update strategies are provided:
 
 * plain: gain, covariance and injection all in the filter's own
   parameterization;
@@ -17,15 +20,17 @@ trajectories only under first-order injection, where injecting the
 correction in the target parameterization equals injecting it in the
 filter's own.  Under the default retraction injection they differ.
 
-:func:`run_filter` is the one event loop that drives a filter through an IMU
-sample sequence and its observations.  Between two observations it
-propagates the whole segment at once with :func:`mechanize_sequence` and
+:func:`run_filter` is the one event loop that drives a filter, or a bank
+that shares one IMU time grid and one observation grid, through its IMU
+samples and observations.  Between two observations it propagates the whole
+segment at once with :func:`mechanize_sequence` and
 :func:`propagate_covariance_sequence`, the one strapdown mechanization and
 the one covariance recursion of the package.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -42,17 +47,33 @@ from .errorstate import (
     transformation_matrix,
 )
 from .ins import EarthModel, ImuSample, NavState, midpoint_translation
-from .sensors import Observation, innovation, noise_covariance, observation_matrix
+from .sensors import Observation, innovation, noise_covariance, observation_matrix, select_members
 
 I15 = np.eye(15)
 _THREE_I3 = 3.0 * np.eye(3)
 
 MAX_DT = 0.5  # s, the longest propagation step run_filter accepts
-CHUNK = 1024  # steps of F, G and P held in memory at once
+CHUNK = 1024  # member-steps of F, G and P held in memory at once
 
 
 class FilterDivergence(RuntimeError):
-    """Raised when the covariance or state stops being finite or solvable."""
+    """Raised when the covariance or state stops being finite or solvable.
+
+    ``members`` maps the index of each member of a bank that diverged to its
+    message; ``None`` stands for every member, with this message."""
+
+    def __init__(self, message: str, members: dict | None = None):
+        super().__init__(message)
+        self.members = members
+
+
+def _diverge(bad: np.ndarray, message) -> None:
+    """Raise :class:`FilterDivergence` for the members flagged in ``bad``,
+    each with its ``message(index)``."""
+    flagged = np.flatnonzero(bad).tolist()
+    if flagged:
+        members = {i: message(i) for i in flagged}
+        raise FilterDivergence(members[flagged[0]], members)
 
 
 @dataclass
@@ -78,18 +99,26 @@ def mixed_sensor_strategy(kind: str = "transform") -> Strategy:
 
 @dataclass
 class UpdateReport:
-    """Diagnostics captured on every observation update."""
+    """Diagnostics captured on every observation update; for a bank, one
+    innovation, trace and transform per member."""
 
     innovation: np.ndarray
-    trace_pre: float
-    trace_post: float
+    trace_pre: np.ndarray | float
+    trace_post: np.ndarray | float
     target: ErrorParam | None = None
     transform: np.ndarray | None = None
+
+    def member(self, i: int) -> "UpdateReport":
+        transform = None if self.transform is None else self.transform[i]
+        return UpdateReport(
+            self.innovation[i], float(self.trace_pre[i]), float(self.trace_post[i]), self.target, transform
+        )
 
 
 @dataclass
 class FilterState:
-    """Filter value: navigation state, covariance and configuration."""
+    """Filter value: navigation state, covariance and configuration; a bank
+    when ``P`` is (N, 15, 15) and ``x`` carries the same member axis."""
 
     x: NavState
     P: np.ndarray
@@ -100,43 +129,79 @@ class FilterState:
     earth: EarthModel = field(default_factory=EarthModel)
     time_tol: float = np.inf
 
+    def select(self, idx) -> "FilterState":
+        """Index the member axis, as :meth:`cteskf.ins.NavState.select` does."""
+        return replace(self, x=self.x.select(idx), P=self.P[idx])
+
+
+def _t(m: np.ndarray) -> np.ndarray:
+    return m.swapaxes(-1, -2)
+
 
 def _symmetrize(p: np.ndarray) -> np.ndarray:
-    return (p + p.T) / 2.0
+    return (p + _t(p)) / 2.0
+
+
+def _trace(p: np.ndarray) -> np.ndarray:
+    return np.trace(p, axis1=-2, axis2=-1)
+
+
+def _banked(update):
+    """Let an update of banks take a single filter as a bank of one, so a
+    filter gets the same bits alone as in a bank."""
+
+    @functools.wraps(update)
+    def one_or_bank(fs, obs, *args, **kwargs):
+        if fs.P.ndim == 3:
+            return update(fs, obs, *args, **kwargs)
+        out, report = update(fs.select(None), obs, *args, **kwargs)
+        return out.select(0), report.member(0)
+
+    return one_or_bank
 
 
 def _gain_and_update(p: np.ndarray, h: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Kalman gain and updated covariance via a symmetric factorization."""
+    """Kalman gain and updated covariance via a symmetric factorization, for
+    one filter or a bank ((..., 15, 15), (..., 3, 15), (..., 3, 3))."""
     hp = h @ p
-    s = _symmetrize(hp @ h.T + r)
+    s = _symmetrize(hp @ _t(h) + r)
     # s is symmetric, so its singular values are the magnitudes of its
     # eigenvalues and the 2-norm condition number needs no SVD
     ev = np.abs(np.linalg.eigvalsh(s))
-    cond = ev.max() / ev.min() if ev.min() > 0.0 else np.inf
-    if not np.isfinite(cond) or cond > 1e12:
-        raise FilterDivergence(f"innovation covariance is singular (cond={cond:.3e})")
+    lo, hi = ev.min(axis=-1), ev.max(axis=-1)
+    if not (lo.min() > 0.0 and (hi / lo).max() <= 1e12):
+        cond = [h / l if l > 0.0 else np.inf for h, l in zip(np.ravel(hi).tolist(), np.ravel(lo).tolist())]
+        _diverge(~(np.array(cond) <= 1e12), lambda i: f"innovation covariance is singular (cond={cond[i]:.3e})")
     # Cholesky factor and solve straight through LAPACK (what cho_factor and
     # cho_solve call), without their per-call argument checks
-    c, info = lapack.dpotrf(s)
-    if info > 0:
-        raise LinAlgError(f"{info}-th leading minor of the innovation covariance is not positive definite")
-    k = lapack.dpotrs(c, hp)[0].T
+    s3, hp3 = s.reshape(-1, 3, 3), hp.reshape(-1, 3, 15)
+    k = np.empty((len(s3), 15, 3))
+    for i, (si, hpi) in enumerate(zip(s3, hp3)):
+        c, info = lapack.dpotrf(si)
+        if info > 0:
+            raise LinAlgError(f"{info}-th leading minor of the innovation covariance is not positive definite")
+        k[i] = lapack.dpotrs(c, hpi)[0].T
+    k = k.reshape(hp.shape[:-2] + (15, 3))
     return k, _symmetrize(p - k @ hp)
 
 
 def _innovation(fs: FilterState, obs: Observation) -> np.ndarray:
     """The innovation of ``obs`` at the filter's state.  A non-finite one
     (from a non-finite observation) has no finite correction and ends the
-    run before K dz is formed."""
+    member's run before K dz is formed."""
     dz = innovation(fs.x, obs, fs.earth, fs.time_tol)
     if not np.isfinite(dz).all():
-        raise FilterDivergence(f"non-finite correction from the {obs.kind} observation at t={obs.time:.3f}")
+        _diverge(
+            ~np.isfinite(dz).all(axis=-1),
+            lambda i: f"non-finite correction from the {obs.kind} observation at t={obs.time:.3f}",
+        )
     return dz
 
 
 def _canonical_correction(xi: np.ndarray, obs: Observation, injection: InjectionMode) -> np.ndarray:
     """Wrap a rotation-vector correction beyond pi onto its canonical
-    representative (same rotation, magnitude < pi).
+    representative (same rotation, magnitude < pi); one correction (15,) or
+    one per member (..., 15).
 
     Transients under very large initial attitude errors can command such
     corrections; for the group-exponential injection the wrap is exact on the
@@ -145,21 +210,28 @@ def _canonical_correction(xi: np.ndarray, obs: Observation, injection: Injection
     left for inject_error to reject.  A non-finite correction (from a
     non-finite gain or a norm that overflows), or one whose wrapped norm is
     still pi (an odd multiple of pi, with two representatives), has no
-    representative and ends the run.
+    representative and ends the member's run.
     """
-    norm = math.hypot(*xi[0:3].tolist())
-    if not (math.isfinite(norm) and np.isfinite(xi).all()):
-        raise FilterDivergence(f"non-finite correction from the {obs.kind} observation at t={obs.time:.3f}")
-    if norm >= np.pi and injection is InjectionMode.RETRACTION:
-        xi = xi.copy()
-        xi[0:3] *= math.remainder(norm, 2.0 * np.pi) / norm
-        if np.linalg.norm(xi[0:3]) >= np.pi:
-            raise FilterDivergence(
-                f"attitude correction of norm pi from the {obs.kind} observation at t={obs.time:.3f}"
-            )
+    rows = xi.reshape(-1, 15)
+    norms = [math.hypot(*v) for v in rows[:, 0:3].tolist()]
+    if not (np.isfinite(rows).all() and math.isfinite(sum(norms))):
+        _diverge(
+            ~(np.isfinite(rows).all(axis=1) & np.isfinite(norms)),
+            lambda i: f"non-finite correction from the {obs.kind} observation at t={obs.time:.3f}",
+        )
+    if injection is InjectionMode.RETRACTION and max(norms) >= np.pi:
+        rows = rows.copy()
+        still = np.zeros(len(rows), dtype=bool)
+        for i, norm in enumerate(norms):
+            if norm >= np.pi:
+                rows[i, 0:3] *= math.remainder(norm, 2.0 * np.pi) / norm
+                still[i] = np.linalg.norm(rows[i, 0:3]) >= np.pi
+        _diverge(still, lambda i: f"attitude correction of norm pi from the {obs.kind} observation at t={obs.time:.3f}")
+        xi = rows.reshape(xi.shape)
     return xi
 
 
+@_banked
 def update_plain(fs: FilterState, obs: Observation) -> tuple[FilterState, UpdateReport]:
     """Kalman update in the filter's own parameterization.
 
@@ -169,12 +241,13 @@ def update_plain(fs: FilterState, obs: Observation) -> tuple[FilterState, Update
     dz = _innovation(fs, obs)
     h = observation_matrix(fs.param, fs.x, obs.kind, fs.earth)
     k, p_new = _gain_and_update(fs.P, h, noise_covariance(obs))
-    xi = _canonical_correction(k @ dz, obs, fs.injection)
+    xi = _canonical_correction(lie.matvec(k, dz), obs, fs.injection)
     x_new = inject_error(fs.param, fs.x, xi, fs.earth, fs.injection)
-    report = UpdateReport(dz, float(np.trace(fs.P)), float(np.trace(p_new)))
+    report = UpdateReport(dz, _trace(fs.P), _trace(p_new))
     return replace(fs, x=x_new, P=p_new), report
 
 
+@_banked
 def update_switch(
     fs: FilterState,
     obs: Observation,
@@ -193,18 +266,19 @@ def update_switch(
         return update_plain(fs, obs)
     dz = _innovation(fs, obs)
     a_fwd = relation_matrix(fs.param, target, fs.x, fs.earth)
-    p_target = _symmetrize(a_fwd @ fs.P @ a_fwd.T)
+    p_target = _symmetrize(a_fwd @ fs.P @ _t(a_fwd))
     h = observation_matrix(target, fs.x, obs.kind, fs.earth)
     k, p_target_new = _gain_and_update(p_target, h, noise_covariance(obs))
-    xi = _canonical_correction(k @ dz, obs, fs.injection)
+    xi = _canonical_correction(lie.matvec(k, dz), obs, fs.injection)
     x_new = inject_error(target, fs.x, xi, fs.earth, fs.injection)
     back_state = fs.x if backward_at_predicted else x_new
     a_back = relation_matrix(target, fs.param, back_state, fs.earth)
-    p_new = _symmetrize(a_back @ p_target_new @ a_back.T)
-    report = UpdateReport(dz, float(np.trace(fs.P)), float(np.trace(p_new)), target)
+    p_new = _symmetrize(a_back @ p_target_new @ _t(a_back))
+    report = UpdateReport(dz, _trace(fs.P), _trace(p_new), target)
     return replace(fs, x=x_new, P=p_new), report
 
 
+@_banked
 def update_transform(
     fs: FilterState, obs: Observation, target: ErrorParam
 ) -> tuple[FilterState, UpdateReport]:
@@ -216,10 +290,10 @@ def update_transform(
     if target is fs.param:
         return fs_new, report
     t = transformation_matrix(fs.param, target, fs_new.x, x_minus, fs.earth)
-    p_new = _symmetrize(t @ fs_new.P @ t.T)
+    p_new = _symmetrize(t @ fs_new.P @ _t(t))
     report.target = target
     report.transform = t
-    report.trace_post = float(np.trace(p_new))
+    report.trace_post = _trace(p_new)
     return replace(fs_new, P=p_new), report
 
 
@@ -263,34 +337,58 @@ class FilterRun:
     diverged: str | None = None
 
 
-def run_filter(fs: FilterState, imu, dt: float, observations, on_update=None, update=None) -> FilterRun:
-    """Drive one filter through IMU samples and observations.
+# the recorded fields of a FilterRun and the shape of one record
+_RECORDED = {"att": (3, 3), "vel": (3,), "pos": (3,), "bg": (3,), "ba": (3,), "p_trace": (5,)}
+
+
+def run_filter(fs: FilterState, imu, dt: float, observations, on_update=None, update=None):
+    """Drive one filter, or a bank of filters in lockstep, through IMU
+    samples and observations.
 
     ``imu`` holds the samples as arrays, as :class:`cteskf.sim.ImuStream`
-    does: times ``t`` (N,) and raw rates ``gyro``, ``accel`` (N, 3), sample k
-    held over step k; 0 < ``dt`` <= :data:`MAX_DT`.  The state time after k
-    steps is the initial time plus k dt.  After each step, every observation
-    stamped at or before that time plus dt/2 is applied, in time order (a
-    stable sort); observations after the last sample are never applied, and
-    one stamped before the initial time plus dt/2 raises ``ValueError``
-    before the first step.  ``update(fs, obs)`` applies one observation and
-    returns ``(fs, report)``; ``None`` selects :func:`step_observation`,
-    looked up at call time so that a wrapper bound to the module attribute
-    (the benchmark's tracer) sees every update.  ``on_update(before, after)``
-    receives the filter states around each update.
+    does: times ``t`` (n,) and raw rates ``gyro``, ``accel``, (n, 3) shared
+    by every member or (N, n, 3) one row per member of a bank of N; sample k
+    is held over step k; 0 < ``dt`` <= :data:`MAX_DT`.  The state time after
+    k steps is the initial time plus k dt.  After each step, every
+    observation stamped at or before that time plus dt/2 is applied, in time
+    order (a stable sort); observations after the last sample are never
+    applied, and one stamped before the initial time plus dt/2 raises
+    ``ValueError`` before the first step.  The members of a bank share the
+    observation grid: an observation's arrays are shared, or hold one row
+    per member (:func:`cteskf.sensors.stack_observations`); another number
+    of rows raises ``ValueError`` before the first step.
+
+    ``update(fs, obs)`` applies one observation and returns ``(fs,
+    report)``; ``None`` selects :func:`step_observation`, looked up at call
+    time so that a wrapper bound to the module attribute (the benchmark's
+    tracer) sees every update.  ``on_update(before, after)`` receives the
+    filter states around each update.  Both see states shaped as ``fs`` is:
+    one filter, or the members of the bank still running.
 
     The steps up to the next observation (at most :data:`CHUNK`) form one
     segment, propagated at the state's biases by one
-    :func:`mechanize_sequence` and one :func:`propagate_covariance_sequence`
-    call.  A :class:`FilterDivergence` from an update, or a state or
-    covariance that stops being finite, ends the run at the last step
-    completed before it.
+    :func:`mechanize_sequence` call and :func:`propagate_covariance_sequence`
+    calls of at most :data:`CHUNK` member-steps.  A member whose state or
+    covariance stops being finite, or whose update raises
+    :class:`FilterDivergence`, ends its run at the last step completed
+    before it and leaves the bank; the others run on.  Returns the
+    :class:`FilterRun` of a single filter, or one per member of a bank.
     """
     if not 0.0 < dt <= MAX_DT:
         raise ValueError(f"propagation step dt={dt} s must be positive and at most {MAX_DT} s")
-    update = step_observation if update is None else update
+    single = fs.P.ndim == 2
+    bank = fs.select(None) if single else fs
+    size = len(bank.P)
+    if update is None:
+        update = step_observation
+    elif single:
+        update = _solo(update)
     pending = sorted(observations, key=lambda o: o.time)
-    t0 = fs.x.time
+    for obs in pending:
+        rows = {len(v) for v in vars(obs).values() if isinstance(v, np.ndarray) and v.ndim == 2}
+        if rows - {size}:
+            raise ValueError(f"{obs.kind} observation at t={obs.time:.6g} has {rows} member rows, the bank {size}")
+    t0 = bank.x.time
     if pending and pending[0].time < t0 + 0.5 * dt:
         early = pending[0]
         raise ValueError(
@@ -298,82 +396,133 @@ def run_filter(fs: FilterState, imu, dt: float, observations, on_update=None, up
             f"epoch t={t0 + dt:.6g} by more than dt/2"
         )
     n = len(imu.t)
+    gyro = np.broadcast_to(imu.gyro, (size, n, 3))
+    accel = np.broadcast_to(imu.accel, (size, n, 3))
     # the step after which each observation is applied: the first whose end
     # time plus dt/2 reaches its stamp (n: after the last sample, never)
     due = np.searchsorted(t0 + dt * np.arange(1.5, n + 1.0), [o.time for o in pending]).tolist() + [n]
-    run = FilterRun(
-        np.concatenate(([t0], imu.t)), np.empty((n + 1, 3, 3)), *np.empty((4, n + 1, 3)), np.empty((n + 1, 5))
-    )
-    _store(run, 0, fs)
+    t = np.concatenate(([t0], imu.t))
+    record = {name: np.empty((size, n + 1) + shape) for name, shape in _RECORDED.items()}
+    ends = [(n + 1, None)] * size
+    active = np.arange(size)
 
-    def trimmed(rows, message):
-        arrays = {name: getattr(run, name)[:rows] for name in ("t", "att", "vel", "pos", "bg", "ba", "p_trace")}
-        return FilterRun(**arrays, diverged=message)
+    def leave(failed: dict):
+        """End the runs of the members at the bank indices in ``failed``,
+        each with its (rows recorded, message); the indices that run on."""
+        nonlocal active
+        for i, end in failed.items():
+            ends[active[i]] = end
+        keep = np.setdiff1d(np.arange(len(active)), list(failed))
+        active = active[keep]
+        return keep
 
+    _store(record, slice(None), 0, bank)
     k = j = 0
-    while k < n:
+    while k < n and len(active):
         stop = min(due[j] + 1, k + CHUNK, n)
-        x = fs.x
-        gyro, accel = imu.gyro[k:stop], imu.accel[k:stop]
-        # a non-finite input or result is found below and ends the run
+        x = bank.x
+        members = active if len(active) < size else slice(None)
+        seg_gyro, seg_accel = gyro[members, k:stop], accel[members, k:stop]
+        # a non-finite input or result is found below and ends its member
         with np.errstate(invalid="ignore", over="ignore"):
-            atts, vels, poss = mechanize_sequence(x, gyro, accel, dt, fs.earth)
-            p, history = propagate_covariance_sequence(
-                fs.param, fs.P, atts, vels, poss, gyro, accel, x.bg, x.ba, dt, fs.qc, fs.earth, record_every=1
-            )
-        m = stop - k
-        ps = np.array(history[1:])
-        finite = np.isfinite(
-            np.concatenate((atts[1:].reshape(m, 9), vels[1:], poss[1:], ps.reshape(m, 225)), axis=1)
-        ).all(axis=1)
+            atts, vels, poss = mechanize_sequence(x, seg_gyro, seg_accel, dt, bank.earth)
+            p, traces, finite = _covariances(bank, atts, vels, poss, seg_gyro, seg_accel, dt)
+        finite &= np.isfinite(atts[:, 1:]).all(axis=(2, 3))
+        finite &= np.isfinite(vels[:, 1:]).all(axis=2) & np.isfinite(poss[:, 1:]).all(axis=2)
         # the segment's rows but its last, which holds the state after the
         # updates that follow it
         rows = slice(k + 1, stop)
-        run.att[rows], run.vel[rows], run.pos[rows], run.bg[rows], run.ba[rows] = (
-            atts[1:-1], vels[1:-1], poss[1:-1], x.bg, x.ba
-        )
-        run.p_trace[rows] = ps[:-1].diagonal(axis1=1, axis2=2).reshape(m - 1, 5, 3).sum(axis=2)
+        for name, values in (("att", atts[:, 1:-1]), ("vel", vels[:, 1:-1]), ("pos", poss[:, 1:-1]),
+                             ("bg", x.bg[:, None]), ("ba", x.ba[:, None]), ("p_trace", traces[:, :-1])):
+            record[name][members, rows] = values
         if not finite.all():
-            bad = k + int(np.argmin(finite))
-            return trimmed(
-                bad + 1, f"state or covariance became non-finite at t={run.t[bad + 1]:.3f} ({fs.param.value})"
-            )
-        fs = replace(fs, x=NavState(atts[-1], vels[-1], poss[-1], x.bg, x.ba, t0 + stop * dt), P=p)
-        try:
-            while due[j] < stop:
-                before = fs
-                fs, _ = update(fs, pending[j])
-                j += 1
-                if on_update is not None:
-                    on_update(before, fs)
-        except FilterDivergence as exc:
-            return trimmed(stop, str(exc))
-        _store(run, stop, fs)
+            bad = (k + np.argmin(finite, axis=1)).tolist()
+            keep = leave({
+                i: (bad[i] + 1, f"state or covariance became non-finite at t={t[bad[i] + 1]:.3f} ({bank.param.value})")
+                for i in np.flatnonzero(~finite.all(axis=1)).tolist()
+            })
+            bank, atts, vels, poss, p = bank.select(keep), atts[keep], vels[keep], poss[keep], p[keep]
+            if not len(active):
+                break
+        x = NavState(atts[:, -1], vels[:, -1], poss[:, -1], bank.x.bg, bank.x.ba, t0 + stop * dt)
+        bank = replace(bank, x=x, P=p)
+        while due[j] < stop and len(active):
+            obs = pending[j] if len(active) == size else select_members(pending[j], active)
+            before = bank
+            try:
+                bank, _ = update(bank, obs)
+            except FilterDivergence as exc:
+                failed = exc.members or dict.fromkeys(range(len(active)), str(exc))
+                # the members left retry the observation
+                bank = before.select(leave({i: (stop, message) for i, message in failed.items()}))
+                continue
+            j += 1
+            if on_update is not None:
+                on_update(*((before.select(0), bank.select(0)) if single else (before, bank)))
+        if len(active):
+            _store(record, active if len(active) < size else slice(None), stop, bank)
         k = stop
-    return run
+    runs = [
+        FilterRun(t[:rows], *(record[name][i, :rows] for name in _RECORDED), diverged=message)
+        for i, (rows, message) in enumerate(ends)
+    ]
+    return runs[0] if single else runs
 
 
-def _store(run: FilterRun, row: int, fs: FilterState) -> None:
-    """Record the filter state and its covariance block traces in one row."""
-    x = fs.x
-    run.att[row], run.vel[row], run.pos[row], run.bg[row], run.ba[row] = x.att, x.vel, x.pos, x.bg, x.ba
-    run.p_trace[row] = fs.P.diagonal().reshape(5, 3).sum(axis=1)
+def _covariances(bank: FilterState, atts, vels, poss, gyro, accel, dt):
+    """The covariance recursion of a bank over a segment's state histories,
+    in calls of at most :data:`CHUNK` member-steps: the final covariances,
+    and each member's covariance block traces (M, m, 5) after each step and
+    whether its covariance is finite there (M, m)."""
+    members, m = gyro.shape[:2]
+    piece = max(1, CHUNK // members)
+    p, traces, finite = bank.P, np.empty((members, m, 5)), np.empty((members, m), dtype=bool)
+    for a in range(0, m, piece):
+        b = min(a + piece, m)
+        p, history = propagate_covariance_sequence(
+            bank.param, p, atts[:, a : b + 1], vels[:, a : b + 1], poss[:, a : b + 1], gyro[:, a:b], accel[:, a:b],
+            bank.x.bg, bank.x.ba, dt, bank.qc, bank.earth, record_every=1,
+        )
+        ps = np.array(history[1:]).swapaxes(0, 1)
+        finite[:, a:b] = np.isfinite(ps).all(axis=(2, 3))
+        traces[:, a:b] = ps.diagonal(axis1=2, axis2=3).reshape(members, b - a, 5, 3).sum(axis=3)
+    return p, traces, finite
+
+
+def _solo(update):
+    """An update of single filters applied to a bank of one."""
+
+    def bank_of_one(bank, obs):
+        out, report = update(bank.select(0), obs)
+        return out.select(None), report
+
+    return bank_of_one
+
+
+def _store(record: dict, members, row: int, bank: FilterState) -> None:
+    """Record the bank's states and covariance block traces in one row."""
+    x = bank.x
+    for name, value in (("att", x.att), ("vel", x.vel), ("pos", x.pos), ("bg", x.bg), ("ba", x.ba)):
+        record[name][members, row] = value
+    record["p_trace"][members, row] = bank.P.diagonal(axis1=1, axis2=2).reshape(-1, 5, 3).sum(axis=2)
 
 
 # ---------------------------------------------------------------------------
 # The propagation engine: whole segments of steps at fixed biases, without a
 # Python loop over matrices.  F and G come from system_matrix evaluated on
-# the stacked state history.
+# the stacked state history.  The step axis is the third from last of every
+# stack (-2 of a vector stack), so a leading member axis runs a bank.
 # ---------------------------------------------------------------------------
 
 
 def _prefix_products(m: np.ndarray) -> np.ndarray:
-    """Running products m[0], m[0] m[1], ..., m[0] ... m[N-1] of an (N,k,k)
-    stack by recursive doubling: log2(N) batched matmuls."""
+    """Running products m[0], m[0] m[1], ..., m[0] ... m[N-1] along the step
+    axis of a (..., N, k, k) stack by recursive doubling: log2(N) batched
+    matmuls."""
     out = m.copy()
     shift = 1
-    while shift < len(out):
-        out[shift:] = out[:-shift] @ out[shift:]
+    while shift < out.shape[-3]:
+        out[..., shift:, :, :] = out[..., :-shift, :, :] @ out[..., shift:, :, :]
         shift *= 2
     return out
 
@@ -388,11 +537,12 @@ def mechanize_sequence(
     with the Earth rotation over the step, and velocity and position by the
     midpoint rule of :func:`cteskf.ins.midpoint_translation`.  Returns
     attitude (N+1,3,3), velocity (N+1,3) and position (N+1,3) histories
-    including the initial state.
+    including the initial state.  A bank (x0 fields and samples with a
+    leading member axis, ``gyro`` (M, N, 3)) gives (M, N+1, ...) histories.
     """
-    n = len(gyro)
-    omega_b = gyro - x0.bg
-    f_b = accel - x0.ba
+    n = gyro.shape[-2]
+    omega_b = gyro - x0.bg[..., None, :]
+    f_b = accel - x0.ba[..., None, :]
     body_half = lie.so3_exp(omega_b * (0.5 * dt))
 
     # attitude: the update R <- E (E R B_k) B_k composes into
@@ -400,26 +550,44 @@ def mechanize_sequence(
     # orthonormality to a few ulps; one Newton step of symmetric
     # orthogonalization, R <- R (3I - R^T R)/2, restores it on the last
     # attitude, where the next segment starts
-    atts = np.empty((n + 1, 3, 3))
-    atts[0] = x0.att
-    atts[1:] = earth.frame_turns(dt, n) @ x0.att @ _prefix_products(body_half @ body_half)
-    atts[-1] = atts[-1] @ ((_THREE_I3 - atts[-1].T @ atts[-1]) / 2.0)
+    atts = np.empty(omega_b.shape[:-2] + (n + 1, 3, 3))
+    atts[..., 0, :, :] = x0.att
+    atts[..., 1:, :, :] = earth.frame_turns(dt, n) @ x0.att[..., None, :, :] @ _prefix_products(body_half @ body_half)
+    last = atts[..., -1, :, :]
+    atts[..., -1, :, :] = last @ ((_THREE_I3 - _t(last) @ last) / 2.0)
 
-    # velocity and position: the midpoint rule on Python floats, since
-    # gravity at the current position keeps this loop sequential; the
-    # specific force is resolved at the midpoint attitude E R_k B_k
-    forces = earth.frame_turn(0.5 * dt) @ atts[:-1] @ (body_half @ f_b[:, :, None])
-    vel, pos = tuple(x0.vel.tolist()), tuple(x0.pos.tolist())
-    vels, poss = [vel], [pos]
-    for f_e in forces[:, :, 0].tolist():
-        vel, pos = midpoint_translation(f_e, vel, pos, dt, earth)
+    # velocity and position: the midpoint rule on Python floats, member by
+    # member, since gravity at the current position keeps this loop
+    # sequential; the specific force is resolved at the midpoint attitude
+    # E R_k B_k
+    forces = earth.frame_turn(0.5 * dt) @ atts[..., :-1, :, :] @ (body_half @ f_b[..., None])
+    count = math.prod(atts.shape[:-3])
+    vels, poss = _midpoint_histories(
+        forces.reshape(count, n, 3), x0.vel.reshape(count, 3), x0.pos.reshape(count, 3), dt, earth
+    )
+    shape = atts.shape[:-2] + (3,)
+    return atts, np.array(vels).reshape(shape), np.array(poss).reshape(shape)
+
+
+def _midpoint_histories(forces, vel0, pos0, dt, earth) -> tuple[list, list]:
+    """Each member's velocity and position history, initial state first, one
+    after the other, from its Earth-frame specific forces (M, N, 3) and
+    initial velocity and position (M, 3)."""
+    vels, poss = [], []
+    for member, vel, pos in zip(forces.tolist(), vel0.tolist(), pos0.tolist()):
+        vel, pos = tuple(vel), tuple(pos)
         vels.append(vel)
         poss.append(pos)
-    return atts, np.array(vels), np.array(poss)
+        for f_e in member:
+            vel, pos = midpoint_translation(f_e, vel, pos, dt, earth)
+            vels.append(vel)
+            poss.append(pos)
+    return vels, poss
 
 
 def _compose(phi: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Compose per-step transition pairs (N,15,15), earliest step first.
+    """Compose per-step transition pairs (N, ..., 15, 15), earliest step
+    first along the first axis.
 
     The recursion P <- Phi P Phi^T + W composes associatively,
     (Phi2, W2) o (Phi1, W1) = (Phi2 Phi1, Phi2 W1 Phi2^T + W2), so adjacent
@@ -432,10 +600,10 @@ def _compose(phi: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             last_phi, last_w = phi[-1], w[-1]
             phi, w = phi[:-1], w[:-1]
         late = phi[1::2]
-        w = late @ w[0::2] @ late.transpose(0, 2, 1) + w[1::2]
+        w = late @ w[0::2] @ _t(late) + w[1::2]
         phi = late @ phi[0::2]
         if odd:
-            w[-1] = last_phi @ w[-1] @ last_phi.T + last_w
+            w[-1] = last_phi @ w[-1] @ _t(last_phi) + last_w
             phi[-1] = last_phi @ phi[-1]
     return phi[0], w[0]
 
@@ -464,11 +632,13 @@ def propagate_covariance_sequence(
     The steps between snapshots are composed into one transition pair
     (:func:`_compose`) and applied to P at once; at most ``chunk`` steps are
     held in memory.  Returns the final covariance and, if record_every > 0,
-    snapshots taken every that many steps (starting at step 0 with P0).
+    snapshots taken every that many steps (starting at step 0 with P0).  A
+    bank (``p0`` (M, 15, 15), histories as :func:`mechanize_sequence` gives
+    them and biases (M, 3)) propagates every member at once.
     """
-    n = len(gyro)
-    omega_b = gyro - bg
-    f_b = accel - ba
+    n = gyro.shape[-2]
+    omega_b = gyro - bg[..., None, :]
+    f_b = accel - ba[..., None, :]
     p = np.array(p0, dtype=float)
     history = []
     # segments end on snapshot steps and at chunk ends; without snapshots a
@@ -478,18 +648,19 @@ def propagate_covariance_sequence(
         stop = min(start + chunk, n)
         sm = system_matrix(
             param,
-            NavState(atts[start:stop], vels[start:stop], poss[start:stop]),
-            ImuSample(0.0, omega_b[start:stop], f_b[start:stop]),
+            NavState(atts[..., start:stop, :, :], vels[..., start:stop, :], poss[..., start:stop, :]),
+            ImuSample(0.0, omega_b[..., start:stop, :], f_b[..., start:stop, :]),
             earth,
         )
-        phi = I15 + sm.F * dt
-        w = (sm.G @ qc @ sm.G.transpose(0, 2, 1)) * dt
+        # the step axis first, ahead of a member axis
+        phi = np.moveaxis(I15 + sm.F * dt, -3, 0)
+        w = np.moveaxis((sm.G @ qc @ _t(sm.G)) * dt, -3, 0)
         bounds = [start, *range(start - start % every + every, stop, every), stop]
         for a, b in zip(bounds[:-1], bounds[1:]):
             if record_every and a % record_every == 0:
                 history.append(p)
             phi_seg, w_seg = _compose(phi[a - start : b - start], w[a - start : b - start])
-            p = _symmetrize(phi_seg @ p @ phi_seg.T + w_seg)
+            p = _symmetrize(phi_seg @ p @ _t(phi_seg) + w_seg)
     if record_every and n % record_every == 0:
         history.append(p)
     return p, history

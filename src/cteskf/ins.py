@@ -138,8 +138,10 @@ class NavState:
     """Full navigation state: attitude DCM (body to ECEF), ECEF velocity and
     position, gyro and accelerometer biases, and a timestamp.
 
-    For :func:`cteskf.errorstate.system_matrix` the fields may also hold a
-    history: ``att`` (..., 3, 3), ``vel`` and ``pos`` (..., 3)."""
+    The array fields may carry leading axes, ``att`` (..., 3, 3) and the
+    vectors (..., 3): a step history for
+    :func:`cteskf.errorstate.system_matrix`, or the members of a filter bank
+    (:func:`cteskf.filter.run_filter`), which share the time."""
 
     att: np.ndarray
     vel: np.ndarray
@@ -152,6 +154,18 @@ class NavState:
         return NavState(
             self.att.copy(), self.vel.copy(), self.pos.copy(), self.bg.copy(), self.ba.copy(), self.time
         )
+
+    def select(self, idx) -> "NavState":
+        """Index the leading axis of every array field: an integer picks one
+        member of a bank, an index array a smaller bank, and ``None`` makes
+        a single state a bank of one."""
+        return NavState(self.att[idx], self.vel[idx], self.pos[idx], self.bg[idx], self.ba[idx], self.time)
+
+    @staticmethod
+    def stack(states: list) -> "NavState":
+        """The bank of states that share one time."""
+        fields = zip(*((s.att, s.vel, s.pos, s.bg, s.ba) for s in states))
+        return NavState(*(np.stack(f) for f in fields), states[0].time)
 
 
 @dataclass
@@ -231,12 +245,13 @@ def vel_frame_convert(x: NavState, earth: EarthModel) -> np.ndarray:
 
 
 def group_vel_to_classic(nu: np.ndarray, r: np.ndarray, earth: EarthModel) -> np.ndarray:
-    """Inverse of :func:`vel_frame_convert`."""
-    return nu - earth.omega_mat @ r
+    """Inverse of :func:`vel_frame_convert`, for one vector or stacks."""
+    return nu - r @ earth.omega_mat.T
 
 
 def group_from_nav(x: NavState, earth: EarthModel) -> GroupState:
-    """View the navigation state as an SE2(3) element (biases dropped)."""
+    """View the navigation state as an SE2(3) element (biases dropped); a
+    state of stacks gives an element of stacks."""
     return GroupState(x.att.copy(), vel_frame_convert(x, earth), x.pos.copy())
 
 

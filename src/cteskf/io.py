@@ -3,7 +3,8 @@
 All files are comma-separated with one header row; lines starting with '#'
 are comments.  Floats are written with repr-level precision so a write/read
 round trip is bit-exact.  Readers validate the header, the column count,
-that every field is a finite number and timestamp monotonicity, and report
+that every field is a finite number, timestamp monotonicity, positive
+observation sigmas and truth quaternions with a usable norm, and report
 offending line numbers.
 """
 
@@ -34,17 +35,20 @@ class CsvSchemaError(ValueError):
         self.line_no = line_no
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 def _write(path, header, rows, comment=None):
+    """Write rows of Python floats (an array's ``tolist()``), each with its
+    shortest round-tripping repr."""
     with open(path, "w") as fh:
         if comment:
             fh.write(f"# {comment}\n")
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+            fh.write(",".join(map(repr, row)) + "\n")
+
+
+def _rows(columns, width: int) -> list:
+    """The rows of columns stacked side by side, as lists of Python floats."""
+    return np.column_stack(columns).reshape(-1, width).tolist()
 
 
 def _read(path, header):
@@ -85,8 +89,7 @@ def _check_monotone(path, rows):
 
 
 def write_imu(path, t, gyro, accel):
-    _write(path, IMU_HEADER, (list(row) for row in np.column_stack([t, gyro, accel])),
-           comment="body rates rad/s, specific force m/s^2")
+    _write(path, IMU_HEADER, _rows([t, gyro, accel], len(IMU_HEADER)), comment="body rates rad/s, specific force m/s^2")
 
 
 def read_imu(path):
@@ -96,55 +99,68 @@ def read_imu(path):
     return data[:, 0], data[:, 1:4], data[:, 4:7]
 
 
+def _observation_rows(observations, measured: str) -> list:
+    return _rows(
+        [[o.time for o in observations], [getattr(o, measured) for o in observations], [o.sigma for o in observations]],
+        7,
+    )
+
+
+def _check_sigmas(path, rows):
+    for values, line_no in rows:
+        if min(values[4:7]) <= 0.0:
+            raise CsvSchemaError(path, line_no, "observation sigma must be positive")
+
+
 def write_gnss(path, observations):
-    _write(path, GNSS_HEADER,
-           ([o.time, *o.vel, *o.sigma] for o in observations),
-           comment="ECEF velocity m/s with per-axis sigma")
+    _write(path, GNSS_HEADER, _observation_rows(observations, "vel"), comment="ECEF velocity m/s with per-axis sigma")
 
 
 def read_gnss(path):
     rows = _read(path, GNSS_HEADER)
     _check_monotone(path, rows)
+    _check_sigmas(path, rows)
     return [GnssVelObs(v[0], np.array(v[1:4]), np.array(v[4:7])) for v, _ in rows]
 
 
 def write_odo(path, observations):
-    _write(path, ODO_HEADER,
-           ([o.time, *o.vel_body, *o.sigma] for o in observations),
+    _write(path, ODO_HEADER, _observation_rows(observations, "vel_body"),
            comment="body-frame velocity m/s with per-axis sigma")
 
 
 def read_odo(path):
     rows = _read(path, ODO_HEADER)
     _check_monotone(path, rows)
+    _check_sigmas(path, rows)
     return [OdoObs(v[0], np.array(v[1:4]), np.array(v[4:7])) for v, _ in rows]
 
 
 def write_truth(path, t, att, vel, pos):
-    rows = np.column_stack([t, rot_to_quat(att), vel, pos]).tolist()
-    _write(path, TRUTH_HEADER, rows, comment="body-to-ECEF quaternion, ECEF velocity and position")
+    _write(path, TRUTH_HEADER, _rows([t, rot_to_quat(att), vel, pos], len(TRUTH_HEADER)),
+           comment="body-to-ECEF quaternion, ECEF velocity and position")
 
 
 def read_truth(path):
     rows = _read(path, TRUTH_HEADER)
     _check_monotone(path, rows)
+    for values, line_no in rows:
+        # quat_to_rot divides by the norm: its square must be a positive,
+        # finite float
+        if not 0.0 < sum(q * q for q in values[1:5]) < math.inf:
+            raise CsvSchemaError(path, line_no, "quaternion qw..qz has no usable norm")
     data = np.array([v for v, _ in rows]) if rows else np.empty((0, len(TRUTH_HEADER)))
     return data[:, 0], quat_to_rot(data[:, 1:5]), data[:, 5:8], data[:, 8:11]
 
 
 def write_estimates(path, series):
-    rows = np.column_stack(
-        [series.t, rot_to_quat(series.att), series.vel, series.pos, series.p_trace]
-    ).tolist()
+    rows = _rows([series.t, rot_to_quat(series.att), series.vel, series.pos, series.p_trace], len(ESTIMATE_HEADER))
     _write(path, ESTIMATE_HEADER, rows, comment="filter estimates with covariance block traces")
 
 
 def write_rmse(path, sweep):
     header = ["yaw_deg"] + [v.replace("-", "_") for v in sweep.variants]
-    rows = (
-        [sweep.yaw_deg[i], *sweep.rmse_deg[i]] for i in range(len(sweep.yaw_deg))
-    )
-    _write(path, header, rows, comment="attitude RMSE (deg) per initial yaw error cell")
+    _write(path, header, _rows([sweep.yaw_deg, sweep.rmse_deg], len(header)),
+           comment="attitude RMSE (deg) per initial yaw error cell")
 
 
 @dataclass

@@ -89,15 +89,32 @@ def so3_log(rot: np.ndarray) -> np.ndarray:
         return v * (2.0 * np.arctan2(norm, q[..., :1]) / norm)
 
 
-def _so3_exp_stack(phi: np.ndarray) -> np.ndarray:
-    """:func:`so3_exp` of a (..., 3) stack.  With h = theta/2 and
-    s = sin(h)/h, sin(theta)/theta = s cos(h) and (1 - cos(theta))/theta^2 =
-    s^2/2; h is floored at the smallest normal float, where s is exactly 1,
-    so no small-angle branch is needed."""
-    half = np.maximum(0.5 * np.sqrt((phi * phi).sum(axis=-1)), _TINY)[..., None, None]
+def _so3_stack_terms(phi: np.ndarray):
+    """For a (..., 3) stack of rotation vectors: skew(phi), the coefficients
+    sin(theta)/theta and (1 - cos(theta))/theta^2 shaped to scale it, and
+    theta.  With h = theta/2 and s = sin(h)/h the coefficients are s cos(h)
+    and s^2/2; h is floored at the smallest normal float, where s is exactly
+    1, so no small-angle branch is needed."""
+    theta = np.sqrt((phi * phi).sum(axis=-1))
+    half = np.maximum(0.5 * theta, _TINY)[..., None, None]
     s = np.sin(half) / half
-    px = skew(phi)
-    return _I3 + (s * np.cos(half)) * px + (0.5 * s * s) * (px @ px)
+    return skew(phi), s * np.cos(half), 0.5 * s * s, theta
+
+
+def _so3_exp_stack(phi: np.ndarray) -> np.ndarray:
+    """:func:`so3_exp` of a (..., 3) stack."""
+    px, a, b, _ = _so3_stack_terms(phi)
+    return _I3 + a * px + b * (px @ px)
+
+
+def _left_jacobian_c(theta: np.ndarray) -> np.ndarray:
+    """(theta - sin(theta))/theta^3 of a stack of angles, from its Taylor
+    expansion below SMALL_ANGLE, shaped to scale a stack of matrices."""
+    t2 = theta * theta
+    t = np.maximum(theta, SMALL_ANGLE)
+    return np.where(theta < SMALL_ANGLE, 1.0 / 6.0 - t2 / 120.0 + t2 * t2 / 5040.0, (t - np.sin(t)) / t**3)[
+        ..., None, None
+    ]
 
 
 _TINY = np.finfo(float).tiny
@@ -126,8 +143,12 @@ def _skew_poly(phi: list, b: float, c: float) -> np.ndarray:
 
 
 def so3_left_jacobian(phi: np.ndarray) -> np.ndarray:
-    """Left Jacobian of SO(3): integral of exp along the geodesic."""
-    phi = np.asarray(phi, dtype=float).tolist()
+    """Left Jacobian of SO(3): integral of exp along the geodesic; a stack of
+    vectors (..., 3) gives a stack of matrices (..., 3, 3)."""
+    phi = np.asarray(phi, dtype=float)
+    if phi.ndim > 1:
+        return _so3_left_jacobian_stack(phi)
+    phi = phi.tolist()
     theta = math.hypot(*phi)
     if not math.isfinite(theta):
         return _NAN33.copy()
@@ -138,6 +159,12 @@ def so3_left_jacobian(phi: np.ndarray) -> np.ndarray:
     else:
         c = (theta - math.sin(theta)) / theta**3
     return _skew_poly(phi, b, c)
+
+
+def _so3_left_jacobian_stack(phi: np.ndarray) -> np.ndarray:
+    """:func:`so3_left_jacobian` of a (..., 3) stack."""
+    px, _, b, theta = _so3_stack_terms(phi)
+    return _I3 + b * px + _left_jacobian_c(theta) * (px @ px)
 
 
 def so3_left_jacobian_inv(phi: np.ndarray) -> np.ndarray:
@@ -155,11 +182,13 @@ def so3_left_jacobian_inv(phi: np.ndarray) -> np.ndarray:
 
 
 def orthonormalize(rot: np.ndarray) -> np.ndarray:
-    """Exact symmetric orthogonalization via SVD (nearest rotation)."""
+    """Exact symmetric orthogonalization via SVD (nearest rotation), for one
+    matrix or a (..., 3, 3) stack."""
     u, _, vt = np.linalg.svd(rot)
     r = u @ vt
-    if np.linalg.det(r) < 0.0:
-        u[:, -1] = -u[:, -1]
+    flip = np.linalg.det(r) < 0.0
+    if flip.any():
+        u[..., :, -1] *= np.where(flip, -1.0, 1.0)[..., None]
         r = u @ vt
     return r
 
@@ -213,12 +242,24 @@ def se23_vee(m: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     return np.concatenate([unskew(m[:3, :3]), m[:3, 3], m[:3, 4]])
 
 
+def matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Matrix times vector, for one pair or stacks (..., k, n) and (..., n)."""
+    return (m @ v[..., None])[..., 0]
+
+
 def se23_exp(xi: np.ndarray) -> GroupState:
-    """Closed-form exponential; the SO(3) left Jacobian maps both columns."""
+    """Closed-form exponential; the SO(3) left Jacobian maps both columns.
+    A (..., 9) stack gives a GroupState of stacks."""
     xi = np.asarray(xi, dtype=float)
-    phi = xi[:3]
-    jac = so3_left_jacobian(phi)
-    return GroupState(so3_exp(phi), jac @ xi[3:6], jac @ xi[6:9])
+    phi = xi[..., :3]
+    if xi.ndim == 1:
+        rot, jac = so3_exp(phi), so3_left_jacobian(phi)
+    else:
+        # the exponential and the Jacobian share their terms
+        px, a, b, theta = _so3_stack_terms(phi)
+        px2 = px @ px
+        rot, jac = _I3 + a * px + b * px2, _I3 + b * px + _left_jacobian_c(theta) * px2
+    return GroupState(rot, matvec(jac, xi[..., 3:6]), matvec(jac, xi[..., 6:9]))
 
 
 def se23_log(chi: GroupState) -> np.ndarray:
@@ -229,8 +270,8 @@ def se23_log(chi: GroupState) -> np.ndarray:
 
 
 def compose(a: GroupState, b: GroupState) -> GroupState:
-    """Group product a * b."""
-    return GroupState(a.rot @ b.rot, a.rot @ b.nu + a.nu, a.rot @ b.rho + a.rho)
+    """Group product a * b, for single elements or stacks."""
+    return GroupState(a.rot @ b.rot, matvec(a.rot, b.nu) + a.nu, matvec(a.rot, b.rho) + a.rho)
 
 
 def inverse(a: GroupState) -> GroupState:
@@ -240,26 +281,44 @@ def inverse(a: GroupState) -> GroupState:
 
 
 def adjoint(chi: GroupState) -> np.ndarray:
-    """9x9 adjoint satisfying hat(Ad_chi xi) = chi hat(xi) chi^-1."""
-    ad = np.zeros((9, 9))
-    ad[0:3, 0:3] = chi.rot
-    ad[3:6, 3:6] = chi.rot
-    ad[6:9, 6:9] = chi.rot
-    ad[3:6, 0:3] = skew(chi.nu) @ chi.rot
-    ad[6:9, 0:3] = skew(chi.rho) @ chi.rot
+    """9x9 adjoint satisfying hat(Ad_chi xi) = chi hat(xi) chi^-1; a
+    GroupState of stacks gives a (..., 9, 9) stack."""
+    rot = chi.rot
+    ad = np.zeros(rot.shape[:-2] + (9, 9))
+    ad[..., 0:3, 0:3] = rot
+    ad[..., 3:6, 3:6] = rot
+    ad[..., 6:9, 6:9] = rot
+    ad[..., 3:6, 0:3] = skew(chi.nu) @ rot
+    ad[..., 6:9, 0:3] = skew(chi.rho) @ rot
     return ad
 
 
 def adjoint_inv(chi: GroupState) -> np.ndarray:
-    """Adjoint of the group inverse, computed in closed form."""
-    rt = chi.rot.T
-    ad = np.zeros((9, 9))
-    ad[0:3, 0:3] = rt
-    ad[3:6, 3:6] = rt
-    ad[6:9, 6:9] = rt
-    ad[3:6, 0:3] = -(rt @ skew(chi.nu))
-    ad[6:9, 0:3] = -(rt @ skew(chi.rho))
+    """Adjoint of the group inverse, computed in closed form, for one
+    element or stacks."""
+    rt = chi.rot.swapaxes(-1, -2)
+    ad = np.zeros(rt.shape[:-2] + (9, 9))
+    ad[..., 0:3, 0:3] = rt
+    ad[..., 3:6, 3:6] = rt
+    ad[..., 6:9, 6:9] = rt
+    ad[..., 3:6, 0:3] = -(rt @ skew(chi.nu))
+    ad[..., 6:9, 0:3] = -(rt @ skew(chi.rho))
     return ad
+
+
+# Entries of the flattened matrix m and their signs.  The radicands of the
+# four quaternion forms, t + 1 = m00 + m11 + m22 + 1 for the trace form and
+# m_ii - m_jj - m_kk + 1 for the form on diagonal entry i ((i, j, k)
+# cyclic), are a + b + c + 1 over the first twelve; the differences and sums
+# the forms divide (m21 - m12, m02 - m20, m10 - m01, m10 + m01, m20 + m02,
+# m21 + m12) are the sums of the last two sixes.  Adding a negated entry
+# gives the bits of subtracting it.
+_QUAT_ENTRIES = np.array([0, 0, 4, 8, 4, 4, 8, 0, 8, 8, 0, 4, 7, 2, 3, 3, 6, 7, 5, 6, 1, 1, 2, 5])
+_QUAT_SIGNS = np.array([1.0] * 5 + [-1.0] * 3 + [1.0] + [-1.0] * 3 + [1.0] * 6 + [-1.0] * 3 + [1.0] * 3)
+# per form (trace, then largest diagonal entry 0, 1, 2), the pair each
+# quaternion component divides; the form's own component is 0.25 times the
+# scale instead
+_QUAT_PAIR = np.array([[0, 0, 1, 2], [0, 0, 3, 4], [1, 3, 0, 5], [2, 4, 5, 0]])
 
 
 def rot_to_quat(rot: np.ndarray) -> np.ndarray:
@@ -267,34 +326,25 @@ def rot_to_quat(rot: np.ndarray) -> np.ndarray:
     (..., 3, 3) stack of them.
 
     A matrix with a positive trace takes the trace form; any other takes the
-    form built on its largest diagonal entry.  The norm is taken with the
-    dot kernel a single vector's ``np.linalg.norm`` uses, so a stack gives
-    the same bits as its matrices converted one at a time.
+    form built on its largest diagonal entry.  Each matrix's form is picked
+    by index, not by gathering the matrices of each form, so one matrix
+    costs a few array operations.  The norm is taken with the dot kernel a
+    single vector's ``np.linalg.norm`` uses, so a stack gives the same bits
+    as its matrices converted one at a time.
     """
     rot = np.asarray(rot, dtype=float)
-    m = rot.reshape(-1, 3, 3)
-    d = np.diagonal(m, axis1=-2, axis2=-1)
-    t = d[:, 0] + d[:, 1] + d[:, 2]
-    q = np.empty((len(m), 4))
-    pos = t > 0.0
-    mp = m[pos]
-    s = np.sqrt(t[pos] + 1.0) * 2.0
-    q[pos, 0] = 0.25 * s
-    q[pos, 1] = (mp[:, 2, 1] - mp[:, 1, 2]) / s
-    q[pos, 2] = (mp[:, 0, 2] - mp[:, 2, 0]) / s
-    q[pos, 3] = (mp[:, 1, 0] - mp[:, 0, 1]) / s
-    largest = np.argmax(d, axis=-1)
-    for i in range(3):
-        sel = ~pos & (largest == i)
-        mi = m[sel]
-        j, k = (i + 1) % 3, (i + 2) % 3
-        s = np.sqrt(mi[:, i, i] - mi[:, j, j] - mi[:, k, k] + 1.0) * 2.0
-        q[sel, 0] = (mi[:, k, j] - mi[:, j, k]) / s
-        q[sel, 1 + i] = 0.25 * s
-        q[sel, 1 + j] = (mi[:, j, i] + mi[:, i, j]) / s
-        q[sel, 1 + k] = (mi[:, k, i] + mi[:, i, k]) / s
-    q[q[:, 0] < 0.0] *= -1.0
-    q /= np.sqrt(np.matmul(q[:, None, :], q[:, :, None]))[:, 0]
+    flat = rot.reshape(-1, 9)
+    terms = flat[:, _QUAT_ENTRIES]
+    terms *= _QUAT_SIGNS
+    radicand = terms[:, 0:4] + terms[:, 4:8] + terms[:, 8:12] + 1.0
+    form = np.argmax(flat[:, 0::4], axis=1) + 1
+    form[flat[:, 0] + flat[:, 4] + flat[:, 8] > 0.0] = 0
+    rows = np.arange(len(flat))
+    s = np.sqrt(radicand[rows, form]) * 2.0
+    q = (terms[:, 12:18] + terms[:, 18:24])[rows[:, None], _QUAT_PAIR[form]] / s[:, None]
+    q[rows, form] = 0.25 * s
+    norm = np.sqrt(np.matmul(q[:, None, :], q[:, :, None]))[:, 0]
+    q /= np.where(q[:, :1] < 0.0, -norm, norm)
     return q.reshape(rot.shape[:-2] + (4,))
 
 

@@ -11,14 +11,14 @@ the parameterization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Union
 
 import numpy as np
 
 from .errorstate import ErrorParam
 from .ins import EarthModel, NavState, vel_frame_convert
-from .lie import skew
+from .lie import matvec, skew
 
 I3 = np.eye(3)
 
@@ -61,10 +61,53 @@ class OdoObs:
 Observation = Union[GnssVelObs, OdoObs]
 
 
+def _data_fields(obs: Observation) -> dict:
+    return {name: value for name, value in vars(obs).items() if isinstance(value, np.ndarray)}
+
+
+def stack_observations(members) -> list:
+    """One observation list for a filter bank from each member's own list:
+    each observation's arrays (``vel``/``vel_body``, ``sigma``) gain a
+    leading member axis, as views of one array.  ``members`` is read once,
+    one list at a time, so it may be a generator that builds them.  The
+    members must observe on one grid: a list of another length, or an
+    observation of another kind or time stamp than member 0's, raises
+    ``ValueError``."""
+    grid, data = None, []
+    for m, own in enumerate(members):
+        stamps = [(obs.kind, obs.time) for obs in own]
+        grid = stamps if grid is None else grid
+        if len(stamps) != len(grid):
+            raise ValueError(f"member {m} has {len(stamps)} observations, member 0 has {len(grid)}")
+        for idx, ((kind, time), (kind0, time0)) in enumerate(zip(stamps, grid)):
+            if kind != kind0 or time != time0:
+                raise ValueError(
+                    f"observation {idx} of member {m} is {kind} at t={time:.6g}, "
+                    f"member 0's is {kind0} at t={time0:.6g}"
+                )
+        # (observation, field, axis): both kinds hold a 3-vector and its sigmas
+        data.append(np.array([list(_data_fields(obs).values()) for obs in own]).reshape(len(own), -1, 3))
+    if grid is None:
+        raise ValueError("a bank needs at least one member")
+    data = np.stack(data)
+    # the last member's observations carry the stacked arrays
+    return [
+        replace(obs, **{name: data[:, idx, f] for f, name in enumerate(_data_fields(obs))})
+        for idx, obs in enumerate(own)
+    ]
+
+
+def select_members(obs: Observation, idx) -> Observation:
+    """The observation of the bank members ``idx``: arrays that carry a
+    member axis are indexed, shared ones are kept."""
+    return replace(obs, **{name: value[idx] for name, value in _data_fields(obs).items() if value.ndim == 2})
+
+
 def innovation(
     x: NavState, obs: Observation, earth: EarthModel, time_tol: float = np.inf
 ) -> np.ndarray:
-    """Predicted-minus-measured observation at the current estimate."""
+    """Predicted-minus-measured observation at the current estimate; a bank
+    state gives one innovation per member, (..., 3)."""
     if abs(obs.time - x.time) > time_tol:
         raise ValueError(
             f"observation at t={obs.time} does not match filter time t={x.time}"
@@ -72,49 +115,51 @@ def innovation(
     if obs.kind == "gnss_vel":
         return x.vel - obs.vel
     if obs.kind == "odo":
-        return x.att.T @ x.vel - obs.vel_body
+        return matvec(x.att.swapaxes(-1, -2), x.vel) - obs.vel_body
     raise ValueError(f"unsupported observation kind {obs.kind!r}")
 
 
 def observation_matrix(
     param: ErrorParam, x: NavState, kind: str, earth: EarthModel
 ) -> np.ndarray:
-    """3x15 observation matrix for the given parameterization and sensor."""
-    h = np.zeros((3, 15))
+    """3x15 observation matrix for the given parameterization and sensor; a
+    bank state gives one per member, (..., 3, 15)."""
     att = x.att
-    rt = att.T
+    h = np.zeros(att.shape[:-2] + (3, 15))
+    rt = att.swapaxes(-1, -2)
     omega_mat = earth.omega_mat
 
     if kind == "gnss_vel":
         if param is ErrorParam.ADDITIVE_EKF:
-            h[:, 3:6] = I3
+            h[..., :, 3:6] = I3
         elif param is ErrorParam.LEFT_INVARIANT:
-            h[:, 3:6] = -att
-            h[:, 6:9] = omega_mat @ att
+            h[..., :, 3:6] = -att
+            h[..., :, 6:9] = omega_mat @ att
         else:
             nu = vel_frame_convert(x, earth)
-            h[:, 0:3] = skew(nu) - omega_mat @ skew(x.pos)
-            h[:, 3:6] = -I3
-            h[:, 6:9] = omega_mat
+            h[..., :, 0:3] = skew(nu) - omega_mat @ skew(x.pos)
+            h[..., :, 3:6] = -I3
+            h[..., :, 6:9] = omega_mat
         return h
 
     if kind == "odo":
         if param is ErrorParam.ADDITIVE_EKF:
-            h[:, 0:3] = rt @ skew(x.vel)
-            h[:, 3:6] = rt
+            h[..., :, 0:3] = rt @ skew(x.vel)
+            h[..., :, 3:6] = rt
         elif param is ErrorParam.LEFT_INVARIANT:
-            h[:, 0:3] = -skew(rt @ x.vel)
-            h[:, 3:6] = -I3
-            h[:, 6:9] = rt @ omega_mat @ att
+            h[..., :, 0:3] = -skew(matvec(rt, x.vel))
+            h[..., :, 3:6] = -I3
+            h[..., :, 6:9] = rt @ omega_mat @ att
         else:
-            h[:, 0:3] = -(rt @ skew(x.pos) @ omega_mat)
-            h[:, 3:6] = -rt
-            h[:, 6:9] = rt @ omega_mat
+            h[..., :, 0:3] = -(rt @ skew(x.pos) @ omega_mat)
+            h[..., :, 3:6] = -rt
+            h[..., :, 6:9] = rt @ omega_mat
         return h
 
     raise ValueError(f"unsupported observation kind {kind!r}")
 
 
 def noise_covariance(obs: Observation) -> np.ndarray:
-    """Diagonal observation noise covariance; parameterization-independent."""
-    return np.diag(obs.sigma**2)
+    """Diagonal observation noise covariance; parameterization-independent.
+    Per-member sigmas (..., 3) give one matrix per member."""
+    return (obs.sigma**2)[..., None] * I3

@@ -19,7 +19,7 @@ from . import lie
 from .errorstate import ErrorParam, InjectionMode, process_noise, relation_matrix
 from .filter import FilterState, Strategy, mixed_sensor_strategy, run_filter
 from .ins import EARTH_RADIUS, G0, EarthModel, NavState
-from .sensors import GnssVelObs, OdoObs
+from .sensors import GnssVelObs, OdoObs, stack_observations
 
 DEG = np.pi / 180.0
 
@@ -293,15 +293,17 @@ class ImuStream:
     """Sampled IMU with the bias truth used to generate it.
 
     Sample k is stamped at the end of its interval; rates are the ideal
-    values at the interval midpoint plus noise and bias.
+    values at the interval midpoint plus noise and bias.  The rates of a
+    filter bank's members carry a leading member axis, (N, n, 3), and no
+    bias truth.
     """
 
     t: np.ndarray
     gyro: np.ndarray
     accel: np.ndarray
     dt: float
-    bias_gyro: np.ndarray
-    bias_accel: np.ndarray
+    bias_gyro: np.ndarray | None = None
+    bias_accel: np.ndarray | None = None
 
 
 def generate_truth(cfg: ScenarioConfig, earth: EarthModel) -> TruthSeries:
@@ -469,24 +471,30 @@ def run_scenario(cfg: ScenarioConfig, variant: str) -> tuple[EstimateSeries, dic
     """Propagate/update a single filter variant through the scenario.
 
     Returns the estimate series and a metrics dict with per-axis RMSE after
-    the settling window; a diverged run is flagged instead of raising.
+    the settling window; a diverged run is flagged instead of raising.  The
+    filter runs as a bank of one.
     """
     sc = synthesize(cfg)
-    truth = sc.truth
-    param, strategy = variant_config(variant)
-    a0 = relation_matrix(ErrorParam.ADDITIVE_EKF, param, sc.x0, sc.earth)
-    fs = FilterState(
-        sc.x0,
-        a0 @ sc.p0 @ a0.T,
-        param,
-        strategy,
-        cfg.injection_mode(),
-        cfg.imu.qc(),
-        sc.earth,
-        time_tol=0.6 * sc.imu.dt,
-    )
-    run = run_filter(fs, sc.imu, sc.imu.dt, sc.gnss + sc.odo)
+    (result,) = _run_bank(cfg, variant, sc.earth, sc.truth, sc.imu, sc.gnss + sc.odo, sc.x0.select(None), sc.p0[None])
+    return result
 
+
+def _run_bank(cfg, variant, earth, truth, imu, observations, x0, p0):
+    """Run a bank of one variant's filters in lockstep from the initial
+    estimates ``x0`` (a bank) with additive covariances ``p0`` (N, 15, 15)
+    over one truth and time grid; the (series, metrics) of each member,
+    scored as it is read."""
+    param, strategy = variant_config(variant)
+    a0 = relation_matrix(ErrorParam.ADDITIVE_EKF, param, x0, earth)
+    fs = FilterState(
+        x0, a0 @ p0 @ a0.swapaxes(-1, -2), param, strategy, cfg.injection_mode(), cfg.imu.qc(), earth,
+        time_tol=0.6 * imu.dt,
+    )
+    return (_score(cfg, variant, run, truth) for run in run_filter(fs, imu, imu.dt, observations))
+
+
+def _score(cfg, variant, run, truth) -> tuple[EstimateSeries, dict]:
+    """A run's estimate series against the truth, and its metrics."""
     m = len(run.t)
     att_err = lie.so3_log(run.att @ truth.att[:m].transpose(0, 2, 1))
     series = EstimateSeries(
@@ -511,17 +519,40 @@ def run_scenario(cfg: ScenarioConfig, variant: str) -> tuple[EstimateSeries, dic
 
 
 def _sweep_cell(args):
+    """Mean attitude RMSE per variant over one cell's seeds.  Every seed of
+    a cell shares the truth and the time grid (the synthesis stamps the
+    observations on the IMU grid), so each variant runs all seeds as one
+    bank; a diverged member scores inf."""
     cfg, yaw_deg, seeds, variants = args
+    cell = replace(cfg, init_att_err_deg=(cfg.init_att_err_deg[0], cfg.init_att_err_deg[1], yaw_deg))
+    starts, shared = [], {}
+
+    def observations():
+        # memory bounds the bank: one seed's scenario at a time is
+        # synthesized, and only its IMU rates, initial estimate and
+        # observations (which stack_observations consumes) are kept
+        for i, seed in enumerate(seeds):
+            sc = synthesize(replace(cell, seed=seed))
+            if not shared:
+                rates = (len(seeds),) + sc.imu.gyro.shape
+                imu = ImuStream(sc.imu.t, np.empty(rates), np.empty(rates), sc.imu.dt)
+                shared.update(earth=sc.earth, truth=sc.truth, imu=imu)
+            shared["imu"].gyro[i], shared["imu"].accel[i] = sc.imu.gyro, sc.imu.accel
+            starts.append((sc.x0, sc.p0))
+            own = sc.gnss + sc.odo
+            del sc
+            yield own
+
+    observations = stack_observations(observations())
+    x0, p0 = zip(*starts)
+    x0, p0 = NavState.stack(x0), np.stack(p0)
+    earth, truth, imu = shared["earth"], shared["truth"], shared["imu"]
     rows = np.zeros((len(seeds), len(variants)))
-    for i, seed in enumerate(seeds):
-        cell_cfg = replace(
-            cfg,
-            seed=seed,
-            init_att_err_deg=(cfg.init_att_err_deg[0], cfg.init_att_err_deg[1], yaw_deg),
-        )
-        for j, variant in enumerate(variants):
-            _, metrics = run_scenario(cell_cfg, variant)
-            rows[i, j] = np.inf if metrics["diverged"] else metrics["att_rmse_total_deg"]
+    for j, variant in enumerate(variants):
+        rows[:, j] = [
+            np.inf if metrics["diverged"] else metrics["att_rmse_total_deg"]
+            for _, metrics in _run_bank(cell, variant, earth, truth, imu, observations, x0, p0)
+        ]
     return rows.mean(axis=0)
 
 

@@ -19,6 +19,7 @@ from conftest import (
     quiet_earth,
 )
 
+from cteskf import filter as kf
 from cteskf import lie, sim, verify
 from cteskf.errorstate import ErrorParam, InjectionMode, process_noise, relation_matrix, system_matrix
 from cteskf.filter import (
@@ -39,7 +40,7 @@ from cteskf.filter import (
     update_transform,
 )
 from cteskf.ins import EarthModel, ImuSample, NavState, EARTH_RADIUS
-from cteskf.sensors import GnssVelObs
+from cteskf.sensors import GnssVelObs, OdoObs, stack_observations
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -565,6 +566,116 @@ class TestSegmentEngine:
         fs, imu, obs = self._filter_and_inputs(variant, 100.0, 11.0, 0.0)
         assert obs == [] and len(imu.t) > CHUNK
         self._assert_matches(run_filter(fs, imu, imu.dt, []), stepwise_run(fs, imu, imu.dt, []))
+
+
+class TestFilterBank:
+    """run_filter on a bank of members that share the IMU and observation
+    grids, against a run of each member alone: the same bits."""
+
+    SEEDS = (3, 4, 5)
+    FIELDS = ("t", "att", "vel", "pos", "bg", "ba", "p_trace")
+
+    @staticmethod
+    def _members(variant, seeds=SEEDS):
+        """Filter, IMU and observations of each seed of a short GNSS plus
+        odometry scenario at Earth scale."""
+        cfg = sim.ScenarioConfig(
+            duration=3.0, radius=100.0, imu_rate=50.0, use_odo=True, gnss_rate=2.0,
+            init_att_err_deg=(30.0, 30.0, 100.0), obs_start_s=0.5,
+        )
+        param, strategy = sim.variant_config(variant)
+        members = []
+        for seed in seeds:
+            sc = sim.synthesize(replace(cfg, seed=seed))
+            a0 = relation_matrix(EKF, param, sc.x0, sc.earth)
+            fs = FilterState(
+                sc.x0, a0 @ sc.p0 @ a0.T, param, strategy, cfg.injection_mode(), cfg.imu.qc(), sc.earth,
+                time_tol=0.6 * sc.imu.dt,
+            )
+            members.append((fs, sc.imu, sc.gnss + sc.odo))
+        return members
+
+    @staticmethod
+    def _bank(members):
+        filters, imus, observations = zip(*members)
+        fs = replace(filters[0], x=NavState.stack([f.x for f in filters]), P=np.stack([f.P for f in filters]))
+        imu = sim.ImuStream(imus[0].t, np.stack([i.gyro for i in imus]), np.stack([i.accel for i in imus]), imus[0].dt)
+        return fs, imu, stack_observations(list(observations))
+
+    def _assert_solo(self, run, member):
+        fs, imu, observations = member
+        solo = run_filter(fs, imu, imu.dt, observations)
+        assert run.diverged == solo.diverged
+        for name in self.FIELDS:
+            np.testing.assert_array_equal(getattr(run, name), getattr(solo, name), err_msg=name)
+        return solo
+
+    @pytest.mark.parametrize("variant", sim.VARIANTS)
+    def test_bank_equals_solo_runs(self, variant):
+        members = self._members(variant)
+        fs, imu, observations = self._bank(members)
+        runs = run_filter(fs, imu, imu.dt, observations)
+        assert len(runs) == len(members)
+        for run, member in zip(runs, members):
+            assert run.diverged is None and len(run.t) == len(imu.t) + 1
+            self._assert_solo(run, member)
+
+    @pytest.mark.parametrize("variant", sim.VARIANTS)
+    def test_nonfinite_gyro_ends_only_its_member(self, variant):
+        members = self._members(variant)
+        members[1][1].gyro[61, 2] = np.nan  # the step that ends at t=1.24
+        fs, imu, observations = self._bank(members)
+        runs = run_filter(fs, imu, imu.dt, observations)
+        param = sim.variant_config(variant)[0]
+        assert runs[1].diverged == f"state or covariance became non-finite at t=1.240 ({param.value})"
+        assert len(runs[1].t) == 62
+        assert [r.diverged for r in runs[::2]] == [None, None]
+        for run, member in zip(runs, members):
+            self._assert_solo(run, member)
+
+    @pytest.mark.parametrize("variant", sim.VARIANTS)
+    def test_nonfinite_observation_ends_only_its_member(self, variant):
+        # the members left after a failed update apply the same observation
+        members = self._members(variant)
+        observations = members[0][2]
+        idx = next(i for i, o in enumerate(observations) if o.kind == "odo" and o.time > 2.0)
+        observations[idx] = OdoObs(observations[idx].time, np.array([np.inf, 0.0, 0.0]), observations[idx].sigma)
+        fs, imu, stacked = self._bank(members)
+        runs = run_filter(fs, imu, imu.dt, stacked)
+        assert runs[0].diverged == f"non-finite correction from the odo observation at t={observations[idx].time:.3f}"
+        assert runs[1].diverged is None and runs[2].diverged is None
+        for run, member in zip(runs, members):
+            self._assert_solo(run, member)
+
+    def test_members_must_share_the_observation_grid(self):
+        lists = [member[2] for member in self._members("ekf")]
+        moved = list(lists[1])
+        moved[3] = replace(moved[3], time=moved[3].time + 0.02)
+        with pytest.raises(ValueError, match="observation 3 of member 1 is"):
+            stack_observations([lists[0], moved, lists[2]])
+        swapped = list(lists[2])
+        idx = next(i for i, o in enumerate(swapped) if o.kind == "odo")
+        odo = swapped[idx]
+        swapped[idx] = GnssVelObs(odo.time, odo.vel_body, odo.sigma)
+        with pytest.raises(ValueError, match=f"observation {idx} of member 2 is gnss_vel"):
+            stack_observations([lists[0], lists[1], swapped])
+        with pytest.raises(ValueError, match="member 1 has"):
+            stack_observations([lists[0], lists[1][:-1], lists[2]])
+        # observations stacked for two members do not fit a bank of three
+        fs, imu, _ = self._bank(self._members("ekf"))
+        with pytest.raises(ValueError, match="member rows"):
+            run_filter(fs, imu, imu.dt, stack_observations(lists[:2]), lambda before, after: pytest.fail("updated"))
+
+    @pytest.mark.parametrize("variant", ["ekf", "r-inekf", "ct-ekf"])
+    def test_bank_matches_solo_runs_across_segment_boundaries(self, variant, monkeypatch):
+        # with 4-step segments the odometry's 5-step intervals are cut inside,
+        # and a bank of three propagates its covariances one step per call
+        monkeypatch.setattr(kf, "CHUNK", 4)
+        members = self._members(variant)
+        fs, imu, observations = self._bank(members)
+        for run, member in zip(run_filter(fs, imu, imu.dt, observations), members):
+            assert run.diverged is None
+            self._assert_solo(run, member)
 
 
 class TestStrategyDispatch:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from cteskf import io
+from cteskf.sensors import GnssVelObs
 from cteskf.sim import ScenarioConfig, generate_truth, run_scenario, synthesize_gnss, synthesize_imu, synthesize_odo
 
 
@@ -118,11 +119,44 @@ class TestSchemaValidation:
             io.read_odo(p)
         assert err.value.line_no == 3
 
+    def test_zero_quaternion_rejected(self, tmp_path):
+        p = tmp_path / "truth.csv"
+        p.write_text(",".join(io.TRUTH_HEADER) + "\n0.0,1,0,0,0,0,0,0,1,2,3\n0.5,0,0,0,0,0,0,0,1,2,3\n")
+        with pytest.raises(io.CsvSchemaError, match="quaternion") as err:
+            io.read_truth(p)
+        assert err.value.line_no == 3
+
+    @pytest.mark.parametrize("reader,header", [(io.read_gnss, io.GNSS_HEADER), (io.read_odo, io.ODO_HEADER)])
+    @pytest.mark.parametrize("sigma", ["0.0", "-0.1"])
+    def test_nonpositive_sigma_rejected(self, tmp_path, reader, header, sigma):
+        p = tmp_path / "obs.csv"
+        p.write_text(",".join(header) + f"\n0.0,1,2,3,0.1,0.1,0.1\n0.5,1,2,3,0.1,{sigma},0.1\n")
+        with pytest.raises(io.CsvSchemaError, match="sigma must be positive") as err:
+            reader(p)
+        assert err.value.line_no == 3
+
     def test_comments_and_blank_lines_skipped(self, tmp_path):
         p = tmp_path / "imu.csv"
         p.write_text("# comment\n\nt,gx,gy,gz,ax,ay,az\n0.5,1,2,3,4,5,6\n")
         t, gyro, accel = io.read_imu(p)
         assert t[0] == 0.5 and gyro[0, 2] == 3.0
+
+
+class TestWriters:
+    def test_exact_bytes(self, tmp_path):
+        # every value is written as the repr of a Python float: shortest
+        # round trip, the sign of zero kept, no numpy scalar repr
+        out = tmp_path / "imu.csv"
+        values = np.array([-0.0, 5e-324, 0.1, 1e300])
+        io.write_imu(out, values[2:3], values[None, :3], values[None, 1:])
+        assert out.read_bytes() == (
+            b"# body rates rad/s, specific force m/s^2\n"
+            b"t,gx,gy,gz,ax,ay,az\n"
+            b"0.1,-0.0,5e-324,0.1,5e-324,0.1,1e+300\n"
+        )
+        gnss = tmp_path / "gnss_vel.csv"
+        io.write_gnss(gnss, [GnssVelObs(np.float64(0.1), values[:3], values[1:])])
+        assert gnss.read_bytes().splitlines()[-1] == b"0.1,-0.0,5e-324,0.1,5e-324,0.1,1e+300"
 
 
 class TestEstimatesAndRmse:

@@ -281,6 +281,19 @@ class TestMonteCarloSweep:
         with pytest.raises(ValueError, match="at least one seed"):
             monte_carlo_sweep(small_cfg(), [0.0], 0)
 
+    def test_cell_bank_equals_solo_runs(self):
+        # a cell runs its seeds as one bank per variant, and every member
+        # gets the bits of its own run_scenario
+        cfg = small_cfg(duration=4.0, imu_rate=50.0, use_odo=True, init_att_err_deg=(30.0, 30.0, 0.0))
+        variants = ("ekf", "l-inekf", "ct-ekf")
+        result = monte_carlo_sweep(cfg, [90.0], 3, variants=variants)
+        solo = [
+            [run_scenario(replace(cfg, seed=cfg.seed ^ s, init_att_err_deg=(30.0, 30.0, 90.0)), v)[1]["att_rmse_total_deg"]
+             for v in variants]
+            for s in range(3)
+        ]
+        np.testing.assert_array_equal(result.rmse_deg[0], np.mean(solo, axis=0))
+
     def test_parallel_matches_serial(self):
         cfg = small_cfg(duration=5.0, imu_rate=50.0, init_att_err_deg=(10.0, 10.0, 0.0))
         grid = [-30.0, 30.0]
