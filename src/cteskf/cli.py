@@ -197,7 +197,10 @@ def cmd_verify(args) -> int:
     for r in results:
         print(r.line())
     payload = [
-        {"name": r.name, "passed": r.passed, "measured": r.measured, "tolerance": r.tolerance, "detail": r.detail}
+        {
+            "name": r.name, "passed": r.passed, "measured": r.measured, "tolerance": r.tolerance,
+            "elapsed_s": r.elapsed_s, "detail": r.detail,
+        }
         for r in results
     ]
     if args.out:

@@ -206,11 +206,11 @@ def _canonical_correction(xi: np.ndarray, obs: Observation, injection: Injection
     Transients under very large initial attitude errors can command such
     corrections; for the group-exponential injection the wrap is exact on the
     rotation: one step scales the vector to the remainder of its norm modulo
-    2 pi.  First-order injection has no valid reading of them, so they are
-    left for inject_error to reject.  A non-finite correction (from a
-    non-finite gain or a norm that overflows), or one whose wrapped norm is
+    2 pi.  First-order injection has no valid reading of a correction at or
+    beyond pi, so one ends the member's run.  A non-finite correction (from
+    a non-finite gain or a norm that overflows), or one whose wrapped norm is
     still pi (an odd multiple of pi, with two representatives), has no
-    representative and ends the member's run.
+    representative and ends the member's run too.
     """
     rows = xi.reshape(-1, 15)
     norms = [math.hypot(*v) for v in rows[:, 0:3].tolist()]
@@ -219,7 +219,13 @@ def _canonical_correction(xi: np.ndarray, obs: Observation, injection: Injection
             ~(np.isfinite(rows).all(axis=1) & np.isfinite(norms)),
             lambda i: f"non-finite correction from the {obs.kind} observation at t={obs.time:.3f}",
         )
-    if injection is InjectionMode.RETRACTION and max(norms) >= np.pi:
+    if max(norms) >= np.pi:
+        if injection is InjectionMode.FIRST_ORDER:
+            _diverge(
+                np.array(norms) >= np.pi,
+                lambda i: f"first-order attitude correction at or beyond pi from the {obs.kind} observation "
+                f"at t={obs.time:.3f}",
+            )
         rows = rows.copy()
         still = np.zeros(len(rows), dtype=bool)
         for i, norm in enumerate(norms):

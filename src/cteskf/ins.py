@@ -81,11 +81,8 @@ class EarthModel:
 
     def gravity(self, r: np.ndarray) -> np.ndarray:
         """Local gravity vector g(r): mass attraction plus centrifugal effect,
-        for one position (3,) or a stack (..., 3).  One position goes through
-        :meth:`gravity_xyz`, which is faster than array arithmetic on 3-vectors."""
+        for one position (3,) or a stack (..., 3)."""
         r = np.asarray(r, dtype=float)
-        if r.ndim == 1:
-            return np.array(self.gravity_xyz(*r.tolist()))
         if self.gravity_mode == "constant":
             return np.broadcast_to(self.gravity_const, r.shape).copy()
         dist_sq = np.einsum("...i,...i->...", r, r)

@@ -9,18 +9,27 @@ either as :class:`GroupState` values or as their 5x5 matrix embedding
     [ 0    0   1  ]
 
 with tangent vectors ordered ``[phi, dnu, drho]`` (9,).
+
+Every function takes one object or a stack of them along leading axes
+through one implementation, and a stack gives each object the bits it gives
+alone.  In :func:`skew`, the exponentials, the SO(3) Jacobians,
+:func:`so3_log` and the quaternion conversions a non-finite object gives
+non-finite entries in its own result only, with no warning; all NaN from the
+exponentials, Jacobians and :func:`so3_log`.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-# Below this rotation angle the trigonometric coefficients are replaced by
+# Below this rotation angle the Jacobians' coefficients are replaced by
 # their 4th-order Taylor expansions to avoid cancellation.
 SMALL_ANGLE = 1e-7
+
+_TINY = np.finfo(float).tiny
+_I3 = np.eye(3)
 
 
 def skew(v: np.ndarray) -> np.ndarray:
@@ -31,9 +40,6 @@ def skew(v: np.ndarray) -> np.ndarray:
     stays in its own entries, and a long stack makes no (multi-threaded)
     BLAS call."""
     v = np.asarray(v, dtype=float)
-    if v.ndim == 1:
-        x, y, z = v.tolist()
-        return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
     x, y, z = v[..., 0], v[..., 1], v[..., 2]
     out = np.zeros(v.shape[:-1] + (3, 3))
     out[..., 0, 1], out[..., 0, 2] = -z, y
@@ -44,141 +50,78 @@ def skew(v: np.ndarray) -> np.ndarray:
 
 def unskew(m: np.ndarray) -> np.ndarray:
     """Inverse of :func:`skew` (antisymmetric part is not enforced)."""
-    return np.array([m[2, 1], m[0, 2], m[1, 0]])
+    m = np.asarray(m, dtype=float)
+    return np.stack([m[..., 2, 1], m[..., 0, 2], m[..., 1, 0]], axis=-1)
 
 
-def _sincos_coeffs(theta: float) -> tuple[float, float]:
-    """Return (sin(t)/t, (1-cos(t))/t^2) with series fallback near zero."""
-    if theta < SMALL_ANGLE:
-        t2 = theta * theta
-        a = 1.0 - t2 / 6.0 + t2 * t2 / 120.0
-        b = 0.5 - t2 / 24.0 + t2 * t2 / 720.0
-        return a, b
-    return math.sin(theta) / theta, (1.0 - math.cos(theta)) / (theta * theta)
+def _so3_terms(phi: np.ndarray):
+    """For rotation vectors phi (..., 3): skew(phi), the coefficients
+    sin(theta)/theta and (1 - cos(theta))/theta^2, and theta.  The last
+    three are arrays shaped to scale a stack of matrices, never numpy
+    scalars, whose power and trigonometry round differently from an array's.
+    With h = theta/2 and s = sin(h)/h the coefficients are s cos(h) and
+    s^2/2; h is floored at the smallest normal float, where s is exactly 1,
+    so no small-angle branch is needed."""
+    phi = np.asarray(phi, dtype=float)
+    theta = np.sqrt((phi * phi).sum(axis=-1))[..., None, None]
+    half = np.maximum(0.5 * theta, _TINY)
+    s = np.sin(half) / half
+    return skew(phi), s * np.cos(half), 0.5 * s * s, theta
+
+
+def _left_jacobian_c(theta: np.ndarray) -> np.ndarray:
+    """(theta - sin(theta))/theta^3, the left Jacobian's coefficient of
+    skew(phi)^2, for the angles of :func:`_so3_terms`; below SMALL_ANGLE
+    from its Taylor expansion."""
+    t2, t = theta * theta, np.maximum(theta, SMALL_ANGLE)
+    return np.where(theta < SMALL_ANGLE, 1.0 / 6.0 - t2 / 120.0 + t2 * t2 / 5040.0, (t - np.sin(t)) / t**3)
 
 
 def so3_exp(phi: np.ndarray) -> np.ndarray:
     """Rodrigues exponential of a rotation vector (rad); a stack of vectors
-    (..., 3) gives a stack of rotations (..., 3, 3).  A non-finite vector
-    gives NaN entries (in a stack with numpy's invalid-value warning)."""
-    phi = np.asarray(phi, dtype=float)
-    if phi.ndim > 1:
-        return _so3_exp_stack(phi)
-    phi = phi.tolist()
-    theta = math.hypot(*phi)
-    if not math.isfinite(theta):
-        return _NAN33.copy()
-    a, b = _sincos_coeffs(theta)
-    return _skew_poly(phi, a, b)
+    (..., 3) gives a stack of rotations (..., 3, 3)."""
+    with np.errstate(invalid="ignore"):
+        px, a, b, _ = _so3_terms(phi)
+        # skew(phi)^2 as a temporary numpy can reuse: on a long stack a named
+        # one raised the peak memory of a 120k-step mechanization by 16 MiB
+        return _I3 + a * px + b * (px @ px)
 
 
 def so3_log(rot: np.ndarray) -> np.ndarray:
     """Rotation vector (norm <= pi) of a rotation matrix; a (..., 3, 3) stack
-    gives a (..., 3) stack, each row the same bits as its matrix alone.
+    gives a (..., 3) stack.
 
     With the unit quaternion [w, v] of :func:`rot_to_quat` (w >= 0),
     phi = v 2 atan2(|v|, w) / |v| (Sola, Deray & Atchuthan, arXiv:1812.01537),
     which stays accurate at every angle up to pi; at exactly pi both signs
     of the axis are logarithms of ``rot``.  |v| is floored at the smallest
     normal float, so the identity gives a zero vector and no small-angle
-    branch is needed.  A non-finite matrix gives NaN."""
-    with np.errstate(invalid="ignore"):
-        q = rot_to_quat(rot)
-        v = q[..., 1:]
-        norm = np.maximum(np.sqrt((v * v).sum(axis=-1, keepdims=True)), _TINY)
-        return v * (2.0 * np.arctan2(norm, q[..., :1]) / norm)
-
-
-def _so3_stack_terms(phi: np.ndarray):
-    """For a (..., 3) stack of rotation vectors: skew(phi), the coefficients
-    sin(theta)/theta and (1 - cos(theta))/theta^2 shaped to scale it, and
-    theta.  With h = theta/2 and s = sin(h)/h the coefficients are s cos(h)
-    and s^2/2; h is floored at the smallest normal float, where s is exactly
-    1, so no small-angle branch is needed."""
-    theta = np.sqrt((phi * phi).sum(axis=-1))
-    half = np.maximum(0.5 * theta, _TINY)[..., None, None]
-    s = np.sin(half) / half
-    return skew(phi), s * np.cos(half), 0.5 * s * s, theta
-
-
-def _so3_exp_stack(phi: np.ndarray) -> np.ndarray:
-    """:func:`so3_exp` of a (..., 3) stack."""
-    px, a, b, _ = _so3_stack_terms(phi)
-    return _I3 + a * px + b * (px @ px)
-
-
-def _left_jacobian_c(theta: np.ndarray) -> np.ndarray:
-    """(theta - sin(theta))/theta^3 of a stack of angles, from its Taylor
-    expansion below SMALL_ANGLE, shaped to scale a stack of matrices."""
-    t2 = theta * theta
-    t = np.maximum(theta, SMALL_ANGLE)
-    return np.where(theta < SMALL_ANGLE, 1.0 / 6.0 - t2 / 120.0 + t2 * t2 / 5040.0, (t - np.sin(t)) / t**3)[
-        ..., None, None
-    ]
-
-
-_TINY = np.finfo(float).tiny
-_I3 = np.eye(3)
-
-# what the exponential and the Jacobians give for a non-finite rotation
-# vector; math.sin and math.cos raise on infinities where numpy gives NaN
-_NAN33 = np.full((3, 3), np.nan)
-
-
-def _skew_poly(phi: list, b: float, c: float) -> np.ndarray:
-    """I + b skew(phi) + c skew(phi)^2 for phi given as three floats,
-    evaluated elementwise with skew(phi)^2 = phi phi^T - |phi|^2 I; for one
-    vector this beats building and multiplying 3x3 arrays."""
-    x, y, z = phi
-    xx, yy, zz = x * x, y * y, z * z
-    cxy, cxz, cyz = c * x * y, c * x * z, c * y * z
-    bx, by, bz = b * x, b * y, b * z
-    return np.array(
-        [
-            [1.0 - c * (yy + zz), cxy - bz, cxz + by],
-            [cxy + bz, 1.0 - c * (xx + zz), cyz - bx],
-            [cxz - by, cyz + bx, 1.0 - c * (xx + yy)],
-        ]
-    )
+    branch is needed."""
+    q = rot_to_quat(rot)
+    v = q[..., 1:]
+    norm = np.maximum(np.sqrt((v * v).sum(axis=-1, keepdims=True)), _TINY)
+    return v * (2.0 * np.arctan2(norm, q[..., :1]) / norm)
 
 
 def so3_left_jacobian(phi: np.ndarray) -> np.ndarray:
     """Left Jacobian of SO(3): integral of exp along the geodesic; a stack of
     vectors (..., 3) gives a stack of matrices (..., 3, 3)."""
-    phi = np.asarray(phi, dtype=float)
-    if phi.ndim > 1:
-        return _so3_left_jacobian_stack(phi)
-    phi = phi.tolist()
-    theta = math.hypot(*phi)
-    if not math.isfinite(theta):
-        return _NAN33.copy()
-    _, b = _sincos_coeffs(theta)
-    if theta < SMALL_ANGLE:
-        t2 = theta * theta
-        c = 1.0 / 6.0 - t2 / 120.0 + t2 * t2 / 5040.0
-    else:
-        c = (theta - math.sin(theta)) / theta**3
-    return _skew_poly(phi, b, c)
-
-
-def _so3_left_jacobian_stack(phi: np.ndarray) -> np.ndarray:
-    """:func:`so3_left_jacobian` of a (..., 3) stack."""
-    px, _, b, theta = _so3_stack_terms(phi)
-    return _I3 + b * px + _left_jacobian_c(theta) * (px @ px)
+    with np.errstate(invalid="ignore"):
+        px, _, b, theta = _so3_terms(phi)
+        return _I3 + b * px + _left_jacobian_c(theta) * (px @ px)
 
 
 def so3_left_jacobian_inv(phi: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`so3_left_jacobian`."""
-    phi = np.asarray(phi, dtype=float).tolist()
-    theta = math.hypot(*phi)
-    if not math.isfinite(theta):
-        return _NAN33.copy()
-    if theta < SMALL_ANGLE:
-        t2 = theta * theta
-        c = 1.0 / 12.0 + t2 / 720.0 + t2 * t2 / 30240.0
-    else:
-        c = 1.0 / theta**2 - (1.0 + math.cos(theta)) / (2.0 * theta * math.sin(theta))
-    return _skew_poly(phi, -0.5, c)
+    """Inverse of :func:`so3_left_jacobian`, I - skew(phi)/2 + c skew(phi)^2
+    with c = 1/theta^2 - 1/(2 theta tan(theta/2)), below SMALL_ANGLE from its
+    Taylor expansion."""
+    with np.errstate(invalid="ignore"):
+        px, _, _, theta = _so3_terms(phi)
+        t2, t = theta * theta, np.maximum(theta, SMALL_ANGLE)
+        c = np.where(
+            theta < SMALL_ANGLE, 1.0 / 12.0 + t2 / 720.0 + t2 * t2 / 30240.0, 1.0 / t**2 - 0.5 / (t * np.tan(0.5 * t))
+        )
+        return _I3 - 0.5 * px + c * (px @ px)
 
 
 def orthonormalize(rot: np.ndarray) -> np.ndarray:
@@ -227,19 +170,19 @@ class GroupState:
 def se23_hat(xi: np.ndarray) -> np.ndarray:
     """Embed a 9-vector [phi, dnu, drho] into the 5x5 Lie algebra."""
     xi = np.asarray(xi, dtype=float)
-    m = np.zeros((5, 5))
-    m[:3, :3] = skew(xi[:3])
-    m[:3, 3] = xi[3:6]
-    m[:3, 4] = xi[6:9]
+    m = np.zeros(xi.shape[:-1] + (5, 5))
+    m[..., :3, :3] = skew(xi[..., :3])
+    m[..., :3, 3] = xi[..., 3:6]
+    m[..., :3, 4] = xi[..., 6:9]
     return m
 
 
 def se23_vee(m: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     """Inverse of :func:`se23_hat`; rejects matrices with nonzero bottom rows."""
     m = np.asarray(m, dtype=float)
-    if np.max(np.abs(m[3:, :])) > tol:
+    if np.max(np.abs(m[..., 3:, :])) > tol:
         raise ValueError("bottom two rows of an se2(3) element must vanish")
-    return np.concatenate([unskew(m[:3, :3]), m[:3, 3], m[:3, 4]])
+    return np.concatenate([unskew(m[..., :3, :3]), m[..., :3, 3], m[..., :3, 4]], axis=-1)
 
 
 def matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -251,22 +194,19 @@ def se23_exp(xi: np.ndarray) -> GroupState:
     """Closed-form exponential; the SO(3) left Jacobian maps both columns.
     A (..., 9) stack gives a GroupState of stacks."""
     xi = np.asarray(xi, dtype=float)
-    phi = xi[..., :3]
-    if xi.ndim == 1:
-        rot, jac = so3_exp(phi), so3_left_jacobian(phi)
-    else:
-        # the exponential and the Jacobian share their terms
-        px, a, b, theta = _so3_stack_terms(phi)
+    # the exponential and the Jacobian share their terms
+    with np.errstate(invalid="ignore"):
+        px, a, b, theta = _so3_terms(xi[..., :3])
         px2 = px @ px
         rot, jac = _I3 + a * px + b * px2, _I3 + b * px + _left_jacobian_c(theta) * px2
-    return GroupState(rot, matvec(jac, xi[..., 3:6]), matvec(jac, xi[..., 6:9]))
+        return GroupState(rot, matvec(jac, xi[..., 3:6]), matvec(jac, xi[..., 6:9]))
 
 
 def se23_log(chi: GroupState) -> np.ndarray:
     """Inverse of :func:`se23_exp` for rotation angles below pi."""
     phi = so3_log(chi.rot)
     jinv = so3_left_jacobian_inv(phi)
-    return np.concatenate([phi, jinv @ chi.nu, jinv @ chi.rho])
+    return np.concatenate([phi, matvec(jinv, chi.nu), matvec(jinv, chi.rho)], axis=-1)
 
 
 def compose(a: GroupState, b: GroupState) -> GroupState:
@@ -276,8 +216,8 @@ def compose(a: GroupState, b: GroupState) -> GroupState:
 
 def inverse(a: GroupState) -> GroupState:
     """Closed-form group inverse (R^T, -R^T nu, -R^T rho)."""
-    rt = a.rot.T
-    return GroupState(rt.copy(), -(rt @ a.nu), -(rt @ a.rho))
+    rt = a.rot.swapaxes(-1, -2)
+    return GroupState(rt.copy(), -matvec(rt, a.nu), -matvec(rt, a.rho))
 
 
 def adjoint(chi: GroupState) -> np.ndarray:
@@ -336,15 +276,16 @@ def rot_to_quat(rot: np.ndarray) -> np.ndarray:
     flat = rot.reshape(-1, 9)
     terms = flat[:, _QUAT_ENTRIES]
     terms *= _QUAT_SIGNS
-    radicand = terms[:, 0:4] + terms[:, 4:8] + terms[:, 8:12] + 1.0
     form = np.argmax(flat[:, 0::4], axis=1) + 1
     form[flat[:, 0] + flat[:, 4] + flat[:, 8] > 0.0] = 0
     rows = np.arange(len(flat))
-    s = np.sqrt(radicand[rows, form]) * 2.0
-    q = (terms[:, 12:18] + terms[:, 18:24])[rows[:, None], _QUAT_PAIR[form]] / s[:, None]
-    q[rows, form] = 0.25 * s
-    norm = np.sqrt(np.matmul(q[:, None, :], q[:, :, None]))[:, 0]
-    q /= np.where(q[:, :1] < 0.0, -norm, norm)
+    with np.errstate(invalid="ignore"):
+        radicand = terms[:, 0:4] + terms[:, 4:8] + terms[:, 8:12] + 1.0
+        s = np.sqrt(radicand[rows, form]) * 2.0
+        q = (terms[:, 12:18] + terms[:, 18:24])[rows[:, None], _QUAT_PAIR[form]] / s[:, None]
+        q[rows, form] = 0.25 * s
+        norm = np.sqrt(np.matmul(q[:, None, :], q[:, :, None]))[:, 0]
+        q /= np.where(q[:, :1] < 0.0, -norm, norm)
     return q.reshape(rot.shape[:-2] + (4,))
 
 
@@ -353,7 +294,8 @@ def quat_to_rot(q: np.ndarray) -> np.ndarray:
     a (..., 4) stack gives a (..., 3, 3) stack.  The norm takes the dot
     kernel of a single vector's ``np.linalg.norm``, as in :func:`rot_to_quat`."""
     q = np.asarray(q, dtype=float)
-    w, x, y, z = np.moveaxis(q / np.sqrt(np.matmul(q[..., None, :], q[..., :, None]))[..., 0], -1, 0)
+    with np.errstate(invalid="ignore"):
+        w, x, y, z = np.moveaxis(q / np.sqrt(np.matmul(q[..., None, :], q[..., :, None]))[..., 0], -1, 0)
     return np.stack(
         [
             1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y),

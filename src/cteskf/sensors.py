@@ -72,7 +72,7 @@ def stack_observations(members) -> list:
     one list at a time, so it may be a generator that builds them.  The
     members must observe on one grid: a list of another length, or an
     observation of another kind or time stamp than member 0's, raises
-    ``ValueError``."""
+    ``ValueError``.  Members without observations give an empty list."""
     grid, data = None, []
     for m, own in enumerate(members):
         stamps = [(obs.kind, obs.time) for obs in own]
@@ -86,7 +86,7 @@ def stack_observations(members) -> list:
                     f"member 0's is {kind0} at t={time0:.6g}"
                 )
         # (observation, field, axis): both kinds hold a 3-vector and its sigmas
-        data.append(np.array([list(_data_fields(obs).values()) for obs in own]).reshape(len(own), -1, 3))
+        data.append(np.array([list(_data_fields(obs).values()) for obs in own]).reshape(len(own), 2, 3))
     if grid is None:
         raise ValueError("a bank needs at least one member")
     data = np.stack(data)

@@ -68,7 +68,7 @@ class PropertyResult:
 
 def _result(name, measured, tolerance, t0, detail="", invert=False):
     passed = measured > tolerance if invert else measured < tolerance
-    return PropertyResult(name, bool(passed), float(measured), float(tolerance), detail, time.time() - t0)
+    return PropertyResult(name, bool(passed), float(measured), float(tolerance), detail, time.perf_counter() - t0)
 
 
 def _random_states(rng, count):
@@ -91,7 +91,7 @@ def _perturb(rng, x):
 def check_group_affine(seed=0, trials=100) -> PropertyResult:
     """The SE2(3) kinematic generator satisfies the group-affine identity;
     the classical Coriolis form does not (negative control)."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     earth = EarthModel()
     worst = 0.0
@@ -137,7 +137,7 @@ def check_group_affine(seed=0, trials=100) -> PropertyResult:
 def check_transform_closure(seed=0, trials=100) -> PropertyResult:
     """All six closed-form covariance transformations equal the generic
     A^-1(x+) A(x-) composition and have unit determinant."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     earth = EarthModel(gravity_mode="constant")
     worst = 0.0
@@ -181,7 +181,7 @@ def check_propagation_equivalence(rate=200.0, tol=1e-3, seed=0) -> PropertyResul
     large initial attitude errors enter the covariance only; the shared
     estimated trajectory starts on the truth.
     """
-    t0 = time.time()
+    t0 = time.perf_counter()
     cfg = replace(_criterion1_config(rate), seed=seed)
     sc = synthesize(cfg)
     earth, stream = sc.earth, sc.imu
@@ -261,7 +261,7 @@ def check_first_update_identity(seed=0) -> PropertyResult:
     update from equivalent initial uncertainties, and the updated covariances
     satisfy the predicted-state relation; a shared raw covariance matrix is
     the negative control."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     cfg = _quiet_config(duration=2.0, imu_rate=200.0, init_att_err_deg=(60.0, 60.0, 120.0), seed=seed)
     sc = synthesize(cfg)
     earth, x0, p0, obs = sc.earth, sc.x0, sc.p0, sc.gnss[0]
@@ -306,19 +306,19 @@ def check_switch_effectiveness(duration=200.0, tol=1e-8, seed=0) -> PropertyResu
     """The additive filter with covariance switch to the left-invariant
     representation reproduces the native left-invariant filter's trajectory
     through a full run of velocity updates."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     cfg = _quiet_config(duration=duration, seed=seed)
     sa, ma = run_scenario(cfg, "sw-ekf")
     sb, mb = run_scenario(cfg, "l-inekf")
     if ma["diverged"] or mb["diverged"]:
-        return PropertyResult("switch-effectiveness", False, np.inf, tol, "diverged", time.time() - t0)
+        return PropertyResult("switch-effectiveness", False, np.inf, tol, "diverged", time.perf_counter() - t0)
     return _result("switch-effectiveness", _series_max_diff(sa, sb), tol, t0)
 
 
 def check_switch_ineffectiveness(duration=60.0, tol=1e-12, seed=0) -> PropertyResult:
     """Backward-switching at the predicted state collapses the switch filter
     onto the plain one, covariance and all."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     cfg = _quiet_config(duration=duration, seed=seed)
     sc = synthesize(cfg)
     plain = FilterState(sc.x0, sc.p0, EKF, Strategy(), InjectionMode.FIRST_ORDER, cfg.imu.qc(), sc.earth)
@@ -334,7 +334,7 @@ def check_switch_ineffectiveness(duration=60.0, tol=1e-12, seed=0) -> PropertyRe
         run = run_filter(plain, sc.imu, sc.imu.dt, sc.gnss, lambda before, after: log.append(after), update)
         if run.diverged or not log or len(log) < len(sc.gnss):
             detail = run.diverged or f"{len(log)} of {len(sc.gnss)} observations applied"
-            return PropertyResult("switch-ineffectiveness", False, np.inf, tol, detail, time.time() - t0)
+            return PropertyResult("switch-ineffectiveness", False, np.inf, tol, detail, time.perf_counter() - t0)
         logs.append(log)
     worst = max(
         max(float(np.linalg.norm(a.P - b.P)), state_difference(a.x, b.x)) for a, b in zip(*logs)
@@ -345,12 +345,12 @@ def check_switch_ineffectiveness(duration=60.0, tol=1e-12, seed=0) -> PropertyRe
 def check_transform_equals_switch(duration=200.0, tol=1e-10, seed=0) -> PropertyResult:
     """Transform- and switch-based filters coincide (states and covariances)
     on a mixed velocity + odometry run."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     cfg = _quiet_config(duration=duration, use_odo=True, seed=seed)
     sa, ma = run_scenario(cfg, "ct-ekf")
     sb, mb = run_scenario(cfg, "sw-ekf")
     if ma["diverged"] or mb["diverged"]:
-        return PropertyResult("transform-equals-switch", False, np.inf, tol, "diverged", time.time() - t0)
+        return PropertyResult("transform-equals-switch", False, np.inf, tol, "diverged", time.perf_counter() - t0)
     worst = _series_max_diff(sa, sb)
     p_diff = float(np.abs(sa.p_trace - sb.p_trace).max() / max(1.0, np.abs(sb.p_trace).max()))
     out = _result("transform-equals-switch", max(worst, p_diff), tol, t0, f"P-trace diff {p_diff:.3e}")
@@ -361,7 +361,7 @@ def check_ct_coincidence(duration=200.0, tol=1e-8, imu_rate=100.0, seed=0, name=
     """CT filter matches the native target filter: the left-invariant target
     on a velocity-only run and the right-invariant target on an odometry-only
     run."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     cfg_l = _quiet_config(duration=duration, imu_rate=imu_rate, seed=seed)
     sa, ma = run_scenario(cfg_l, "ct-ekf")
     sb, mb = run_scenario(cfg_l, "l-inekf")
@@ -372,7 +372,7 @@ def check_ct_coincidence(duration=200.0, tol=1e-8, imu_rate=100.0, seed=0, name=
     sc, mc = run_scenario(cfg_r, "ct-ekf")
     sd, md = run_scenario(cfg_r, "r-inekf")
     if any(m["diverged"] for m in (ma, mb, mc, md)):
-        return PropertyResult(name, False, np.inf, tol, "diverged", time.time() - t0)
+        return PropertyResult(name, False, np.inf, tol, "diverged", time.perf_counter() - t0)
     diff_l = _series_max_diff(sa, sb)
     diff_r = _series_max_diff(sc, sd)
     return _result(name, max(diff_l, diff_r), tol, t0, f"vel->left {diff_l:.3e}, odo->right {diff_r:.3e}")
@@ -383,7 +383,7 @@ def check_ordering(seed=0, jobs=1, n_seeds=10) -> PropertyResult:
     filter's attitude RMSE does not exceed the additive filter's in any cell
     with |yaw error| >= 90 deg, and beats the left-invariant filter in at
     least 80% of those cells."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     cfg = ScenarioConfig(
         kind="circle",
         duration=120.0,

@@ -179,6 +179,7 @@ class TestVerifyCommand:
         assert "[PASS] transform-closure" in printed
         payload = json.loads(report.read_text())
         assert all(entry["passed"] for entry in payload)
+        assert all(isinstance(entry["elapsed_s"], float) and entry["elapsed_s"] >= 0.0 for entry in payload)
         names = {entry["name"] for entry in payload}
         assert {"group-affine-property", "switch-effectiveness", "first-update-identity"} <= names
 

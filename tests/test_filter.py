@@ -40,7 +40,7 @@ from cteskf.filter import (
     update_transform,
 )
 from cteskf.ins import EarthModel, ImuSample, NavState, EARTH_RADIUS
-from cteskf.sensors import GnssVelObs, OdoObs, stack_observations
+from cteskf.sensors import GnssVelObs, stack_observations
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -242,7 +242,12 @@ class TestUpdatePlain:
         assert np.linalg.norm(out[0:3]) < np.pi
         np.testing.assert_allclose(lie.so3_exp(out[0:3]), lie.so3_exp(xi[0:3]), rtol=0, atol=1e-14)
         assert np.array_equal(out[3:], xi[3:])
-        assert np.array_equal(_canonical_correction(xi, obs, InjectionMode.FIRST_ORDER), xi)
+        # first-order injection has no reading of a correction at or beyond pi
+        if math.hypot(*xi[0:3]) < np.pi:
+            assert np.array_equal(_canonical_correction(xi, obs, InjectionMode.FIRST_ORDER), xi)
+            return
+        with pytest.raises(FilterDivergence, match="first-order attitude correction at or beyond pi"):
+            _canonical_correction(xi, obs, InjectionMode.FIRST_ORDER)
 
     def test_indefinite_innovation_rejected(self):
         # well conditioned but negative definite: the Cholesky factor fails
@@ -576,12 +581,12 @@ class TestFilterBank:
     FIELDS = ("t", "att", "vel", "pos", "bg", "ba", "p_trace")
 
     @staticmethod
-    def _members(variant, seeds=SEEDS):
+    def _members(variant, seeds=SEEDS, injection="retraction"):
         """Filter, IMU and observations of each seed of a short GNSS plus
         odometry scenario at Earth scale."""
         cfg = sim.ScenarioConfig(
             duration=3.0, radius=100.0, imu_rate=50.0, use_odo=True, gnss_rate=2.0,
-            init_att_err_deg=(30.0, 30.0, 100.0), obs_start_s=0.5,
+            init_att_err_deg=(30.0, 30.0, 100.0), obs_start_s=0.5, injection=injection,
         )
         param, strategy = sim.variant_config(variant)
         members = []
@@ -634,16 +639,27 @@ class TestFilterBank:
             self._assert_solo(run, member)
 
     @pytest.mark.parametrize("variant", sim.VARIANTS)
-    def test_nonfinite_observation_ends_only_its_member(self, variant):
+    @pytest.mark.parametrize(
+        "bad, injection, kind, vel, message",
+        [
+            (0, "retraction", "odo", [np.inf, 0.0, 0.0], "non-finite correction"),
+            # on the correlated covariance after the first fixes, a 10 km/s
+            # velocity innovation commands an attitude correction beyond pi
+            (1, "first-order", "gnss_vel", [1e4, 0.0, 0.0], "first-order attitude correction at or beyond pi"),
+        ],
+        ids=["inf-odo", "first-order-beyond-pi"],
+    )
+    def test_nonfinite_observation_ends_only_its_member(self, variant, bad, injection, kind, vel, message):
         # the members left after a failed update apply the same observation
-        members = self._members(variant)
-        observations = members[0][2]
-        idx = next(i for i, o in enumerate(observations) if o.kind == "odo" and o.time > 2.0)
-        observations[idx] = OdoObs(observations[idx].time, np.array([np.inf, 0.0, 0.0]), observations[idx].sigma)
+        members = self._members(variant, injection=injection)
+        observations = members[bad][2]
+        idx = next(i for i, o in enumerate(observations) if o.kind == kind and o.time > 2.0)
+        obs = observations[idx]
+        observations[idx] = type(obs)(obs.time, np.array(vel), obs.sigma)
         fs, imu, stacked = self._bank(members)
         runs = run_filter(fs, imu, imu.dt, stacked)
-        assert runs[0].diverged == f"non-finite correction from the odo observation at t={observations[idx].time:.3f}"
-        assert runs[1].diverged is None and runs[2].diverged is None
+        expected = f"{message} from the {kind} observation at t={obs.time:.3f}"
+        assert [run.diverged for run in runs] == [expected if i == bad else None for i in range(len(runs))]
         for run, member in zip(runs, members):
             self._assert_solo(run, member)
 

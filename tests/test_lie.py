@@ -82,14 +82,8 @@ class TestSo3ExpLog:
         stack = lie.so3_exp(phi.reshape(3, 11, 3))
         assert stack.shape == (3, 11, 3, 3)
         for got, v in zip(stack.reshape(-1, 3, 3), phi):
-            np.testing.assert_allclose(got, lie.so3_exp(v), rtol=0, atol=1e-15)
+            np.testing.assert_array_equal(got, lie.so3_exp(v))
         assert np.isnan(lie.so3_exp(np.array([[np.nan, 0.0, 0.0], [0.1, 0.0, 0.0]]))[0]).all()
-
-    @pytest.mark.parametrize("phi", [(np.inf, 0.0, 0.0), (np.nan, 0.0, 0.0)])
-    def test_non_finite_input_gives_nan(self, phi):
-        # a non-finite IMU sample must surface as a non-finite state, not raise
-        for fn in (lie.so3_exp, lie.so3_left_jacobian, lie.so3_left_jacobian_inv):
-            assert np.isnan(fn(np.array(phi))).all()
 
     def test_log_identity(self):
         np.testing.assert_array_equal(lie.so3_log(np.eye(3)), np.zeros(3))
@@ -207,6 +201,104 @@ class TestProperties:
         back = lie.quat_to_rot(q)
         assert np.array_equal(back, np.array([lie.quat_to_rot(qk) for qk in q]))
         np.testing.assert_allclose(back, rots, rtol=0, atol=1e-14)
+
+
+def _arrays(out):
+    """The arrays of a map's result; a GroupState holds three."""
+    return [out.rot, out.nu, out.rho] if isinstance(out, lie.GroupState) else [out]
+
+
+# each map and how it builds its argument from a rotation vector and six
+# other numbers
+MAPS = {
+    "so3_exp": (lie.so3_exp, lambda phi, cols: phi),
+    "so3_left_jacobian": (lie.so3_left_jacobian, lambda phi, cols: phi),
+    "so3_left_jacobian_inv": (lie.so3_left_jacobian_inv, lambda phi, cols: phi),
+    "se23_exp": (lie.se23_exp, lambda phi, cols: np.concatenate([phi, cols])),
+    "skew": (lie.skew, lambda phi, cols: cols[:3]),
+    "so3_log": (lie.so3_log, lambda phi, cols: lie.so3_exp(phi)),
+    "rot_to_quat": (lie.rot_to_quat, lambda phi, cols: lie.so3_exp(phi)),
+    # a quaternion of either sign whose norm squared cannot underflow
+    "quat_to_rot": (lie.quat_to_rot, lambda phi, cols: (1.0 + cols[0]) * lie.rot_to_quat(lie.so3_exp(phi))),
+}
+# the maps whose whole result is NaN for a non-finite argument
+NAN_MAPS = ("so3_exp", "so3_left_jacobian", "so3_left_jacobian_inv", "se23_exp", "so3_log")
+
+
+def series(phi):
+    """so3_exp, so3_left_jacobian and so3_left_jacobian_inv of phi from
+    their 4th-order Taylor coefficients."""
+    px = lie.skew(phi)
+    px2, t2 = px @ px, phi @ phi
+    return (
+        np.eye(3) + (1.0 - t2 / 6.0 + t2 * t2 / 120.0) * px + (0.5 - t2 / 24.0 + t2 * t2 / 720.0) * px2,
+        np.eye(3) + (0.5 - t2 / 24.0 + t2 * t2 / 720.0) * px + (1.0 / 6.0 - t2 / 120.0 + t2 * t2 / 5040.0) * px2,
+        np.eye(3) - 0.5 * px + (1.0 / 12.0 + t2 / 720.0 + t2 * t2 / 30240.0) * px2,
+    )
+
+
+class TestOneFormPerMap:
+    """Every map takes one object or a stack through one implementation."""
+
+    @pytest.mark.parametrize("name", MAPS)
+    @given(
+        st.lists(
+            st.tuples(
+                st.one_of(rotation_vectors(max_angle=10 * lie.SMALL_ANGLE), rotation_vectors()),
+                st.tuples(*[st.floats(-100.0, 100.0)] * 6).map(np.array),
+            ),
+            min_size=6,
+            max_size=6,
+        )
+    )
+    def test_stack_equals_one_at_a_time(self, name, args):
+        fn, build = MAPS[name]
+        objects = np.array([build(phi, cols) for phi, cols in args])
+        alone = [_arrays(fn(obj)) for obj in objects]
+        for k, stacked in enumerate(_arrays(fn(objects.reshape((2, 3) + objects.shape[1:])))):
+            assert stacked.shape[:2] == (2, 3)
+            assert np.array_equal(stacked.reshape((6,) + stacked.shape[2:]), [a[k] for a in alone], equal_nan=True)
+
+    @given(
+        st.lists(
+            st.one_of(rotation_vectors(max_angle=lie.SMALL_ANGLE), rotation_vectors(lie.SMALL_ANGLE, 10 * lie.SMALL_ANGLE)),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    def test_small_angles_on_both_sides_of_the_threshold_follow_the_series(self, phis):
+        phis = np.array(phis)
+        got = (lie.so3_exp(phis), lie.so3_left_jacobian(phis), lie.so3_left_jacobian_inv(phis))
+        for i, phi in enumerate(phis):
+            for value, expected in zip(got, series(phi)):
+                np.testing.assert_allclose(value[i], expected, rtol=0, atol=1e-15)
+        chi = lie.se23_exp(np.concatenate([phis, np.ones_like(phis), -np.ones_like(phis)], axis=1))
+        np.testing.assert_allclose(chi.nu, lie.matvec(got[1], np.ones_like(phis)), rtol=0, atol=0)
+
+    @given(st.lists(rotation_vectors(), min_size=1, max_size=12))
+    def test_jacobian_times_inverse_is_identity_on_a_stack(self, phis):
+        phis = np.array(phis)
+        prod = lie.so3_left_jacobian(phis) @ lie.so3_left_jacobian_inv(phis)
+        np.testing.assert_allclose(prod, np.broadcast_to(np.eye(3), prod.shape), rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("name", MAPS)
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_input_gives_nan(self, name, bad):
+        # a non-finite IMU sample must surface as a non-finite state, not
+        # raise, and leave the other members of a stack alone; warnings fail
+        # this suite, so this also checks that none is raised.  The bad
+        # object is zero but its first entry: (inf, 0, 0) for a vector
+        fn, build = MAPS[name]
+        rng = np.random.default_rng(25)
+        objects = np.array([build(rng.uniform(-1.0, 1.0, 3), rng.normal(size=6)) for _ in range(3)])
+        objects[1] = 0.0
+        objects[1].flat[0] = bad
+        for k, out in enumerate(_arrays(fn(objects))):
+            assert np.isnan(out[1]).all() if name in NAN_MAPS else not np.isfinite(out[1]).all()
+            for i in (0, 2):
+                assert np.array_equal(out[i], _arrays(fn(objects[i]))[k])
+        for k, out in enumerate(_arrays(fn(objects[1]))):
+            assert np.array_equal(out, _arrays(fn(objects))[k][1], equal_nan=True)
 
 
 class TestJacobians:

@@ -281,10 +281,13 @@ class TestMonteCarloSweep:
         with pytest.raises(ValueError, match="at least one seed"):
             monte_carlo_sweep(small_cfg(), [0.0], 0)
 
-    def test_cell_bank_equals_solo_runs(self):
+    @pytest.mark.parametrize(
+        "sensors", [dict(use_odo=True), dict(use_gnss=False, use_odo=False)], ids=["gnss-odo", "unaided"]
+    )
+    def test_cell_bank_equals_solo_runs(self, sensors):
         # a cell runs its seeds as one bank per variant, and every member
         # gets the bits of its own run_scenario
-        cfg = small_cfg(duration=4.0, imu_rate=50.0, use_odo=True, init_att_err_deg=(30.0, 30.0, 0.0))
+        cfg = small_cfg(duration=4.0, imu_rate=50.0, init_att_err_deg=(30.0, 30.0, 0.0), **sensors)
         variants = ("ekf", "l-inekf", "ct-ekf")
         result = monte_carlo_sweep(cfg, [90.0], 3, variants=variants)
         solo = [
