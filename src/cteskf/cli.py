@@ -153,8 +153,8 @@ def cmd_run(args) -> int:
     failed = False
     print(f"{'variant':<10} {'att RMSE [deg]':>15} {'vel RMSE [m/s]':>15} {'pos RMSE [m]':>14}")
     for variant in variants:
-        series, metrics = run_scenario(scenario, variant)
-        io.write_estimates(os.path.join(args.out, f"estimates_{variant}.csv"), series)
+        run, metrics = run_scenario(scenario, variant)
+        io.write_estimates(os.path.join(args.out, f"estimates_{variant}.csv"), run)
         if metrics["diverged"]:
             failed = True
             print(f"{variant:<10} DIVERGED: {metrics['diverged']}")

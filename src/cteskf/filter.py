@@ -5,7 +5,7 @@ configuration); every operation returns a new one.  Its state and covariance
 may carry a leading member axis (``P`` (N, 15, 15), ``x.att`` (N, 3, 3),
 ...): a *bank* of N filters of one configuration, which every operation
 below advances at once.  A single filter is evaluated as a bank of one.
-Three update strategies are provided:
+:func:`step_observation`, the one update, provides three strategies:
 
 * plain: gain, covariance and injection all in the filter's own
   parameterization;
@@ -30,7 +30,6 @@ the one covariance recursion of the package.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -84,8 +83,9 @@ class Strategy:
     kind: str = "plain"
     targets: dict = field(default_factory=dict)
 
-    def target_for(self, obs_kind: str, own: ErrorParam) -> ErrorParam:
-        return self.targets.get(obs_kind, own)
+    def __post_init__(self):
+        if self.kind not in ("plain", "switch", "transform"):
+            raise ValueError(f"unknown strategy kind {self.kind!r}")
 
 
 def mixed_sensor_strategy(kind: str = "transform") -> Strategy:
@@ -95,24 +95,6 @@ def mixed_sensor_strategy(kind: str = "transform") -> Strategy:
         kind,
         {"gnss_vel": ErrorParam.LEFT_INVARIANT, "odo": ErrorParam.RIGHT_INVARIANT},
     )
-
-
-@dataclass
-class UpdateReport:
-    """Diagnostics captured on every observation update; for a bank, one
-    innovation, trace and transform per member."""
-
-    innovation: np.ndarray
-    trace_pre: np.ndarray | float
-    trace_post: np.ndarray | float
-    target: ErrorParam | None = None
-    transform: np.ndarray | None = None
-
-    def member(self, i: int) -> "UpdateReport":
-        transform = None if self.transform is None else self.transform[i]
-        return UpdateReport(
-            self.innovation[i], float(self.trace_pre[i]), float(self.trace_post[i]), self.target, transform
-        )
 
 
 @dataclass
@@ -140,24 +122,6 @@ def _t(m: np.ndarray) -> np.ndarray:
 
 def _symmetrize(p: np.ndarray) -> np.ndarray:
     return (p + _t(p)) / 2.0
-
-
-def _trace(p: np.ndarray) -> np.ndarray:
-    return np.trace(p, axis1=-2, axis2=-1)
-
-
-def _banked(update):
-    """Let an update of banks take a single filter as a bank of one, so a
-    filter gets the same bits alone as in a bank."""
-
-    @functools.wraps(update)
-    def one_or_bank(fs, obs, *args, **kwargs):
-        if fs.P.ndim == 3:
-            return update(fs, obs, *args, **kwargs)
-        out, report = update(fs.select(None), obs, *args, **kwargs)
-        return out.select(0), report.member(0)
-
-    return one_or_bank
 
 
 def _gain_and_update(p: np.ndarray, h: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -237,82 +201,35 @@ def _canonical_correction(xi: np.ndarray, obs: Observation, injection: Injection
     return xi
 
 
-@_banked
-def update_plain(fs: FilterState, obs: Observation) -> tuple[FilterState, UpdateReport]:
-    """Kalman update in the filter's own parameterization.
-
-    The predicted error state is zero; the estimated error K dz is injected
-    into the navigation state and implicitly reset to zero.
+def step_observation(fs: FilterState, obs: Observation, back_at_predicted: bool = False) -> FilterState:
+    """Apply one observation to a bank through its strategy: one gain and
+    injection, in the switch target of ``obs.kind`` for ``switch`` and in the
+    filter's own parameterization otherwise, then the switch back or the
+    transformation.  The predicted error state is zero; the estimated error
+    K dz is injected into the navigation state and implicitly reset to zero.
+    ``back_at_predicted`` switches back at the predicted state instead of the
+    updated one, which degenerates to the plain update and is kept as a
+    negative control.
     """
+    own = fs.param
+    target = own if fs.strategy.kind == "plain" else fs.strategy.targets.get(obs.kind, own)
+    gain = target if fs.strategy.kind == "switch" else own
     dz = _innovation(fs, obs)
-    h = observation_matrix(fs.param, fs.x, obs.kind, fs.earth)
-    k, p_new = _gain_and_update(fs.P, h, noise_covariance(obs))
+    p = fs.P
+    if gain is not own:
+        a = relation_matrix(own, gain, fs.x, fs.earth)
+        p = _symmetrize(a @ p @ _t(a))
+    h = observation_matrix(gain, fs.x, obs.kind, fs.earth)
+    k, p = _gain_and_update(p, h, noise_covariance(obs))
     xi = _canonical_correction(lie.matvec(k, dz), obs, fs.injection)
-    x_new = inject_error(fs.param, fs.x, xi, fs.earth, fs.injection)
-    report = UpdateReport(dz, _trace(fs.P), _trace(p_new))
-    return replace(fs, x=x_new, P=p_new), report
-
-
-@_banked
-def update_switch(
-    fs: FilterState,
-    obs: Observation,
-    target: ErrorParam,
-    backward_at_predicted: bool = False,
-) -> tuple[FilterState, UpdateReport]:
-    """Covariance switch embedded in the update.
-
-    The predicted covariance is switched into the target parameterization,
-    the full update (gain, covariance, injection) runs there, and the updated
-    covariance is switched back at the *updated* state.  Switching back at the
-    predicted state instead (``backward_at_predicted``) degenerates to the
-    plain update and is kept as a negative control.
-    """
-    if target is fs.param:
-        return update_plain(fs, obs)
-    dz = _innovation(fs, obs)
-    a_fwd = relation_matrix(fs.param, target, fs.x, fs.earth)
-    p_target = _symmetrize(a_fwd @ fs.P @ _t(a_fwd))
-    h = observation_matrix(target, fs.x, obs.kind, fs.earth)
-    k, p_target_new = _gain_and_update(p_target, h, noise_covariance(obs))
-    xi = _canonical_correction(lie.matvec(k, dz), obs, fs.injection)
-    x_new = inject_error(target, fs.x, xi, fs.earth, fs.injection)
-    back_state = fs.x if backward_at_predicted else x_new
-    a_back = relation_matrix(target, fs.param, back_state, fs.earth)
-    p_new = _symmetrize(a_back @ p_target_new @ _t(a_back))
-    report = UpdateReport(dz, _trace(fs.P), _trace(p_new), target)
-    return replace(fs, x=x_new, P=p_new), report
-
-
-@_banked
-def update_transform(
-    fs: FilterState, obs: Observation, target: ErrorParam
-) -> tuple[FilterState, UpdateReport]:
-    """Plain update followed by the single post-update covariance
-    transformation built from the predicted and updated states; the updated
-    state itself is untouched."""
-    x_minus = fs.x
-    fs_new, report = update_plain(fs, obs)
-    if target is fs.param:
-        return fs_new, report
-    t = transformation_matrix(fs.param, target, fs_new.x, x_minus, fs.earth)
-    p_new = _symmetrize(t @ fs_new.P @ _t(t))
-    report.target = target
-    report.transform = t
-    report.trace_post = _trace(p_new)
-    return replace(fs_new, P=p_new), report
-
-
-def step_observation(fs: FilterState, obs: Observation) -> tuple[FilterState, UpdateReport]:
-    """Dispatch an observation through the configured strategy."""
-    if fs.strategy.kind == "plain":
-        return update_plain(fs, obs)
-    target = fs.strategy.target_for(obs.kind, fs.param)
-    if fs.strategy.kind == "switch":
-        return update_switch(fs, obs, target)
-    if fs.strategy.kind == "transform":
-        return update_transform(fs, obs, target)
-    raise ValueError(f"unknown strategy kind {fs.strategy.kind!r}")
+    x = inject_error(gain, fs.x, xi, fs.earth, fs.injection)
+    if target is not own:
+        if fs.strategy.kind == "switch":
+            back = relation_matrix(target, own, fs.x if back_at_predicted else x, fs.earth)
+        else:
+            back = transformation_matrix(own, target, x, fs.x, fs.earth)
+        p = _symmetrize(back @ p @ _t(back))
+    return replace(fs, x=x, P=p)
 
 
 def state_difference(a: NavState, b: NavState) -> float:
@@ -364,12 +281,13 @@ def run_filter(fs: FilterState, imu, dt: float, observations, on_update=None, up
     per member (:func:`cteskf.sensors.stack_observations`); another number
     of rows raises ``ValueError`` before the first step.
 
-    ``update(fs, obs)`` applies one observation and returns ``(fs,
-    report)``; ``None`` selects :func:`step_observation`, looked up at call
-    time so that a wrapper bound to the module attribute (the benchmark's
-    tracer) sees every update.  ``on_update(before, after)`` receives the
-    filter states around each update.  Both see states shaped as ``fs`` is:
-    one filter, or the members of the bank still running.
+    ``update(bank, obs)`` applies one observation to the members still
+    running, a bank of one for a single filter, and returns the updated
+    bank; ``None`` selects :func:`step_observation`, looked up at call time
+    so that a wrapper bound to the module attribute (the benchmark's tracer)
+    sees every update.  ``on_update(before, after)`` receives the filter
+    states around each update, shaped as ``fs`` is: one filter, or the
+    members of the bank still running.
 
     The steps up to the next observation (at most :data:`CHUNK`) form one
     segment, propagated at the state's biases by one
@@ -387,8 +305,6 @@ def run_filter(fs: FilterState, imu, dt: float, observations, on_update=None, up
     size = len(bank.P)
     if update is None:
         update = step_observation
-    elif single:
-        update = _solo(update)
     pending = sorted(observations, key=lambda o: o.time)
     for obs in pending:
         rows = {len(v) for v in vars(obs).values() if isinstance(v, np.ndarray) and v.ndim == 2}
@@ -456,7 +372,7 @@ def run_filter(fs: FilterState, imu, dt: float, observations, on_update=None, up
             obs = pending[j] if len(active) == size else select_members(pending[j], active)
             before = bank
             try:
-                bank, _ = update(bank, obs)
+                bank = update(bank, obs)
             except FilterDivergence as exc:
                 failed = exc.members or dict.fromkeys(range(len(active)), str(exc))
                 # the members left retry the observation
@@ -493,16 +409,6 @@ def _covariances(bank: FilterState, atts, vels, poss, gyro, accel, dt):
         finite[:, a:b] = np.isfinite(ps).all(axis=(2, 3))
         traces[:, a:b] = ps.diagonal(axis1=2, axis2=3).reshape(members, b - a, 5, 3).sum(axis=3)
     return p, traces, finite
-
-
-def _solo(update):
-    """An update of single filters applied to a bank of one."""
-
-    def bank_of_one(bank, obs):
-        out, report = update(bank.select(0), obs)
-        return out.select(None), report
-
-    return bank_of_one
 
 
 def _store(record: dict, members, row: int, bank: FilterState) -> None:

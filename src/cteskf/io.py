@@ -152,8 +152,8 @@ def read_truth(path):
     return data[:, 0], quat_to_rot(data[:, 1:5]), data[:, 5:8], data[:, 8:11]
 
 
-def write_estimates(path, series):
-    rows = _rows([series.t, rot_to_quat(series.att), series.vel, series.pos, series.p_trace], len(ESTIMATE_HEADER))
+def write_estimates(path, run):
+    rows = _rows([run.t, rot_to_quat(run.att), run.vel, run.pos, run.p_trace], len(ESTIMATE_HEADER))
     _write(path, ESTIMATE_HEADER, rows, comment="filter estimates with covariance block traces")
 
 

@@ -13,9 +13,12 @@ with tangent vectors ordered ``[phi, dnu, drho]`` (9,).
 Every function takes one object or a stack of them along leading axes
 through one implementation, and a stack gives each object the bits it gives
 alone.  In :func:`skew`, the exponentials, the SO(3) Jacobians,
-:func:`so3_log` and the quaternion conversions a non-finite object gives
-non-finite entries in its own result only, with no warning; all NaN from the
-exponentials, Jacobians and :func:`so3_log`.
+:func:`so3_log`, :func:`orthonormalize`, the adjoints and the quaternion
+conversions a non-finite object gives non-finite entries in its own result
+only, with no warning; all NaN from the exponentials, Jacobians,
+:func:`so3_log` and :func:`orthonormalize`.  :func:`quat_to_rot` treats a
+quaternion whose squared norm is zero, or underflows to zero, as such an
+object.
 """
 
 from __future__ import annotations
@@ -126,14 +129,16 @@ def so3_left_jacobian_inv(phi: np.ndarray) -> np.ndarray:
 
 def orthonormalize(rot: np.ndarray) -> np.ndarray:
     """Exact symmetric orthogonalization via SVD (nearest rotation), for one
-    matrix or a (..., 3, 3) stack."""
-    u, _, vt = np.linalg.svd(rot)
+    matrix or a (..., 3, 3) stack.  A non-finite matrix never reaches the
+    SVD, which raises on NaN and may not return on inf."""
+    finite = np.isfinite(rot).all(axis=(-2, -1))[..., None, None]
+    u, _, vt = np.linalg.svd(np.where(finite, rot, _I3))
     r = u @ vt
     flip = np.linalg.det(r) < 0.0
     if flip.any():
         u[..., :, -1] *= np.where(flip, -1.0, 1.0)[..., None]
         r = u @ vt
-    return r
+    return np.where(finite, r, np.nan)
 
 
 @dataclass
@@ -228,8 +233,9 @@ def adjoint(chi: GroupState) -> np.ndarray:
     ad[..., 0:3, 0:3] = rot
     ad[..., 3:6, 3:6] = rot
     ad[..., 6:9, 6:9] = rot
-    ad[..., 3:6, 0:3] = skew(chi.nu) @ rot
-    ad[..., 6:9, 0:3] = skew(chi.rho) @ rot
+    with np.errstate(invalid="ignore"):
+        ad[..., 3:6, 0:3] = skew(chi.nu) @ rot
+        ad[..., 6:9, 0:3] = skew(chi.rho) @ rot
     return ad
 
 
@@ -241,8 +247,9 @@ def adjoint_inv(chi: GroupState) -> np.ndarray:
     ad[..., 0:3, 0:3] = rt
     ad[..., 3:6, 3:6] = rt
     ad[..., 6:9, 6:9] = rt
-    ad[..., 3:6, 0:3] = -(rt @ skew(chi.nu))
-    ad[..., 6:9, 0:3] = -(rt @ skew(chi.rho))
+    with np.errstate(invalid="ignore"):
+        ad[..., 3:6, 0:3] = -(rt @ skew(chi.nu))
+        ad[..., 6:9, 0:3] = -(rt @ skew(chi.rho))
     return ad
 
 
@@ -294,7 +301,7 @@ def quat_to_rot(q: np.ndarray) -> np.ndarray:
     a (..., 4) stack gives a (..., 3, 3) stack.  The norm takes the dot
     kernel of a single vector's ``np.linalg.norm``, as in :func:`rot_to_quat`."""
     q = np.asarray(q, dtype=float)
-    with np.errstate(invalid="ignore"):
+    with np.errstate(invalid="ignore", divide="ignore"):
         w, x, y, z = np.moveaxis(q / np.sqrt(np.matmul(q[..., None, :], q[..., :, None]))[..., 0], -1, 0)
     return np.stack(
         [

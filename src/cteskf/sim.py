@@ -17,7 +17,7 @@ import numpy as np
 
 from . import lie
 from .errorstate import ErrorParam, InjectionMode, process_noise, relation_matrix
-from .filter import FilterState, Strategy, mixed_sensor_strategy, run_filter
+from .filter import FilterRun, FilterState, Strategy, mixed_sensor_strategy, run_filter
 from .ins import EARTH_RADIUS, G0, EarthModel, NavState
 from .sensors import GnssVelObs, OdoObs, stack_observations
 
@@ -133,6 +133,13 @@ class ScenarioConfig:
                 ratio = self.imu_rate / rate
                 if abs(ratio - round(ratio)) > 1e-9:
                     raise ValueError("observation rates must divide the IMU rate")
+        # the metrics average over the samples at or after the settling time
+        settle, last = self.settle_time(), round(self.duration * self.imu_rate) / self.imu_rate
+        if not (np.isfinite(settle) and settle <= last):
+            raise ValueError(
+                f"the settling window from t={settle} s holds no sample: it must start at a finite time "
+                f"at or before the last sample, t={last} s"
+            )
         # an unknown gravity or injection mode fails here, not in a run
         self.earth()
         self.injection_mode()
@@ -146,6 +153,11 @@ class ScenarioConfig:
 
     def injection_mode(self) -> InjectionMode:
         return InjectionMode(self.injection)
+
+    def settle_time(self) -> float:
+        """Start of the window the metrics average over: ``settle_s``, or
+        half the duration when it is ``None``."""
+        return self.duration / 2.0 if self.settle_s is None else self.settle_s
 
 
 @dataclass
@@ -451,28 +463,12 @@ def synthesize(cfg: ScenarioConfig) -> Scenario:
     return Scenario(earth, truth, imu, gnss, odo, x0, p0)
 
 
-@dataclass
-class EstimateSeries:
-    """Filter output on the IMU grid with errors against the truth."""
-
-    t: np.ndarray
-    att: np.ndarray
-    vel: np.ndarray
-    pos: np.ndarray
-    att_err: np.ndarray  # rotation-vector error, rad
-    vel_err: np.ndarray
-    pos_err: np.ndarray
-    p_trace: np.ndarray  # (N, 5) block traces: att, vel, pos, bg, ba
-    bg: np.ndarray = None
-    ba: np.ndarray = None
-
-
-def run_scenario(cfg: ScenarioConfig, variant: str) -> tuple[EstimateSeries, dict]:
+def run_scenario(cfg: ScenarioConfig, variant: str) -> tuple[FilterRun, dict]:
     """Propagate/update a single filter variant through the scenario.
 
-    Returns the estimate series and a metrics dict with per-axis RMSE after
-    the settling window; a diverged run is flagged instead of raising.  The
-    filter runs as a bank of one.
+    Returns the :class:`cteskf.filter.FilterRun` and a metrics dict with
+    per-axis RMSE after the settling window; a diverged run is flagged
+    instead of raising.  The filter runs as a bank of one.
     """
     sc = synthesize(cfg)
     (result,) = _run_bank(cfg, variant, sc.earth, sc.truth, sc.imu, sc.gnss + sc.odo, sc.x0.select(None), sc.p0[None])
@@ -482,8 +478,8 @@ def run_scenario(cfg: ScenarioConfig, variant: str) -> tuple[EstimateSeries, dic
 def _run_bank(cfg, variant, earth, truth, imu, observations, x0, p0):
     """Run a bank of one variant's filters in lockstep from the initial
     estimates ``x0`` (a bank) with additive covariances ``p0`` (N, 15, 15)
-    over one truth and time grid; the (series, metrics) of each member,
-    scored as it is read."""
+    over one truth and time grid; the (run, metrics) of each member, scored
+    as it is read."""
     param, strategy = variant_config(variant)
     a0 = relation_matrix(ErrorParam.ADDITIVE_EKF, param, x0, earth)
     fs = FilterState(
@@ -493,29 +489,24 @@ def _run_bank(cfg, variant, earth, truth, imu, observations, x0, p0):
     return (_score(cfg, variant, run, truth) for run in run_filter(fs, imu, imu.dt, observations))
 
 
-def _score(cfg, variant, run, truth) -> tuple[EstimateSeries, dict]:
-    """A run's estimate series against the truth, and its metrics."""
-    m = len(run.t)
-    att_err = lie.so3_log(run.att @ truth.att[:m].transpose(0, 2, 1))
-    series = EstimateSeries(
-        run.t, run.att, run.vel, run.pos, att_err, run.vel - truth.vel[:m], run.pos - truth.pos[:m],
-        run.p_trace, run.bg, run.ba,
-    )
+def _score(cfg, variant, run, truth) -> tuple[FilterRun, dict]:
+    """A run and its metrics, from its errors against the truth over the
+    settling window; the window holds the last row, since the config keeps
+    its start at or before the last sample."""
     if run.diverged:
-        return series, {"variant": variant, "diverged": run.diverged}
-
-    settle = cfg.settle_s if cfg.settle_s is not None else cfg.duration / 2.0
-    window = series.t >= settle
+        return run, {"variant": variant, "diverged": run.diverged}
+    window = run.t >= cfg.settle_time()
+    att_err = lie.so3_log(run.att[window] @ truth.att[window].transpose(0, 2, 1))
     metrics = {
         "variant": variant,
         "diverged": None,
-        "att_rmse_deg": np.sqrt(np.mean(series.att_err[window] ** 2, axis=0)) / DEG,
-        "att_rmse_total_deg": float(np.sqrt(np.mean(np.sum(series.att_err[window] ** 2, axis=1)))) / DEG,
-        "vel_rmse": np.sqrt(np.mean(series.vel_err[window] ** 2, axis=0)),
-        "pos_rmse": np.sqrt(np.mean(series.pos_err[window] ** 2, axis=0)),
-        "final_att_err_deg": float(np.linalg.norm(series.att_err[-1])) / DEG,
+        "att_rmse_deg": np.sqrt(np.mean(att_err**2, axis=0)) / DEG,
+        "att_rmse_total_deg": float(np.sqrt(np.mean(np.sum(att_err**2, axis=1)))) / DEG,
+        "vel_rmse": np.sqrt(np.mean((run.vel[window] - truth.vel[window]) ** 2, axis=0)),
+        "pos_rmse": np.sqrt(np.mean((run.pos[window] - truth.pos[window]) ** 2, axis=0)),
+        "final_att_err_deg": float(np.linalg.norm(att_err[-1])) / DEG,
     }
-    return series, metrics
+    return run, metrics
 
 
 def _sweep_cell(args):

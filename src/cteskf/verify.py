@@ -38,7 +38,7 @@ from .filter import (
     propagate_covariance_sequence,
     run_filter,
     state_difference,
-    update_switch,
+    step_observation,
 )
 from .ins import EarthModel, NavState, left_rate_matrix, right_rate_matrix
 from .sim import AVIATION_IMU, ImuSpec, ScenarioConfig, monte_carlo_sweep, run_scenario, synthesize
@@ -326,7 +326,8 @@ def check_switch_ineffectiveness(duration=60.0, tol=1e-12, seed=0) -> PropertyRe
     def witness(fs, obs):
         # an update no Strategy selects: switch to the left-invariant
         # representation and back at the predicted state
-        return update_switch(fs, obs, LEFT, backward_at_predicted=True)
+        switch = replace(fs, strategy=Strategy("switch", {"gnss_vel": LEFT}))
+        return step_observation(switch, obs, back_at_predicted=True)
 
     logs = []
     for update in (None, witness):

@@ -131,16 +131,26 @@ class TestRun:
         cfg = write_cfg(tmp_path, RUN_CFG.replace("ct-ekf", "ukf"))
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
 
+    @pytest.mark.parametrize("settle", ["7.0", "nan", "inf"])
+    def test_settling_window_without_samples_is_a_config_error(self, tmp_path, capsys, settle):
+        # the 6 s run has no sample at or after 7 s: it used to print nan
+        # RMSE and exit 0
+        cfg = write_cfg(tmp_path, RUN_CFG + f"scenario.settle_s = {settle}\n")
+        out = tmp_path / "est"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+        assert "settling window" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_divergence_gives_nonzero_exit(self, tmp_path, monkeypatch):
         import cteskf.cli as cli_mod
 
         def fake_run(cfg, variant):
-            from cteskf.sim import EstimateSeries
+            from cteskf.filter import FilterRun
 
             n = 1
             z = np.zeros((n, 3))
-            series = EstimateSeries(np.zeros(n), np.zeros((n, 3, 3)), z, z, z, z, z, np.zeros((n, 5)), z, z)
-            return series, {"variant": variant, "diverged": "boom"}
+            run = FilterRun(np.zeros(n), np.zeros((n, 3, 3)), z, z, z, z, np.zeros((n, 5)), diverged="boom")
+            return run, {"variant": variant, "diverged": "boom"}
 
         monkeypatch.setattr(cli_mod, "run_scenario", fake_run)
         cfg = write_cfg(tmp_path, RUN_CFG)

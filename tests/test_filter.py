@@ -1,3 +1,4 @@
+import ast
 import math
 import os
 import pickle
@@ -19,9 +20,17 @@ from conftest import (
     quiet_earth,
 )
 
+import cteskf
 from cteskf import filter as kf
 from cteskf import lie, sim, verify
-from cteskf.errorstate import ErrorParam, InjectionMode, process_noise, relation_matrix, system_matrix
+from cteskf.errorstate import (
+    ErrorParam,
+    InjectionMode,
+    process_noise,
+    relation_matrix,
+    system_matrix,
+    transformation_matrix,
+)
 from cteskf.filter import (
     CHUNK,
     FilterDivergence,
@@ -35,12 +44,9 @@ from cteskf.filter import (
     run_filter,
     state_difference,
     step_observation,
-    update_plain,
-    update_switch,
-    update_transform,
 )
 from cteskf.ins import EarthModel, ImuSample, NavState, EARTH_RADIUS
-from cteskf.sensors import GnssVelObs, stack_observations
+from cteskf.sensors import GnssVelObs, OdoObs, stack_observations
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -66,6 +72,14 @@ def correlated_filter():
     fs.injection = InjectionMode.RETRACTION
     fs.P[0:3, 3:6] = fs.P[3:6, 0:3] = 5e-4 * np.eye(3)
     return fs
+
+
+def updated(fs, obs, strategy=None):
+    """One filter after step_observation on it as a bank of one, with its
+    own strategy or ``strategy``."""
+    if strategy is not None:
+        fs = replace(fs, strategy=strategy)
+    return step_observation(fs.select(None), obs).select(0)
 
 
 def stepwise_mechanization(x0, gyro, accel, dt, earth) -> list:
@@ -96,7 +110,7 @@ def stepwise_run(fs, imu, dt, observations) -> list:
         (x,) = stepwise_mechanization(fs.x, g[None], a[None], dt, fs.earth)
         fs = replace(fs, x=x, P=covariance_step(fs.param, fs.P, fs.x, g, a, dt, fs.qc, fs.earth))
         while j < len(pending) and pending[j].time <= x.time + 0.5 * dt:
-            fs, _ = step_observation(fs, pending[j])
+            fs = updated(fs, pending[j])
             j += 1
         out.append(fs)
     return out
@@ -108,7 +122,7 @@ def propagated(fs, n=1, dt=0.01):
     seen = []
     imu = imu_stream(dt, np.zeros((n, 3)), np.zeros((n, 3)), fs.x.time)
     last = [GnssVelObs(imu.t[-1], np.zeros(3))]
-    run_filter(fs, imu, dt, last, lambda before, after: seen.append(after), lambda f, obs: (f, None))
+    run_filter(fs, imu, dt, last, lambda before, after: seen.append(after), lambda f, obs: f)
     return seen[0]
 
 
@@ -147,7 +161,7 @@ class TestUpdatePlain:
     def test_zero_gain_limit(self):
         fs = simple_filter()
         obs = GnssVelObs(0.0, np.array([1.0, 2.0, 3.0]), np.full(3, 1e6))
-        out, rpt = update_plain(fs, obs)
+        out = updated(fs, obs)
         assert state_difference(out.x, fs.x) < 1e-9
         assert abs(np.trace(out.P) - np.trace(fs.P)) / np.trace(fs.P) < 1e-6
 
@@ -182,7 +196,7 @@ class TestUpdatePlain:
         obs = GnssVelObs(0.0, np.zeros(3), np.full(3, 1e-12))
         fs.P[3, 3] = 1e12  # wildly anisotropic
         with pytest.raises(FilterDivergence):
-            update_plain(fs, obs)
+            updated(fs, obs)
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     def test_non_finite_correction_rejected(self, bad):
@@ -191,7 +205,7 @@ class TestUpdatePlain:
         # representative under retraction injection
         fs = correlated_filter()
         with pytest.raises(FilterDivergence, match=r"gnss_vel observation at t=0\.250"):
-            update_plain(fs, GnssVelObs(0.25, np.array([bad, 0.0, 0.0])))
+            updated(fs, GnssVelObs(0.25, np.array([bad, 0.0, 0.0])))
 
     @pytest.mark.parametrize("speed", [1e10, 1e20, 1e300])
     def test_huge_correction_wraps_in_one_step(self, speed):
@@ -202,10 +216,10 @@ class TestUpdatePlain:
         obs = GnssVelObs(0.0, np.array([speed, 0.0, 0.0]))
         code = (
             "import pickle, sys\n"
-            "from cteskf.filter import update_plain\n"
+            "from cteskf.filter import step_observation\n"
             "fs, obs = pickle.load(sys.stdin.buffer)\n"
-            "x = update_plain(fs, obs)[0].x\n"
-            "print(abs(x.vel[0]))\n"
+            "x = step_observation(fs.select(None), obs).x\n"
+            "print(abs(x.vel[0, 0]))\n"
         )
         done = subprocess.run(
             [sys.executable, "-c", code],
@@ -255,17 +269,18 @@ class TestUpdatePlain:
         fs.P[3:6, 3:6] = -np.eye(3)
         obs = GnssVelObs(0.0, np.zeros(3), np.full(3, 0.1))
         with pytest.raises(np.linalg.LinAlgError):
-            update_plain(fs, obs)
+            updated(fs, obs)
 
 
 class TestUpdateSwitch:
     def test_same_target_degenerates_to_plain(self):
         fs = simple_filter()
         obs = GnssVelObs(0.0, np.array([0.1, 0.0, 0.0]))
-        out_plain, _ = update_plain(fs, obs)
-        out_switch, _ = update_switch(fs, obs, EKF)
+        out_plain = updated(fs, obs)
+        out_switch = updated(fs, obs, Strategy("switch", {"gnss_vel": EKF}))
         assert np.array_equal(out_plain.P, out_switch.P)
-        assert state_difference(out_plain.x, out_switch.x) == 0.0
+        for name in ("att", "vel", "pos", "bg", "ba"):
+            assert np.array_equal(getattr(out_plain.x, name), getattr(out_switch.x, name)), name
 
     def test_switch_tracks_native_filter(self):
         # dual-filter oracle for the effectiveness of the covariance switch
@@ -299,7 +314,7 @@ class TestUpdateSwitch:
         def diverging(*args, **kwargs):
             raise FilterDivergence("witness diverged")
 
-        monkeypatch.setattr(verify, "update_switch", diverging)
+        monkeypatch.setattr(verify, "step_observation", diverging)
         result = verify.check_switch_ineffectiveness(duration=10.0, tol=1e-12)
         assert not result.passed and result.detail == "witness diverged"
 
@@ -309,17 +324,19 @@ class TestUpdateTransform:
         fs = simple_filter()
         fs.injection = InjectionMode.FIRST_ORDER
         obs = GnssVelObs(0.0, np.zeros(3))
-        out_plain, _ = update_plain(fs, obs)
-        out_ct, rpt = update_transform(fs, obs, LEFT)
-        np.testing.assert_allclose(rpt.transform, np.eye(15), atol=1e-12)
+        out_plain = updated(fs, obs)
+        out_ct = updated(fs, obs, Strategy("transform", {"gnss_vel": LEFT}))
+        transform = transformation_matrix(EKF, LEFT, out_plain.x, fs.x, fs.earth)
+        np.testing.assert_allclose(transform, np.eye(15), atol=1e-12)
         np.testing.assert_allclose(out_ct.P, out_plain.P, atol=1e-12)
 
     def test_state_identical_to_plain(self):
         fs = simple_filter()
         obs = GnssVelObs(0.0, np.array([0.3, -0.1, 0.2]))
-        out_plain, _ = update_plain(fs, obs)
-        out_ct, _ = update_transform(fs, obs, LEFT)
-        assert state_difference(out_plain.x, out_ct.x) == 0.0
+        out_plain = updated(fs, obs)
+        out_ct = updated(fs, obs, Strategy("transform", {"gnss_vel": LEFT}))
+        for name in ("att", "vel", "pos", "bg", "ba"):
+            assert np.array_equal(getattr(out_plain.x, name), getattr(out_ct.x, name)), name
 
     def test_transform_equals_switch_over_run(self, short_quiet_scenario):
         scen = short_quiet_scenario
@@ -423,7 +440,7 @@ class TestFirstUpdateIdentity:
 
         def first_and_later_diffs(param):
             (other,) = initial_filter_bank(pre.x, pre.P, [(param, Strategy())], QUIET_QC, earth)
-            other_first, _ = step_observation(other, obs[0])
+            other_first = updated(other, obs[0])
             (other_later,) = zip(*bank_updates([other_first], imu_later, dt, obs[1:]))
             later = [state_difference(e.x, o.x) for (_, e), (_, o) in zip(ekf_log[1:], other_later)]
             return state_difference(ekf_first.x, other_first.x), later
@@ -505,6 +522,19 @@ class TestRunFilter:
         assert applied == [0.03, 0.07]
         for name in ("t", "att", "vel", "pos", "bg", "ba", "p_trace"):
             assert np.array_equal(getattr(run, name), getattr(default, name)), name
+
+    def test_update_argument_sees_a_bank_of_one(self):
+        # a custom update of a single filter gets what step_observation
+        # takes, a bank of one, and returns one
+        seen = []
+
+        def update(bank, o):
+            seen.append((bank.P.shape, bank.x.att.shape, bank.x.vel.shape))
+            return step_observation(bank, o)
+
+        run = run_filter(simple_filter(), self.samples(), self.DT, [GnssVelObs(0.03, np.ones(3))], update=update)
+        assert seen == [((1, 15, 15), (1, 3, 3), (1, 3))]
+        assert run.diverged is None and len(run.t) == 11
 
     def test_divergence_returns_trimmed_run(self):
         # a non-finite observation at the fifth step ends the run after four
@@ -697,14 +727,50 @@ class TestFilterBank:
 class TestStrategyDispatch:
     def test_mixed_strategy_targets(self):
         st = mixed_sensor_strategy()
-        assert st.target_for("gnss_vel", EKF) is LEFT
-        assert st.target_for("odo", EKF) is RIGHT
-        assert st.target_for("baro", EKF) is EKF
+        assert st.kind == "transform" and st.targets == {"gnss_vel": LEFT, "odo": RIGHT}
 
-    def test_unknown_strategy_kind(self):
-        fs = simple_filter(strategy=Strategy("smooth"))
-        with pytest.raises(ValueError):
-            step_observation(fs, GnssVelObs(0.0, np.zeros(3)))
+    @pytest.mark.parametrize("kind", ["switch", "transform"])
+    def test_kind_without_target_runs_plain(self, kind):
+        # an observation kind the target map leaves out is updated in the
+        # filter's own parameterization
+        fs = simple_filter()
+        obs = OdoObs(0.0, np.array([0.1, -0.2, 0.05]))
+        out_plain = updated(fs, obs)
+        out = updated(fs, obs, Strategy(kind, {"gnss_vel": LEFT}))
+        assert np.array_equal(out_plain.P, out.P) and np.array_equal(out_plain.x.att, out.x.att)
+
+    def test_unknown_strategy_kind_rejected_when_built(self):
+        # before the first observation, not after a propagated segment
+        with pytest.raises(ValueError, match="unknown strategy kind 'smooth'"):
+            Strategy("smooth")
+
+    def test_one_update_path(self):
+        # step_observation is the one update: nothing else in the package
+        # refers to the gain or the injection, so no second path can fork
+        names = {"_gain_and_update", "inject_error"}
+        found = set()
+
+        class Refs(ast.NodeVisitor):
+            def __init__(self):
+                self.scope = ["<module>"]
+
+            def visit_FunctionDef(self, node):
+                self.scope.append(node.name)
+                self.generic_visit(node)
+                self.scope.pop()
+
+            def visit_Name(self, node):
+                if node.id in names:
+                    found.add((path.name, self.scope[-1], node.id))
+
+            def visit_Attribute(self, node):
+                if node.attr in names:
+                    found.add((path.name, self.scope[-1], node.attr))
+                self.generic_visit(node)
+
+        for path in sorted(Path(cteskf.__file__).parent.glob("*.py")):
+            Refs().visit(ast.parse(path.read_text()))
+        assert found == {("filter.py", "step_observation", name) for name in names}
 
 
 class TestBatchHelpers:

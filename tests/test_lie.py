@@ -208,6 +208,12 @@ def _arrays(out):
     return [out.rot, out.nu, out.rho] if isinstance(out, lie.GroupState) else [out]
 
 
+def _of_group(fn):
+    """``fn`` of the group element [nu, rho, phi] (..., 9), so that the
+    non-finite test's (inf, 0, ...) puts inf in nu."""
+    return lambda x: fn(lie.GroupState(lie.so3_exp(x[..., 6:9]), x[..., 0:3], x[..., 3:6]))
+
+
 # each map and how it builds its argument from a rotation vector and six
 # other numbers
 MAPS = {
@@ -220,9 +226,12 @@ MAPS = {
     "rot_to_quat": (lie.rot_to_quat, lambda phi, cols: lie.so3_exp(phi)),
     # a quaternion of either sign whose norm squared cannot underflow
     "quat_to_rot": (lie.quat_to_rot, lambda phi, cols: (1.0 + cols[0]) * lie.rot_to_quat(lie.so3_exp(phi))),
+    "orthonormalize": (lie.orthonormalize, lambda phi, cols: lie.so3_exp(phi) + 1e-3 * lie.skew(cols[:3])),
+    "adjoint": (_of_group(lie.adjoint), lambda phi, cols: np.concatenate([cols, phi])),
+    "adjoint_inv": (_of_group(lie.adjoint_inv), lambda phi, cols: np.concatenate([cols, phi])),
 }
 # the maps whose whole result is NaN for a non-finite argument
-NAN_MAPS = ("so3_exp", "so3_left_jacobian", "so3_left_jacobian_inv", "se23_exp", "so3_log")
+NAN_MAPS = ("so3_exp", "so3_left_jacobian", "so3_left_jacobian_inv", "se23_exp", "so3_log", "orthonormalize")
 
 
 def series(phi):
@@ -299,6 +308,26 @@ class TestOneFormPerMap:
                 assert np.array_equal(out[i], _arrays(fn(objects[i]))[k])
         for k, out in enumerate(_arrays(fn(objects[1]))):
             assert np.array_equal(out, _arrays(fn(objects))[k][1], equal_nan=True)
+
+
+class TestDegenerateQuaternion:
+    @pytest.mark.parametrize(
+        "q", [[-1.1e-252, 0.0, 7.9e-314, 2.1e-313], [1e-170, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]]
+    )
+    def test_squared_norm_of_zero_gives_non_finite_rotation(self, q):
+        # a finite quaternion whose squared norm underflows has no usable
+        # norm, as the zero quaternion has none: non-finite entries and no
+        # division warning (warnings fail this suite); the other quaternion
+        # of a stack keeps its bits
+        good = lie.rot_to_quat(lie.so3_exp(np.array([0.3, -0.2, 0.1])))
+        out = lie.quat_to_rot(np.array([good, q]))
+        assert not np.isfinite(out[1]).all()
+        assert np.array_equal(out[0], lie.quat_to_rot(good))
+        assert np.array_equal(lie.quat_to_rot(np.array(q)), out[1], equal_nan=True)
+
+    def test_tiny_quaternion_with_a_normal_squared_norm_is_a_rotation(self):
+        q = 1e-150 * lie.rot_to_quat(lie.so3_exp(np.array([0.3, -0.2, 0.1])))
+        np.testing.assert_allclose(lie.quat_to_rot(q), lie.so3_exp(np.array([0.3, -0.2, 0.1])), rtol=0, atol=1e-15)
 
 
 class TestJacobians:

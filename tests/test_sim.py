@@ -12,6 +12,8 @@ from cteskf.ins import NavState
 from cteskf.sim import (
     AVIATION_IMU,
     CONSUMER_IMU,
+    DEG,
+    VARIANTS,
     ImuSpec,
     ScenarioConfig,
     Trajectory,
@@ -135,6 +137,30 @@ class TestGenerateTruth:
         assert small_cfg(duration=2.0, obs_start_s=5.0, use_gnss=False).obs_start_s == 5.0
         assert len(synthesize(small_cfg(duration=2.0, obs_start_s=2.0)).gnss) == 1
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            dict(duration=2.0, imu_rate=50.0, settle_s=5.0),
+            dict(settle_s=np.nan),
+            dict(settle_s=np.inf),
+            dict(settle_s=-np.inf),
+            # the last of the 10 samples at 10 Hz is stamped 1.0 s
+            dict(duration=1.001, imu_rate=10.0, settle_s=1.001),
+            # no IMU step: the default window from 0.001 s holds no sample
+            dict(duration=0.002, imu_rate=200.0, use_gnss=False),
+        ],
+    )
+    def test_settling_window_without_samples_rejected(self, bad):
+        # the metrics used to read nan with a "Mean of empty slice" warning
+        with pytest.raises(ValueError, match="settling window"):
+            small_cfg(**bad)
+
+    def test_settling_window_of_the_last_sample_accepted(self):
+        cfg = small_cfg(duration=2.0, imu_rate=50.0, settle_s=2.0)
+        assert cfg.settle_time() == 2.0 and small_cfg(settle_s=None).settle_time() == 5.0
+        _, metrics = run_scenario(cfg, "ekf")
+        assert np.isfinite(metrics["att_rmse_total_deg"])
+
     @pytest.mark.parametrize("bad", [dict(gravity_mode="bogus"), dict(injection="bogus")])
     def test_unknown_mode_rejected(self, bad):
         with pytest.raises(ValueError, match="bogus"):
@@ -251,6 +277,27 @@ class TestRunScenario:
         _, m_ekf = run_scenario(cfg, "ekf")
         _, m_ct = run_scenario(cfg, "ct-ekf")
         assert m_ct["final_att_err_deg"] < m_ekf["final_att_err_deg"]
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_windowed_metrics_equal_full_row_errors(self, variant):
+        # the metrics form the errors over the settling window only; they
+        # equal those taken from errors over every row, bit for bit
+        cfg = small_cfg(duration=6.0, imu_rate=50.0, use_odo=True, init_att_err_deg=(20.0, 20.0, 40.0), settle_s=2.5)
+        run, metrics = run_scenario(cfg, variant)
+        truth = generate_truth(cfg, cfg.earth())
+        att_err = lie.so3_log(run.att @ truth.att.transpose(0, 2, 1))
+        vel_err, pos_err = run.vel - truth.vel, run.pos - truth.pos
+        window = run.t >= 2.5
+        expected = {
+            "att_rmse_deg": np.sqrt(np.mean(att_err[window] ** 2, axis=0)) / DEG,
+            "att_rmse_total_deg": float(np.sqrt(np.mean(np.sum(att_err[window] ** 2, axis=1)))) / DEG,
+            "vel_rmse": np.sqrt(np.mean(vel_err[window] ** 2, axis=0)),
+            "pos_rmse": np.sqrt(np.mean(pos_err[window] ** 2, axis=0)),
+            "final_att_err_deg": float(np.linalg.norm(att_err[-1])) / DEG,
+        }
+        assert metrics["diverged"] is None and metrics["variant"] == variant
+        for key, value in expected.items():
+            assert np.array_equal(metrics[key], value), key
 
     def test_unknown_variant(self):
         with pytest.raises(ValueError):
