@@ -31,7 +31,7 @@ the one covariance recursion of the package.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import InitVar, dataclass, field, replace
 
 import numpy as np
 from scipy.linalg import LinAlgError, lapack
@@ -209,8 +209,10 @@ def step_observation(fs: FilterState, obs: Observation, back_at_predicted: bool 
     K dz is injected into the navigation state and implicitly reset to zero.
     ``back_at_predicted`` switches back at the predicted state instead of the
     updated one, which degenerates to the plain update and is kept as a
-    negative control.
+    negative control.  A single filter is passed as ``fs.select(None)``.
     """
+    if fs.P.ndim != 3:
+        raise ValueError("step_observation updates a bank: pass a single filter as fs.select(None)")
     own = fs.param
     target = own if fs.strategy.kind == "plain" else fs.strategy.targets.get(obs.kind, own)
     gain = target if fs.strategy.kind == "switch" else own
@@ -248,7 +250,8 @@ class FilterRun:
     """What :func:`run_filter` records on the IMU grid, the initial state
     first: sample times, navigation states and the covariance block traces
     (attitude, velocity, position, gyro bias, accelerometer bias).  A diverged
-    run ends at its last completed step and carries the divergence message."""
+    run ends at its last completed step and carries the divergence message as
+    the attribute ``diverged``, outside the fields, which are the arrays."""
 
     t: np.ndarray
     att: np.ndarray
@@ -257,7 +260,10 @@ class FilterRun:
     bg: np.ndarray
     ba: np.ndarray
     p_trace: np.ndarray
-    diverged: str | None = None
+    diverged: InitVar[str | None] = None
+
+    def __post_init__(self, diverged):
+        self.diverged = diverged
 
 
 # the recorded fields of a FilterRun and the shape of one record

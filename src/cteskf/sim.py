@@ -134,12 +134,9 @@ class ScenarioConfig:
                 if abs(ratio - round(ratio)) > 1e-9:
                     raise ValueError("observation rates must divide the IMU rate")
         # the metrics average over the samples at or after the settling time
-        settle, last = self.settle_time(), round(self.duration * self.imu_rate) / self.imu_rate
+        settle, last = self.settle_time(), last_sample / self.imu_rate
         if not (np.isfinite(settle) and settle <= last):
-            raise ValueError(
-                f"the settling window from t={settle} s holds no sample: it must start at a finite time "
-                f"at or before the last sample, t={last} s"
-            )
+            raise ValueError(f"settling window from t={settle} s holds no sample (the last is at t={last} s)")
         # an unknown gravity or injection mode fails here, not in a run
         self.earth()
         self.injection_mode()
@@ -471,8 +468,7 @@ def run_scenario(cfg: ScenarioConfig, variant: str) -> tuple[FilterRun, dict]:
     instead of raising.  The filter runs as a bank of one.
     """
     sc = synthesize(cfg)
-    (result,) = _run_bank(cfg, variant, sc.earth, sc.truth, sc.imu, sc.gnss + sc.odo, sc.x0.select(None), sc.p0[None])
-    return result
+    return next(_run_bank(cfg, variant, sc.earth, sc.truth, sc.imu, sc.gnss + sc.odo, sc.x0.select(None), sc.p0[None]))
 
 
 def _run_bank(cfg, variant, earth, truth, imu, observations, x0, p0):
@@ -486,18 +482,18 @@ def _run_bank(cfg, variant, earth, truth, imu, observations, x0, p0):
         x0, a0 @ p0 @ a0.swapaxes(-1, -2), param, strategy, cfg.injection_mode(), cfg.imu.qc(), earth,
         time_tol=0.6 * imu.dt,
     )
-    return (_score(cfg, variant, run, truth) for run in run_filter(fs, imu, imu.dt, observations))
+    return ((run, _score(cfg, variant, run, truth)) for run in run_filter(fs, imu, imu.dt, observations))
 
 
-def _score(cfg, variant, run, truth) -> tuple[FilterRun, dict]:
-    """A run and its metrics, from its errors against the truth over the
-    settling window; the window holds the last row, since the config keeps
-    its start at or before the last sample."""
+def _score(cfg, variant, run, truth) -> dict:
+    """A run's metrics, from its errors against the truth over the settling
+    window; the window holds the last row, since the config keeps its start
+    at or before the last sample."""
     if run.diverged:
-        return run, {"variant": variant, "diverged": run.diverged}
+        return {"variant": variant, "diverged": run.diverged}
     window = run.t >= cfg.settle_time()
     att_err = lie.so3_log(run.att[window] @ truth.att[window].transpose(0, 2, 1))
-    metrics = {
+    return {
         "variant": variant,
         "diverged": None,
         "att_rmse_deg": np.sqrt(np.mean(att_err**2, axis=0)) / DEG,
@@ -506,7 +502,6 @@ def _score(cfg, variant, run, truth) -> tuple[FilterRun, dict]:
         "pos_rmse": np.sqrt(np.mean((run.pos[window] - truth.pos[window]) ** 2, axis=0)),
         "final_att_err_deg": float(np.linalg.norm(att_err[-1])) / DEG,
     }
-    return run, metrics
 
 
 def _sweep_cell(args):

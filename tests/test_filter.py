@@ -4,7 +4,7 @@ import os
 import pickle
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +36,7 @@ from cteskf.filter import (
     FilterDivergence,
     FilterState,
     Strategy,
+    _RECORDED,
     _canonical_correction,
     _gain_and_update,
     mechanize_sequence,
@@ -536,6 +537,15 @@ class TestRunFilter:
         assert seen == [((1, 15, 15), (1, 3, 3), (1, 3))]
         assert run.diverged is None and len(run.t) == 11
 
+    def test_run_fields_are_the_recorded_arrays(self):
+        # the divergence message is an attribute outside the fields, so a
+        # field-by-field copy of a run copies arrays only, and keeps it
+        obs = [GnssVelObs(0.05, np.array([np.inf, 0.0, 0.0]))]
+        run = run_filter(correlated_filter(), self.samples(), self.DT, obs)
+        assert [f.name for f in fields(run)] == ["t", *_RECORDED]
+        copy = replace(run, **{f.name: getattr(run, f.name).copy() for f in fields(run)})
+        assert copy.diverged == run.diverged and "non-finite correction" in run.diverged
+
     def test_divergence_returns_trimmed_run(self):
         # a non-finite observation at the fifth step ends the run after four
         obs = [GnssVelObs(0.05, np.array([np.inf, 0.0, 0.0]))]
@@ -738,6 +748,13 @@ class TestStrategyDispatch:
         out_plain = updated(fs, obs)
         out = updated(fs, obs, Strategy(kind, {"gnss_vel": LEFT}))
         assert np.array_equal(out_plain.P, out.P) and np.array_equal(out_plain.x.att, out.x.att)
+
+    def test_single_filter_rejected(self):
+        # a bank of one is the one form: a direct single-filter update could
+        # differ from it in the last bits
+        fs = simple_filter()
+        with pytest.raises(ValueError, match=r"fs.select\(None\)"):
+            step_observation(fs, GnssVelObs(0.0, np.zeros(3)))
 
     def test_unknown_strategy_kind_rejected_when_built(self):
         # before the first observation, not after a propagated segment
