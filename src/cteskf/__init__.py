@@ -9,7 +9,7 @@ harness that checks the equivalence properties connecting them.
 from .errorstate import ErrorParam, InjectionMode
 from .filter import FilterState, Strategy, mixed_sensor_strategy
 from .ins import EarthModel, ImuSample, NavState
-from .sensors import GnssVelObs, OdoObs
+from .sensors import Observation
 from .sim import ImuSpec, ScenarioConfig, monte_carlo_sweep, run_scenario
 
 __version__ = "0.1.0"
@@ -18,12 +18,11 @@ __all__ = [
     "EarthModel",
     "ErrorParam",
     "FilterState",
-    "GnssVelObs",
     "ImuSample",
     "ImuSpec",
     "InjectionMode",
     "NavState",
-    "OdoObs",
+    "Observation",
     "ScenarioConfig",
     "Strategy",
     "mixed_sensor_strategy",

@@ -14,11 +14,12 @@ import json
 import logging
 import os
 import sys
+from dataclasses import fields, replace
 
 import numpy as np
 
 from . import io, verify
-from .sim import VARIANTS, ImuSpec, ScenarioConfig, monte_carlo_sweep, run_scenario, synthesize
+from .sim import CONSUMER_IMU, VARIANTS, ImuSpec, ScenarioConfig, monte_carlo_sweep, run_scenario, synthesize
 
 log = logging.getLogger("cteskf")
 
@@ -72,44 +73,49 @@ def _triple(raw: str):
     return tuple(parts)
 
 
+# config key -> (field, cast): a ScenarioConfig field, or an ImuSpec field of
+# its consumer-grade IMU; a key left out keeps the field's default
+CONFIG_KEYS = {
+    "scenario.kind": ("kind", str),
+    "scenario.duration": ("duration", float),
+    "scenario.speed": ("speed", float),
+    "scenario.radius": ("radius", float),
+    "scenario.lat_deg": ("lat_deg", float),
+    "scenario.lon_deg": ("lon_deg", float),
+    "scenario.init_att_err_deg": ("init_att_err_deg", _triple),
+    "scenario.init_vel_sigma": ("init_vel_sigma", float),
+    "scenario.init_pos_sigma": ("init_pos_sigma", float),
+    "scenario.earth_rotation": ("earth_rotation", _bool),
+    "scenario.gravity": ("gravity_mode", str),
+    "scenario.anchor": ("anchor", str),
+    "scenario.injection": ("injection", str),
+    "scenario.settle_s": ("settle_s", float),
+    "imu.rate": ("imu_rate", float),
+    "gnss.enable": ("use_gnss", _bool),
+    "gnss.rate": ("gnss_rate", float),
+    "gnss.sigma": ("gnss_sigma", float),
+    "odo.enable": ("use_odo", _bool),
+    "odo.rate": ("odo_rate", float),
+    "odo.sigma": ("odo_sigma", float),
+    "imu.arw_deg_sqrt_h": ("arw_deg_sqrt_h", float),
+    "imu.vrw_ug_sqrt_hz": ("vrw_ug_sqrt_hz", float),
+    "imu.gyro_bias_deg_h": ("gyro_bias_deg_h", float),
+    "imu.accel_bias_ug": ("accel_bias_ug", float),
+    "run.seed": ("seed", int),
+}
+
+
 def scenario_from_config(cfg: dict, seed_override=None, injection_override=None) -> ScenarioConfig:
-    imu = ImuSpec(
-        _get(cfg, "imu.arw_deg_sqrt_h", 0.15, float),
-        _get(cfg, "imu.vrw_ug_sqrt_hz", 20.0, float),
-        _get(cfg, "imu.gyro_bias_deg_h", 2.0, float),
-        _get(cfg, "imu.accel_bias_ug", 3.6, float),
-    )
-    seed = _get(cfg, "run.seed", 0, int)
-    injection = _get(cfg, "scenario.injection", "retraction", str)
+    """The scenario of a parsed config, consuming its scenario and IMU keys."""
+    values = {name: _get(cfg, key, None, cast) for key, (name, cast) in CONFIG_KEYS.items() if key in cfg}
+    spec = {f.name: values.pop(f.name) for f in fields(ImuSpec) if f.name in values}
+    for name, override in (("seed", seed_override), ("injection", injection_override)):
+        if override is not None:
+            values[name] = override
     try:
-        scenario = ScenarioConfig(
-            kind=_get(cfg, "scenario.kind", "circle", str),
-            duration=_get(cfg, "scenario.duration", 60.0, float),
-            speed=_get(cfg, "scenario.speed", 5.0, float),
-            radius=_get(cfg, "scenario.radius", 500.0, float),
-            lat_deg=_get(cfg, "scenario.lat_deg", 0.0, float),
-            lon_deg=_get(cfg, "scenario.lon_deg", 0.0, float),
-            imu_rate=_get(cfg, "imu.rate", 200.0, float),
-            imu=imu,
-            use_gnss=_get(cfg, "gnss.enable", True, _bool),
-            gnss_rate=_get(cfg, "gnss.rate", 1.0, float),
-            gnss_sigma=_get(cfg, "gnss.sigma", 0.2, float),
-            use_odo=_get(cfg, "odo.enable", False, _bool),
-            odo_rate=_get(cfg, "odo.rate", 10.0, float),
-            odo_sigma=_get(cfg, "odo.sigma", 0.1, float),
-            init_att_err_deg=_get(cfg, "scenario.init_att_err_deg", (60.0, 60.0, 120.0), _triple),
-            init_vel_sigma=_get(cfg, "scenario.init_vel_sigma", 0.1, float),
-            init_pos_sigma=_get(cfg, "scenario.init_pos_sigma", 1.0, float),
-            seed=seed if seed_override is None else seed_override,
-            earth_rotation=_get(cfg, "scenario.earth_rotation", True, _bool),
-            gravity_mode=_get(cfg, "scenario.gravity", "spherical", str),
-            anchor=_get(cfg, "scenario.anchor", "surface", str),
-            injection=injection if injection_override is None else injection_override,
-            settle_s=_get(cfg, "scenario.settle_s", None, float),
-        )
+        return ScenarioConfig(imu=replace(CONSUMER_IMU, **spec), **values)
     except ValueError as exc:
         raise ConfigError(str(exc))
-    return scenario
 
 
 def variants_from_config(cfg: dict):
@@ -135,8 +141,8 @@ def cmd_simulate(args) -> int:
     truth = sc.truth
     os.makedirs(args.out, exist_ok=True)
     io.write_imu(os.path.join(args.out, "imu.csv"), sc.imu.t, sc.imu.gyro, sc.imu.accel)
-    io.write_gnss(os.path.join(args.out, "gnss_vel.csv"), sc.gnss)
-    io.write_odo(os.path.join(args.out, "odo.csv"), sc.odo)
+    io.write_observations(os.path.join(args.out, "gnss_vel.csv"), "gnss_vel", sc.gnss)
+    io.write_observations(os.path.join(args.out, "odo.csv"), "odo", sc.odo)
     io.write_truth(os.path.join(args.out, "truth.csv"), truth.t, truth.att, truth.vel, truth.pos)
     log.info(
         "wrote dataset to %s (%d IMU samples, %d GNSS, %d ODO)", args.out, len(sc.imu.t), len(sc.gnss), len(sc.odo)

@@ -270,22 +270,23 @@ class FilterRun:
 _RECORDED = {"att": (3, 3), "vel": (3,), "pos": (3,), "bg": (3,), "ba": (3,), "p_trace": (5,)}
 
 
-def run_filter(fs: FilterState, imu, dt: float, observations, on_update=None, update=None):
+def run_filter(fs: FilterState, imu, observations, on_update=None, update=None):
     """Drive one filter, or a bank of filters in lockstep, through IMU
     samples and observations.
 
     ``imu`` holds the samples as arrays, as :class:`cteskf.sim.ImuStream`
     does: times ``t`` (n,) and raw rates ``gyro``, ``accel``, (n, 3) shared
-    by every member or (N, n, 3) one row per member of a bank of N; sample k
-    is held over step k; 0 < ``dt`` <= :data:`MAX_DT`.  The state time after
-    k steps is the initial time plus k dt.  After each step, every
-    observation stamped at or before that time plus dt/2 is applied, in time
-    order (a stable sort); observations after the last sample are never
-    applied, and one stamped before the initial time plus dt/2 raises
-    ``ValueError`` before the first step.  The members of a bank share the
-    observation grid: an observation's arrays are shared, or hold one row
-    per member (:func:`cteskf.sensors.stack_observations`); another number
-    of rows raises ``ValueError`` before the first step.
+    by every member or (N, n, 3) one row per member of a bank of N, and the
+    step ``dt``, 0 < ``dt`` <= :data:`MAX_DT`; sample k is held over step k.
+    The state time after k steps is the initial time plus k dt.  After each
+    step, every observation stamped at or before that time plus dt/2 is
+    applied, in time order (a stable sort); observations after the last
+    sample are never applied, and one stamped before the initial time plus
+    dt/2 raises ``ValueError`` before the first step.  The members of a bank
+    share the observation grid: an observation's ``value`` and ``sigma`` are
+    shared, or hold one row per member
+    (:func:`cteskf.sensors.stack_observations`); another number of rows
+    raises ``ValueError`` before the first step.
 
     ``update(bank, obs)`` applies one observation to the members still
     running, a bank of one for a single filter, and returns the updated
@@ -304,6 +305,7 @@ def run_filter(fs: FilterState, imu, dt: float, observations, on_update=None, up
     before it and leaves the bank; the others run on.  Returns the
     :class:`FilterRun` of a single filter, or one per member of a bank.
     """
+    dt = imu.dt
     if not 0.0 < dt <= MAX_DT:
         raise ValueError(f"propagation step dt={dt} s must be positive and at most {MAX_DT} s")
     single = fs.P.ndim == 2
@@ -313,7 +315,7 @@ def run_filter(fs: FilterState, imu, dt: float, observations, on_update=None, up
         update = step_observation
     pending = sorted(observations, key=lambda o: o.time)
     for obs in pending:
-        rows = {len(v) for v in vars(obs).values() if isinstance(v, np.ndarray) and v.ndim == 2}
+        rows = {len(a) for a in (obs.value, obs.sigma) if a.ndim == 2}
         if rows - {size}:
             raise ValueError(f"{obs.kind} observation at t={obs.time:.6g} has {rows} member rows, the bank {size}")
     t0 = bank.x.time

@@ -17,13 +17,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lie import quat_to_rot, rot_to_quat
-from .sensors import GnssVelObs, OdoObs
+from .sensors import Observation
 
 IMU_HEADER = ["t", "gx", "gy", "gz", "ax", "ay", "az"]
 GNSS_HEADER = ["t", "vx", "vy", "vz", "sx", "sy", "sz"]
 ODO_HEADER = ["t", "vf", "vl", "vd", "sx", "sy", "sz"]
 TRUTH_HEADER = ["t", "qw", "qx", "qy", "qz", "vx", "vy", "vz", "rx", "ry", "rz"]
 ESTIMATE_HEADER = TRUTH_HEADER + ["ptrace_att", "ptrace_vel", "ptrace_pos", "ptrace_bg", "ptrace_ba"]
+# observation kind -> (header, comment) of its file
+OBSERVATION_FILES = {
+    "gnss_vel": (GNSS_HEADER, "ECEF velocity m/s with per-axis sigma"),
+    "odo": (ODO_HEADER, "body-frame velocity m/s with per-axis sigma"),
+}
 
 
 class CsvSchemaError(ValueError):
@@ -99,40 +104,22 @@ def read_imu(path):
     return data[:, 0], data[:, 1:4], data[:, 4:7]
 
 
-def _observation_rows(observations, measured: str) -> list:
-    return _rows(
-        [[o.time for o in observations], [getattr(o, measured) for o in observations], [o.sigma for o in observations]],
-        7,
-    )
+def write_observations(path, kind, observations):
+    """Write the observations of one ``kind`` in its file's schema."""
+    header, comment = OBSERVATION_FILES[kind]
+    columns = [[o.time for o in observations], [o.value for o in observations], [o.sigma for o in observations]]
+    _write(path, header, _rows(columns, len(header)), comment=comment)
 
 
-def _check_sigmas(path, rows):
+def read_observations(path, kind) -> list:
+    """Read a file of observations of one ``kind``; a sigma that is not
+    positive is reported with its line number."""
+    rows = _read(path, OBSERVATION_FILES[kind][0])
+    _check_monotone(path, rows)
     for values, line_no in rows:
         if min(values[4:7]) <= 0.0:
             raise CsvSchemaError(path, line_no, "observation sigma must be positive")
-
-
-def write_gnss(path, observations):
-    _write(path, GNSS_HEADER, _observation_rows(observations, "vel"), comment="ECEF velocity m/s with per-axis sigma")
-
-
-def read_gnss(path):
-    rows = _read(path, GNSS_HEADER)
-    _check_monotone(path, rows)
-    _check_sigmas(path, rows)
-    return [GnssVelObs(v[0], np.array(v[1:4]), np.array(v[4:7])) for v, _ in rows]
-
-
-def write_odo(path, observations):
-    _write(path, ODO_HEADER, _observation_rows(observations, "vel_body"),
-           comment="body-frame velocity m/s with per-axis sigma")
-
-
-def read_odo(path):
-    rows = _read(path, ODO_HEADER)
-    _check_monotone(path, rows)
-    _check_sigmas(path, rows)
-    return [OdoObs(v[0], np.array(v[1:4]), np.array(v[4:7])) for v, _ in rows]
+    return [Observation(kind, v[0], np.array(v[1:4]), np.array(v[4:7])) for v, _ in rows]
 
 
 def write_truth(path, t, att, vel, pos):
@@ -185,7 +172,7 @@ def replay_dataset(directory) -> Dataset:
     gnss_path = os.path.join(directory, "gnss_vel.csv")
     odo_path = os.path.join(directory, "odo.csv")
     truth_path = os.path.join(directory, "truth.csv")
-    gnss = read_gnss(gnss_path) if os.path.exists(gnss_path) else []
-    odo = read_odo(odo_path) if os.path.exists(odo_path) else []
+    gnss = read_observations(gnss_path, "gnss_vel") if os.path.exists(gnss_path) else []
+    odo = read_observations(odo_path, "odo") if os.path.exists(odo_path) else []
     truth = read_truth(truth_path) if os.path.exists(truth_path) else None
     return Dataset(t, gyro, accel, gnss, odo, truth)

@@ -11,8 +11,7 @@ the parameterization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Union
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -22,58 +21,42 @@ from .lie import matvec, skew
 
 I3 = np.eye(3)
 
-
-@dataclass
-class GnssVelObs:
-    """GNSS velocity in the Earth frame with per-axis standard deviations."""
-
-    time: float
-    vel: np.ndarray
-    sigma: np.ndarray = field(default_factory=lambda: np.full(3, 0.2))
-
-    kind = "gnss_vel"
-
-    def __post_init__(self):
-        self.vel = np.asarray(self.vel, dtype=float)
-        self.sigma = np.asarray(self.sigma, dtype=float)
-        if np.any(self.sigma <= 0.0):
-            raise ValueError("observation sigma must be positive")
+KINDS = ("gnss_vel", "odo")
 
 
 @dataclass
-class OdoObs:
-    """Body-frame velocity from non-steering wheels; lateral and vertical
-    channels are zero pseudo-observations sharing the same sigma."""
+class Observation:
+    """One velocity fix of a sensor ``kind``: ``gnss_vel`` measures the
+    Earth-frame velocity, ``odo`` the body-frame velocity of non-steering
+    wheels (its lateral and vertical channels are zero pseudo-observations).
+    ``value`` is the measured 3-vector and ``sigma`` its per-axis standard
+    deviations; in a bank either may carry a leading member axis
+    (:func:`stack_observations`)."""
 
+    kind: str
     time: float
-    vel_body: np.ndarray
-    sigma: np.ndarray = field(default_factory=lambda: np.full(3, 0.1))
-
-    kind = "odo"
+    value: np.ndarray
+    sigma: np.ndarray
 
     def __post_init__(self):
-        self.vel_body = np.asarray(self.vel_body, dtype=float)
+        if self.kind not in KINDS:
+            raise ValueError(f"unsupported observation kind {self.kind!r}")
+        self.value = np.asarray(self.value, dtype=float)
         self.sigma = np.asarray(self.sigma, dtype=float)
-        if np.any(self.sigma <= 0.0):
-            raise ValueError("observation sigma must be positive")
-
-
-Observation = Union[GnssVelObs, OdoObs]
-
-
-def _data_fields(obs: Observation) -> dict:
-    return {name: value for name, value in vars(obs).items() if isinstance(value, np.ndarray)}
+        # a NaN sigma would fail the innovation covariance's eigensolver
+        if not np.all((self.sigma > 0.0) & (self.sigma < np.inf)):
+            raise ValueError("observation sigma must be positive and finite")
 
 
 def stack_observations(members) -> list:
     """One observation list for a filter bank from each member's own list:
-    each observation's arrays (``vel``/``vel_body``, ``sigma``) gain a
-    leading member axis, as views of one array.  ``members`` is read once,
-    one list at a time, so it may be a generator that builds them.  The
-    members must observe on one grid: a list of another length, or an
-    observation of another kind or time stamp than member 0's, raises
-    ``ValueError``.  Members without observations give an empty list."""
-    grid, data = None, []
+    each observation's ``value`` and ``sigma`` gain a leading member axis,
+    as views of one array each.  ``members`` is read once, one list at a
+    time, so it may be a generator that builds them.  The members must
+    observe on one grid: a list of another length, or an observation of
+    another kind or time stamp than member 0's, raises ``ValueError``.
+    Members without observations give an empty list."""
+    grid, values, sigmas = None, [], []
     for m, own in enumerate(members):
         stamps = [(obs.kind, obs.time) for obs in own]
         grid = stamps if grid is None else grid
@@ -85,22 +68,22 @@ def stack_observations(members) -> list:
                     f"observation {idx} of member {m} is {kind} at t={time:.6g}, "
                     f"member 0's is {kind0} at t={time0:.6g}"
                 )
-        # (observation, field, axis): both kinds hold a 3-vector and its sigmas
-        data.append(np.array([list(_data_fields(obs).values()) for obs in own]).reshape(len(own), 2, 3))
+        values.append(np.array([obs.value for obs in own]).reshape(len(own), 3))
+        sigmas.append(np.array([obs.sigma for obs in own]).reshape(len(own), 3))
     if grid is None:
         raise ValueError("a bank needs at least one member")
-    data = np.stack(data)
+    values, sigmas = np.stack(values), np.stack(sigmas)
     # the last member's observations carry the stacked arrays
-    return [
-        replace(obs, **{name: data[:, idx, f] for f, name in enumerate(_data_fields(obs))})
-        for idx, obs in enumerate(own)
-    ]
+    return [replace(obs, value=values[:, idx], sigma=sigmas[:, idx]) for idx, obs in enumerate(own)]
 
 
 def select_members(obs: Observation, idx) -> Observation:
     """The observation of the bank members ``idx``: arrays that carry a
     member axis are indexed, shared ones are kept."""
-    return replace(obs, **{name: value[idx] for name, value in _data_fields(obs).items() if value.ndim == 2})
+    def pick(a):
+        return a[idx] if a.ndim == 2 else a
+
+    return replace(obs, value=pick(obs.value), sigma=pick(obs.sigma))
 
 
 def innovation(
@@ -112,11 +95,8 @@ def innovation(
         raise ValueError(
             f"observation at t={obs.time} does not match filter time t={x.time}"
         )
-    if obs.kind == "gnss_vel":
-        return x.vel - obs.vel
-    if obs.kind == "odo":
-        return matvec(x.att.swapaxes(-1, -2), x.vel) - obs.vel_body
-    raise ValueError(f"unsupported observation kind {obs.kind!r}")
+    predicted = x.vel if obs.kind == "gnss_vel" else matvec(x.att.swapaxes(-1, -2), x.vel)
+    return predicted - obs.value
 
 
 def observation_matrix(

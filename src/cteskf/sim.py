@@ -19,7 +19,7 @@ from . import lie
 from .errorstate import ErrorParam, InjectionMode, process_noise, relation_matrix
 from .filter import FilterRun, FilterState, Strategy, mixed_sensor_strategy, run_filter
 from .ins import EARTH_RADIUS, G0, EarthModel, NavState
-from .sensors import GnssVelObs, OdoObs, stack_observations
+from .sensors import Observation, stack_observations
 
 DEG = np.pi / 180.0
 
@@ -347,29 +347,21 @@ def synthesize_imu(truth: TruthSeries, spec: ImuSpec, cfg: ScenarioConfig, earth
     return ImuStream(truth.t[1:].copy(), gyro, accel, dt, bias_g, bias_a)
 
 
-def synthesize_gnss(truth: TruthSeries, sigma: float, rate: float, cfg: ScenarioConfig, seed) -> list:
+def synthesize_observations(
+    truth: TruthSeries, kind: str, sigma: float, rate: float, cfg: ScenarioConfig, seed
+) -> list:
+    """Fixes of a sensor ``kind`` (see :class:`cteskf.sensors.Observation`)
+    on every ``imu_rate / rate``-th truth sample from ``obs_start_s`` on:
+    the true velocity, in the Earth frame or the body frame, plus seeded
+    noise of standard deviation ``sigma``, drawn for all fixes at once (the
+    bits of one draw per fix).  A zero ``sigma`` draws nothing and stores a
+    sigma of 1e-12, which keeps every fix's sigma positive."""
     rng = np.random.default_rng(seed)
-    out = []
-    step = int(round(cfg.imu_rate / rate))
-    start = int(round(cfg.obs_start_s * cfg.imu_rate))
-    stored = max(sigma, 1e-12)  # keep the sigma-positive invariant for noise-free synthesis
-    for idx in range(start, len(truth.t), step):
-        noise = rng.normal(scale=sigma, size=3) if sigma > 0.0 else 0.0
-        out.append(GnssVelObs(truth.t[idx], truth.vel[idx] + noise, np.full(3, stored)))
-    return out
-
-
-def synthesize_odo(truth: TruthSeries, sigma: float, rate: float, cfg: ScenarioConfig, seed) -> list:
-    rng = np.random.default_rng(seed)
-    out = []
-    step = int(round(cfg.imu_rate / rate))
-    start = int(round(cfg.obs_start_s * cfg.imu_rate))
-    stored = max(sigma, 1e-12)
-    for idx in range(start, len(truth.t), step):
-        body_vel = truth.att[idx].T @ truth.vel[idx]
-        noise = rng.normal(scale=sigma, size=3) if sigma > 0.0 else 0.0
-        out.append(OdoObs(truth.t[idx], body_vel + noise, np.full(3, stored)))
-    return out
+    idx = np.arange(int(round(cfg.obs_start_s * cfg.imu_rate)), len(truth.t), int(round(cfg.imu_rate / rate)))
+    values = truth.vel[idx] if kind == "gnss_vel" else lie.matvec(truth.att[idx].transpose(0, 2, 1), truth.vel[idx])
+    values = values + (rng.normal(scale=sigma, size=(len(idx), 3)) if sigma > 0.0 else 0.0)
+    sigmas = np.full((len(idx), 3), max(sigma, 1e-12))
+    return [Observation(kind, t, v, s) for t, v, s in zip(truth.t[idx], values, sigmas)]
 
 
 VARIANTS = ("ekf", "l-inekf", "r-inekf", "ct-ekf", "sw-ekf")
@@ -446,12 +438,14 @@ def synthesize(cfg: ScenarioConfig) -> Scenario:
     truth = generate_truth(cfg, earth)
     imu = synthesize_imu(truth, cfg.imu, cfg, earth, np.random.SeedSequence([cfg.seed, 1]))
     gnss = (
-        synthesize_gnss(truth, cfg.gnss_sigma, cfg.gnss_rate, cfg, np.random.SeedSequence([cfg.seed, 2]))
+        synthesize_observations(
+            truth, "gnss_vel", cfg.gnss_sigma, cfg.gnss_rate, cfg, np.random.SeedSequence([cfg.seed, 2])
+        )
         if cfg.use_gnss
         else []
     )
     odo = (
-        synthesize_odo(truth, cfg.odo_sigma, cfg.odo_rate, cfg, np.random.SeedSequence([cfg.seed, 3]))
+        synthesize_observations(truth, "odo", cfg.odo_sigma, cfg.odo_rate, cfg, np.random.SeedSequence([cfg.seed, 3]))
         if cfg.use_odo
         else []
     )
@@ -482,7 +476,7 @@ def _run_bank(cfg, variant, earth, truth, imu, observations, x0, p0):
         x0, a0 @ p0 @ a0.swapaxes(-1, -2), param, strategy, cfg.injection_mode(), cfg.imu.qc(), earth,
         time_tol=0.6 * imu.dt,
     )
-    return ((run, _score(cfg, variant, run, truth)) for run in run_filter(fs, imu, imu.dt, observations))
+    return ((run, _score(cfg, variant, run, truth)) for run in run_filter(fs, imu, observations))
 
 
 def _score(cfg, variant, run, truth) -> dict:

@@ -17,6 +17,7 @@ bounds explicitly (and which shrinks linearly with the IMU step).
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, replace
 
@@ -66,9 +67,21 @@ class PropertyResult:
         )
 
 
-def _result(name, measured, tolerance, t0, detail="", invert=False):
-    passed = measured > tolerance if invert else measured < tolerance
-    return PropertyResult(name, bool(passed), float(measured), float(tolerance), detail, time.perf_counter() - t0)
+def _result(name, measured, tolerance, detail=""):
+    return PropertyResult(name, bool(measured < tolerance), float(measured), float(tolerance), detail)
+
+
+def _timed(check):
+    """Set ``elapsed_s`` on the result of a check to the check's wall time."""
+
+    @functools.wraps(check)
+    def timed(*args, **kwargs):
+        t0 = time.perf_counter()
+        result = check(*args, **kwargs)
+        result.elapsed_s = time.perf_counter() - t0
+        return result
+
+    return timed
 
 
 def _random_states(rng, count):
@@ -88,10 +101,10 @@ def _perturb(rng, x):
     return out
 
 
+@_timed
 def check_group_affine(seed=0, trials=100) -> PropertyResult:
     """The SE2(3) kinematic generator satisfies the group-affine identity;
     the classical Coriolis form does not (negative control)."""
-    t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     earth = EarthModel()
     worst = 0.0
@@ -129,15 +142,15 @@ def check_group_affine(seed=0, trials=100) -> PropertyResult:
         )
         control = max(control, float(np.abs(res_c).max()))
     detail = f"classical-model control residual {control:.3e} (must exceed 1e-3): {'ok' if control > 1e-3 else 'BAD'}"
-    out = _result("group-affine-property", worst, 1e-9, t0, detail)
+    out = _result("group-affine-property", worst, 1e-9, detail)
     out.passed = out.passed and control > 1e-3
     return out
 
 
+@_timed
 def check_transform_closure(seed=0, trials=100) -> PropertyResult:
     """All six closed-form covariance transformations equal the generic
     A^-1(x+) A(x-) composition and have unit determinant."""
-    t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     earth = EarthModel(gravity_mode="constant")
     worst = 0.0
@@ -153,7 +166,7 @@ def check_transform_closure(seed=0, trials=100) -> PropertyResult:
                 worst = max(worst, float(np.linalg.norm(closed - generic)))
                 worst_det = max(worst_det, abs(float(np.linalg.det(closed)) - 1.0))
     detail = f"max |det(T)-1| = {worst_det:.3e}"
-    out = _result("transform-closure", worst, 1e-10, t0, detail)
+    out = _result("transform-closure", worst, 1e-10, detail)
     out.passed = out.passed and worst_det < 1e-10
     return out
 
@@ -173,6 +186,7 @@ def _criterion1_config(rate: float) -> ScenarioConfig:
     )
 
 
+@_timed
 def check_propagation_equivalence(rate=200.0, tol=1e-3, seed=0) -> PropertyResult:
     """Covariances of the three parameterizations stay relation-equivalent
     through a 60 s propagation-only run on a circle at full Earth physics.
@@ -181,7 +195,6 @@ def check_propagation_equivalence(rate=200.0, tol=1e-3, seed=0) -> PropertyResul
     large initial attitude errors enter the covariance only; the shared
     estimated trajectory starts on the truth.
     """
-    t0 = time.perf_counter()
     cfg = replace(_criterion1_config(rate), seed=seed)
     sc = synthesize(cfg)
     earth, stream = sc.earth, sc.imu
@@ -217,7 +230,7 @@ def check_propagation_equivalence(rate=200.0, tol=1e-3, seed=0) -> PropertyResul
             rel = relation_matrix(b, a, x_end, earth)
             mism = np.linalg.norm(finals[a] - rel @ finals[b] @ rel.T) / np.linalg.norm(finals[a])
             worst = max(worst, float(mism))
-    return _result(f"propagation-equivalence-{int(rate)}hz", worst, tol, t0)
+    return _result(f"propagation-equivalence-{int(rate)}hz", worst, tol)
 
 
 def _quiet_config(**kw) -> ScenarioConfig:
@@ -256,12 +269,12 @@ def _series_max_diff(sa, sb) -> float:
     return worst
 
 
+@_timed
 def check_first_update_identity(seed=0) -> PropertyResult:
     """All three parameterizations produce the same state at their first
     update from equivalent initial uncertainties, and the updated covariances
     satisfy the predicted-state relation; a shared raw covariance matrix is
     the negative control."""
-    t0 = time.perf_counter()
     cfg = _quiet_config(duration=2.0, imu_rate=200.0, init_att_err_deg=(60.0, 60.0, 120.0), seed=seed)
     sc = synthesize(cfg)
     earth, x0, p0, obs = sc.earth, sc.x0, sc.p0, sc.gnss[0]
@@ -276,7 +289,7 @@ def check_first_update_identity(seed=0) -> PropertyResult:
         for param in PARAMS:
             a0 = relation_matrix(EKF, param, x0, earth) if equivalent else np.eye(15)
             fs = FilterState(x0.copy(), a0 @ p0 @ a0.T, param, Strategy(), InjectionMode.FIRST_ORDER, cfg.imu.qc(), earth)
-            run = run_filter(fs, stream, stream.dt, [obs], lambda before, after: updates.append((before, after)))
+            run = run_filter(fs, stream, [obs], lambda before, after: updates.append((before, after)))
             if run.diverged:
                 raise FilterDivergence(run.diverged)
         x_pred = updates[0][0].x
@@ -297,28 +310,28 @@ def check_first_update_identity(seed=0) -> PropertyResult:
         f"P-relation residual {resid:.3e} (tol 1e-9); raw-P negative control diff"
         f" {control_diff:.3e} (must exceed 1e-3)"
     )
-    out = _result("first-update-identity", diff, 1e-9, t0, detail)
+    out = _result("first-update-identity", diff, 1e-9, detail)
     out.passed = out.passed and resid < 1e-9 and control_diff > 1e-3
     return out
 
 
+@_timed
 def check_switch_effectiveness(duration=200.0, tol=1e-8, seed=0) -> PropertyResult:
     """The additive filter with covariance switch to the left-invariant
     representation reproduces the native left-invariant filter's trajectory
     through a full run of velocity updates."""
-    t0 = time.perf_counter()
     cfg = _quiet_config(duration=duration, seed=seed)
     sa, ma = run_scenario(cfg, "sw-ekf")
     sb, mb = run_scenario(cfg, "l-inekf")
     if ma["diverged"] or mb["diverged"]:
-        return PropertyResult("switch-effectiveness", False, np.inf, tol, "diverged", time.perf_counter() - t0)
-    return _result("switch-effectiveness", _series_max_diff(sa, sb), tol, t0)
+        return PropertyResult("switch-effectiveness", False, np.inf, tol, "diverged")
+    return _result("switch-effectiveness", _series_max_diff(sa, sb), tol)
 
 
+@_timed
 def check_switch_ineffectiveness(duration=60.0, tol=1e-12, seed=0) -> PropertyResult:
     """Backward-switching at the predicted state collapses the switch filter
     onto the plain one, covariance and all."""
-    t0 = time.perf_counter()
     cfg = _quiet_config(duration=duration, seed=seed)
     sc = synthesize(cfg)
     plain = FilterState(sc.x0, sc.p0, EKF, Strategy(), InjectionMode.FIRST_ORDER, cfg.imu.qc(), sc.earth)
@@ -332,37 +345,37 @@ def check_switch_ineffectiveness(duration=60.0, tol=1e-12, seed=0) -> PropertyRe
     logs = []
     for update in (None, witness):
         log = []
-        run = run_filter(plain, sc.imu, sc.imu.dt, sc.gnss, lambda before, after: log.append(after), update)
+        run = run_filter(plain, sc.imu, sc.gnss, lambda before, after: log.append(after), update)
         if run.diverged or not log or len(log) < len(sc.gnss):
             detail = run.diverged or f"{len(log)} of {len(sc.gnss)} observations applied"
-            return PropertyResult("switch-ineffectiveness", False, np.inf, tol, detail, time.perf_counter() - t0)
+            return PropertyResult("switch-ineffectiveness", False, np.inf, tol, detail)
         logs.append(log)
     worst = max(
         max(float(np.linalg.norm(a.P - b.P)), state_difference(a.x, b.x)) for a, b in zip(*logs)
     )
-    return _result("switch-ineffectiveness", worst, tol, t0)
+    return _result("switch-ineffectiveness", worst, tol)
 
 
+@_timed
 def check_transform_equals_switch(duration=200.0, tol=1e-10, seed=0) -> PropertyResult:
     """Transform- and switch-based filters coincide (states and covariances)
     on a mixed velocity + odometry run."""
-    t0 = time.perf_counter()
     cfg = _quiet_config(duration=duration, use_odo=True, seed=seed)
     sa, ma = run_scenario(cfg, "ct-ekf")
     sb, mb = run_scenario(cfg, "sw-ekf")
     if ma["diverged"] or mb["diverged"]:
-        return PropertyResult("transform-equals-switch", False, np.inf, tol, "diverged", time.perf_counter() - t0)
+        return PropertyResult("transform-equals-switch", False, np.inf, tol, "diverged")
     worst = _series_max_diff(sa, sb)
     p_diff = float(np.abs(sa.p_trace - sb.p_trace).max() / max(1.0, np.abs(sb.p_trace).max()))
-    out = _result("transform-equals-switch", max(worst, p_diff), tol, t0, f"P-trace diff {p_diff:.3e}")
+    out = _result("transform-equals-switch", max(worst, p_diff), tol, f"P-trace diff {p_diff:.3e}")
     return out
 
 
+@_timed
 def check_ct_coincidence(duration=200.0, tol=1e-8, imu_rate=100.0, seed=0, name="ct-coincidence") -> PropertyResult:
     """CT filter matches the native target filter: the left-invariant target
     on a velocity-only run and the right-invariant target on an odometry-only
     run."""
-    t0 = time.perf_counter()
     cfg_l = _quiet_config(duration=duration, imu_rate=imu_rate, seed=seed)
     sa, ma = run_scenario(cfg_l, "ct-ekf")
     sb, mb = run_scenario(cfg_l, "l-inekf")
@@ -373,18 +386,18 @@ def check_ct_coincidence(duration=200.0, tol=1e-8, imu_rate=100.0, seed=0, name=
     sc, mc = run_scenario(cfg_r, "ct-ekf")
     sd, md = run_scenario(cfg_r, "r-inekf")
     if any(m["diverged"] for m in (ma, mb, mc, md)):
-        return PropertyResult(name, False, np.inf, tol, "diverged", time.perf_counter() - t0)
+        return PropertyResult(name, False, np.inf, tol, "diverged")
     diff_l = _series_max_diff(sa, sb)
     diff_r = _series_max_diff(sc, sd)
-    return _result(name, max(diff_l, diff_r), tol, t0, f"vel->left {diff_l:.3e}, odo->right {diff_r:.3e}")
+    return _result(name, max(diff_l, diff_r), tol, f"vel->left {diff_l:.3e}, odo->right {diff_r:.3e}")
 
 
+@_timed
 def check_ordering(seed=0, jobs=1, n_seeds=10) -> PropertyResult:
     """Monte Carlo yaw sweep with velocity + odometry observations: the CT
     filter's attitude RMSE does not exceed the additive filter's in any cell
     with |yaw error| >= 90 deg, and beats the left-invariant filter in at
     least 80% of those cells."""
-    t0 = time.perf_counter()
     cfg = ScenarioConfig(
         kind="circle",
         duration=120.0,
@@ -408,7 +421,7 @@ def check_ordering(seed=0, jobs=1, n_seeds=10) -> PropertyResult:
     margin = float((ct - ekf).max())  # must be <= 0 in every big-error cell
     frac = float(np.mean(ct <= linekf))
     detail = f"max(ct-ekf)-rmse margin {margin:.3e} deg; beats l-inekf in {frac:.0%} of cells"
-    out = _result("ordering-reproduction", margin, 0.0, t0, detail)
+    out = _result("ordering-reproduction", margin, 0.0, detail)
     out.passed = bool(margin <= 0.0 and frac >= 0.8)
     return out
 

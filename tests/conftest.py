@@ -13,7 +13,7 @@ from cteskf import lie
 from cteskf.errorstate import ErrorParam, InjectionMode, process_noise, relation_matrix
 from cteskf.filter import FilterState, Strategy, run_filter
 from cteskf.ins import EarthModel, NavState
-from cteskf.sensors import GnssVelObs, OdoObs
+from cteskf.sensors import Observation
 from cteskf.sim import ImuStream
 
 
@@ -82,7 +82,7 @@ def imu_stream(dt: float, gyro, accel, t0: float = 0.0) -> ImuStream:
     return ImuStream(t0 + dt * np.arange(1, n + 1), gyro, accel, dt, np.zeros((n, 3)), np.zeros((n, 3)))
 
 
-def bank_updates(bank: list[FilterState], samples, dt: float, observations) -> list:
+def bank_updates(bank: list[FilterState], samples, observations) -> list:
     """Run each filter of a bank through run_filter on the same data and pair
     their update logs: one tuple per observation, holding each filter's
     (before, after) states.  No run may diverge or leave an observation
@@ -90,7 +90,7 @@ def bank_updates(bank: list[FilterState], samples, dt: float, observations) -> l
     logs = []
     for fs in bank:
         log = []
-        run = run_filter(fs, samples, dt, observations, lambda before, after: log.append((before, after)))
+        run = run_filter(fs, samples, observations, lambda before, after: log.append((before, after)))
         assert run.diverged is None, run.diverged
         assert len(log) == len(observations)
         logs.append(log)
@@ -173,10 +173,7 @@ class StationaryQuietScenario:
         ])
         self.imu = imu_stream(self.dt, noise[:, 0], noise[:, 1])
         self.obs = []
-        for rate, sigma, ctor in (
-            (gnss_rate, gnss_sigma, lambda t, v, s: GnssVelObs(t, v, s)),
-            (odo_rate, odo_sigma, lambda t, v, s: OdoObs(t, v, s)),
-        ):
+        for rate, sigma, kind in ((gnss_rate, gnss_sigma, "gnss_vel"), (odo_rate, odo_sigma, "odo")):
             if rate <= 0.0:
                 continue
             n_obs = int(round((duration - 1.0) * rate)) + 1
@@ -184,7 +181,7 @@ class StationaryQuietScenario:
                 t = 1.0 + j / rate
                 if t > duration + 1e-9:
                     break
-                self.obs.append(ctor(round(t, 9), rng.normal(scale=sigma, size=3), np.full(3, sigma)))
+                self.obs.append(Observation(kind, round(t, 9), rng.normal(scale=sigma, size=3), np.full(3, sigma)))
         self.obs.sort(key=lambda o: o.time)
 
 

@@ -1,11 +1,14 @@
 import json
 import os
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from cteskf import io
-from cteskf.cli import ConfigError, main, parse_config, scenario_from_config
+from cteskf.cli import ConfigError, main, parse_config, scenario_from_config, variants_from_config
+from cteskf.sim import ScenarioConfig
 
 MINIMAL = """
 # minimal stationary scenario
@@ -77,6 +80,30 @@ class TestConfigParsing:
         with pytest.raises(ConfigError) as err:
             scenario_from_config(cfg)
         assert "scenario.duration" in str(err.value)
+        # one key of each cast, the IMU spec's among them
+        for key in ("scenario.init_att_err_deg", "imu.accel_bias_ug", "gnss.enable", "run.seed"):
+            with pytest.raises(ConfigError, match=f"config key '{key}': cannot parse 'soon'"):
+                scenario_from_config({key: "soon"})
+
+    def test_bad_imu_spec_is_a_config_error(self):
+        with pytest.raises(ConfigError, match="IMU spec values must be positive"):
+            scenario_from_config({"imu.gyro_bias_deg_h": "-2"})
+
+    def test_empty_config_builds_the_default_scenario(self):
+        # the defaults live in ScenarioConfig and CONSUMER_IMU only
+        built, default = scenario_from_config({}), ScenarioConfig()
+        for f in fields(ScenarioConfig):
+            assert getattr(built, f.name) == getattr(default, f.name), f.name
+
+    def test_readme_example_config_parses(self, tmp_path):
+        # every key of the README's example is read: the scenario and run
+        # keys here, and what is left are the sweep keys cmd_sweep reads
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        cfg = parse_config(write_cfg(tmp_path, readme.split("```ini\n", 1)[1].split("```", 1)[0]))
+        scenario = scenario_from_config(cfg)
+        assert variants_from_config(cfg) == ("ekf", "l-inekf", "r-inekf", "ct-ekf")
+        assert scenario.duration == 120.0 and scenario.use_odo and scenario.imu.accel_bias_ug == 3.6
+        assert set(cfg) == {"sweep.yaw_min_deg", "sweep.yaw_max_deg", "sweep.yaw_step_deg", "sweep.seeds"}
 
     def test_zero_duration_rejected(self, tmp_path):
         cfg = parse_config(write_cfg(tmp_path, "scenario.duration = 0\n"))
@@ -192,6 +219,14 @@ class TestVerifyCommand:
         assert all(isinstance(entry["elapsed_s"], float) and entry["elapsed_s"] >= 0.0 for entry in payload)
         names = {entry["name"] for entry in payload}
         assert {"group-affine-property", "switch-effectiveness", "first-update-identity"} <= names
+
+    def test_every_check_is_timed_in_one_place(self):
+        # the _timed decorator sets elapsed_s on whatever a check returns
+        from cteskf import verify
+
+        checks = [getattr(verify, name) for name in dir(verify) if name.startswith("check_")]
+        assert len(checks) == 9 and all(hasattr(check, "__wrapped__") for check in checks)
+        assert verify.check_group_affine(seed=0, trials=2).elapsed_s > 0.0
 
     def test_sign_flip_fails_closure(self, monkeypatch):
         from cteskf import verify

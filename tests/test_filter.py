@@ -47,7 +47,7 @@ from cteskf.filter import (
     step_observation,
 )
 from cteskf.ins import EarthModel, ImuSample, NavState, EARTH_RADIUS
-from cteskf.sensors import GnssVelObs, OdoObs, stack_observations
+from cteskf.sensors import Observation, stack_observations
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -73,6 +73,11 @@ def correlated_filter():
     fs.injection = InjectionMode.RETRACTION
     fs.P[0:3, 3:6] = fs.P[3:6, 0:3] = 5e-4 * np.eye(3)
     return fs
+
+
+def gnss(time, vel, sigma):
+    """A GNSS velocity fix with the same sigma on every axis."""
+    return Observation("gnss_vel", time, vel, np.full(3, sigma))
 
 
 def updated(fs, obs, strategy=None):
@@ -102,11 +107,11 @@ def covariance_step(param, p, x, gyro, accel, dt, qc, earth):
     return (p + p.T) / 2.0
 
 
-def stepwise_run(fs, imu, dt, observations) -> list:
+def stepwise_run(fs, imu, observations) -> list:
     """Reference for run_filter, one step at a time: the filter state after
     each step and the updates that follow it."""
     pending = sorted(observations, key=lambda o: o.time)
-    out, j = [fs], 0
+    out, j, dt = [fs], 0, imu.dt
     for g, a in zip(imu.gyro, imu.accel):
         (x,) = stepwise_mechanization(fs.x, g[None], a[None], dt, fs.earth)
         fs = replace(fs, x=x, P=covariance_step(fs.param, fs.P, fs.x, g, a, dt, fs.qc, fs.earth))
@@ -122,8 +127,8 @@ def propagated(fs, n=1, dt=0.01):
     at a pass-through update after the last step."""
     seen = []
     imu = imu_stream(dt, np.zeros((n, 3)), np.zeros((n, 3)), fs.x.time)
-    last = [GnssVelObs(imu.t[-1], np.zeros(3))]
-    run_filter(fs, imu, dt, last, lambda before, after: seen.append(after), lambda f, obs: f)
+    last = [gnss(imu.t[-1], np.zeros(3), 0.2)]
+    run_filter(fs, imu, last, lambda before, after: seen.append(after), lambda f, obs: f)
     return seen[0]
 
 
@@ -153,7 +158,7 @@ class TestPropagate:
     def test_nonfinite_covariance_ends_run(self):
         fs = simple_filter()
         fs.P[0, 0] = np.inf
-        run = run_filter(fs, imu_stream(0.01, np.zeros((5, 3)), np.zeros((5, 3))), 0.01, [])
+        run = run_filter(fs, imu_stream(0.01, np.zeros((5, 3)), np.zeros((5, 3))), [])
         assert run.diverged == "state or covariance became non-finite at t=0.010 (ekf)"
         assert len(run.t) == 1
 
@@ -161,7 +166,7 @@ class TestPropagate:
 class TestUpdatePlain:
     def test_zero_gain_limit(self):
         fs = simple_filter()
-        obs = GnssVelObs(0.0, np.array([1.0, 2.0, 3.0]), np.full(3, 1e6))
+        obs = gnss(0.0, np.array([1.0, 2.0, 3.0]), 1e6)
         out = updated(fs, obs)
         assert state_difference(out.x, fs.x) < 1e-9
         assert abs(np.trace(out.P) - np.trace(fs.P)) / np.trace(fs.P) < 1e-6
@@ -184,7 +189,7 @@ class TestUpdatePlain:
         p_ekf = default_p0(x.att, np.radians([5.0, 5.0, 10.0]))
         from cteskf.sensors import noise_covariance, observation_matrix
 
-        obs = GnssVelObs(0.0, np.zeros(3))
+        obs = gnss(0.0, np.zeros(3), 0.2)
         r = noise_covariance(obs)
         for target in (LEFT, RIGHT):
             a = relation_matrix(EKF, target, x, earth)
@@ -194,7 +199,7 @@ class TestUpdatePlain:
 
     def test_singular_innovation_rejected(self):
         fs = simple_filter(p_scale=0.0)
-        obs = GnssVelObs(0.0, np.zeros(3), np.full(3, 1e-12))
+        obs = gnss(0.0, np.zeros(3), 1e-12)
         fs.P[3, 3] = 1e12  # wildly anisotropic
         with pytest.raises(FilterDivergence):
             updated(fs, obs)
@@ -206,7 +211,7 @@ class TestUpdatePlain:
         # representative under retraction injection
         fs = correlated_filter()
         with pytest.raises(FilterDivergence, match=r"gnss_vel observation at t=0\.250"):
-            updated(fs, GnssVelObs(0.25, np.array([bad, 0.0, 0.0])))
+            updated(fs, gnss(0.25, np.array([bad, 0.0, 0.0]), 0.2))
 
     @pytest.mark.parametrize("speed", [1e10, 1e20, 1e300])
     def test_huge_correction_wraps_in_one_step(self, speed):
@@ -214,7 +219,7 @@ class TestUpdatePlain:
         # hang fails on the timeout instead of stalling the suite.  At 1e300
         # the squared norm overflows, so the norm must not be formed from it
         fs = correlated_filter()
-        obs = GnssVelObs(0.0, np.array([speed, 0.0, 0.0]))
+        obs = gnss(0.0, np.array([speed, 0.0, 0.0]), 0.2)
         code = (
             "import pickle, sys\n"
             "from cteskf.filter import step_observation\n"
@@ -238,7 +243,7 @@ class TestUpdatePlain:
         xi = np.zeros(15)
         xi[0:3] = [0.0, np.pi, 0.0]
         with pytest.raises(FilterDivergence, match=r"norm pi from the gnss_vel observation at t=0\.250"):
-            _canonical_correction(xi, GnssVelObs(0.25, np.zeros(3)), InjectionMode.RETRACTION)
+            _canonical_correction(xi, gnss(0.25, np.zeros(3), 0.2), InjectionMode.RETRACTION)
 
     @given(
         st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda a: math.hypot(*a) > 0.1),
@@ -248,7 +253,7 @@ class TestUpdatePlain:
         xi = np.zeros(15)
         xi[0:3] = norm * np.array(axis) / math.hypot(*axis)
         xi[3:] = np.arange(12.0)
-        obs = GnssVelObs(0.0, np.zeros(3))
+        obs = gnss(0.0, np.zeros(3), 0.2)
         try:
             out = _canonical_correction(xi, obs, InjectionMode.RETRACTION)
         except FilterDivergence:
@@ -268,7 +273,7 @@ class TestUpdatePlain:
         # well conditioned but negative definite: the Cholesky factor fails
         fs = simple_filter(p_scale=0.0)
         fs.P[3:6, 3:6] = -np.eye(3)
-        obs = GnssVelObs(0.0, np.zeros(3), np.full(3, 0.1))
+        obs = gnss(0.0, np.zeros(3), 0.1)
         with pytest.raises(np.linalg.LinAlgError):
             updated(fs, obs)
 
@@ -276,7 +281,7 @@ class TestUpdatePlain:
 class TestUpdateSwitch:
     def test_same_target_degenerates_to_plain(self):
         fs = simple_filter()
-        obs = GnssVelObs(0.0, np.array([0.1, 0.0, 0.0]))
+        obs = gnss(0.0, np.array([0.1, 0.0, 0.0]), 0.2)
         out_plain = updated(fs, obs)
         out_switch = updated(fs, obs, Strategy("switch", {"gnss_vel": EKF}))
         assert np.array_equal(out_plain.P, out_switch.P)
@@ -296,7 +301,7 @@ class TestUpdateSwitch:
             QUIET_QC,
             scen.earth,
         )
-        epochs = bank_updates(bank, scen.imu, scen.dt, scen.obs)
+        epochs = bank_updates(bank, scen.imu, scen.obs)
         assert max(state_difference(sw.x, native.x) for (_, sw), (_, native) in epochs) < 1e-8
 
     def test_backward_switch_at_predicted_state_is_ineffective(self):
@@ -324,7 +329,7 @@ class TestUpdateTransform:
     def test_zero_innovation_gives_identity_transform(self):
         fs = simple_filter()
         fs.injection = InjectionMode.FIRST_ORDER
-        obs = GnssVelObs(0.0, np.zeros(3))
+        obs = gnss(0.0, np.zeros(3), 0.2)
         out_plain = updated(fs, obs)
         out_ct = updated(fs, obs, Strategy("transform", {"gnss_vel": LEFT}))
         transform = transformation_matrix(EKF, LEFT, out_plain.x, fs.x, fs.earth)
@@ -333,7 +338,7 @@ class TestUpdateTransform:
 
     def test_state_identical_to_plain(self):
         fs = simple_filter()
-        obs = GnssVelObs(0.0, np.array([0.3, -0.1, 0.2]))
+        obs = gnss(0.0, np.array([0.3, -0.1, 0.2]), 0.2)
         out_plain = updated(fs, obs)
         out_ct = updated(fs, obs, Strategy("transform", {"gnss_vel": LEFT}))
         for name in ("att", "vel", "pos", "bg", "ba"):
@@ -348,7 +353,7 @@ class TestUpdateTransform:
             QUIET_QC,
             scen.earth,
         )
-        epochs = bank_updates(bank, scen.imu, scen.dt, scen.obs)
+        epochs = bank_updates(bank, scen.imu, scen.obs)
         worst_x = max(state_difference(ct.x, sw.x) for (_, ct), (_, sw) in epochs)
         worst_p = max(np.linalg.norm(ct.P - sw.P) / np.linalg.norm(sw.P) for (_, ct), (_, sw) in epochs)
         assert worst_x < 1e-10
@@ -370,16 +375,16 @@ class TestUpdateTransform:
                 QUIET_QC,
                 sub.earth,
             )
-            epochs = bank_updates(bank, sub.imu, sub.dt, sub.obs)
+            epochs = bank_updates(bank, sub.imu, sub.obs)
             assert max(state_difference(ct.x, native.x) for (_, ct), (_, native) in epochs) < 1e-8
 
 
-def first_update(bank, samples, dt, observations):
+def first_update(bank, samples, observations):
     """Run a bank through the same data and return the largest state
     discrepancy at the first update, the covariance relation residual
     P_a+ = A(x_pred) P_b+ A(x_pred)^T there, and the state discrepancy at each
     later update."""
-    epochs = bank_updates(bank, samples, dt, observations)
+    epochs = bank_updates(bank, samples, observations)
     diffs = [max(state_difference(ref.x, after.x) for _, after in rest) for (_, ref), *rest in epochs]
     (ref_before, ref), *rest = epochs[0]
     residual = 0.0
@@ -397,7 +402,7 @@ class TestFirstUpdateIdentity:
             [(EKF, Strategy()), (LEFT, Strategy()), (RIGHT, Strategy())],
             QUIET_QC, scen.earth,
         )
-        max_state_diff, residual, _ = first_update(bank, scen.imu, scen.dt, scen.obs)
+        max_state_diff, residual, _ = first_update(bank, scen.imu, scen.obs)
         assert max_state_diff < 1e-9
         assert residual < 1e-9
 
@@ -411,8 +416,8 @@ class TestFirstUpdateIdentity:
             for p in (EKF, LEFT, RIGHT)
         ]
         # make the innovation large enough to expose the mismatch
-        obs = [GnssVelObs(1.0, np.array([8.0, -6.0, 4.0]), np.full(3, 0.2))]
-        max_state_diff, _, _ = first_update(bank, scen.imu, scen.dt, obs)
+        obs = [gnss(1.0, np.array([8.0, -6.0, 4.0]), 0.2)]
+        max_state_diff, _, _ = first_update(bank, scen.imu, obs)
         assert max_state_diff > 1e-3
 
     def test_divergence_onset_after_first_update(self):
@@ -429,20 +434,20 @@ class TestFirstUpdateIdentity:
         dt = 1.0 / 200.0
         imu = imu_stream(dt, np.tile(truth_gyro, (600, 1)), np.tile(truth_f, (600, 1)))
         imu_later = imu_stream(dt, imu.gyro[200:], imu.accel[200:], t0=1.0)
-        obs = [GnssVelObs(1.0, np.zeros(3)), GnssVelObs(2.0, np.zeros(3)), GnssVelObs(3.0, np.zeros(3))]
+        obs = [gnss(1.0, np.zeros(3), 0.2), gnss(2.0, np.zeros(3), 0.2), gnss(3.0, np.zeros(3), 0.2)]
 
         # run the additive filter through all three updates; at its first
         # update map the predicted covariance into the other
         # parameterization, which establishes exact equivalence at the
         # pre-update instant, update it there and run it on from that epoch
         fs = FilterState(x0, default_p0(att0, err), EKF, Strategy(), InjectionMode.FIRST_ORDER, QUIET_QC, earth)
-        (ekf_log,) = zip(*bank_updates([fs], imu, dt, obs))
+        (ekf_log,) = zip(*bank_updates([fs], imu, obs))
         pre, ekf_first = ekf_log[0]
 
         def first_and_later_diffs(param):
             (other,) = initial_filter_bank(pre.x, pre.P, [(param, Strategy())], QUIET_QC, earth)
             other_first = updated(other, obs[0])
-            (other_later,) = zip(*bank_updates([other_first], imu_later, dt, obs[1:]))
+            (other_later,) = zip(*bank_updates([other_first], imu_later, obs[1:]))
             later = [state_difference(e.x, o.x) for (_, e), (_, o) in zip(ekf_log[1:], other_later)]
             return state_difference(ekf_first.x, other_first.x), later
 
@@ -468,16 +473,16 @@ class TestRunFilter:
     @pytest.mark.parametrize("dt", [0.0, -0.01, 0.75, np.inf, np.nan])
     def test_rejects_bad_dt(self, dt):
         with pytest.raises(ValueError, match="propagation step"):
-            run_filter(simple_filter(), self.samples(), dt, [])
+            run_filter(simple_filter(), imu_stream(dt, np.zeros((10, 3)), np.zeros((10, 3))), [])
 
     def test_observation_at_sample_time_applied_after_that_step(self):
         # observations given out of order are applied in time order, each
         # right after the step that ends at its time stamp
-        obs = [GnssVelObs(0.07, np.array([0.1, 0.0, 0.0])), GnssVelObs(0.03, np.array([0.0, 0.1, 0.0]))]
+        obs = [gnss(0.07, np.array([0.1, 0.0, 0.0]), 0.2), gnss(0.03, np.array([0.0, 0.1, 0.0]), 0.2)]
         times = []
-        run = run_filter(simple_filter(), self.samples(), self.DT, obs, lambda before, after: times.append(before.x.time))
+        run = run_filter(simple_filter(), self.samples(), obs, lambda before, after: times.append(before.x.time))
         np.testing.assert_allclose(times, [0.03, 0.07], rtol=0, atol=1e-12)
-        plain = run_filter(simple_filter(), self.samples(), self.DT, [])
+        plain = run_filter(simple_filter(), self.samples(), [])
         np.testing.assert_array_equal(run.vel[:3], plain.vel[:3])
         assert not np.array_equal(run.vel[3], plain.vel[3])
         np.testing.assert_array_equal(run.t, np.arange(11) * self.DT)
@@ -485,10 +490,10 @@ class TestRunFilter:
     def test_observation_after_last_sample_not_applied(self):
         updates = []
         run = run_filter(
-            simple_filter(), self.samples(), self.DT, [GnssVelObs(0.2, np.ones(3))],
+            simple_filter(), self.samples(), [gnss(0.2, np.ones(3), 0.2)],
             lambda before, after: updates.append(after),
         )
-        plain = run_filter(simple_filter(), self.samples(), self.DT, [])
+        plain = run_filter(simple_filter(), self.samples(), [])
         assert updates == [] and run.diverged is None
         for name in ("att", "vel", "pos", "bg", "ba", "p_trace"):
             np.testing.assert_array_equal(getattr(run, name), getattr(plain, name))
@@ -499,18 +504,20 @@ class TestRunFilter:
         # t=0.005 matches no epoch, whatever the filter's time tolerance
         fs = simple_filter()
         fs.time_tol = time_tol
-        obs = [GnssVelObs(0.03, np.zeros(3)), GnssVelObs(0.004, np.ones(3))]
+        obs = [gnss(0.03, np.zeros(3), 0.2), gnss(0.004, np.ones(3), 0.2)]
         with pytest.raises(ValueError, match=r"gnss_vel observation at t=0\.004 precedes the first propagated epoch"):
-            run_filter(fs, self.samples(), self.DT, obs, lambda before, after: pytest.fail("updated"))
+            run_filter(fs, self.samples(), obs, lambda before, after: pytest.fail("updated"))
         times = []
-        run_filter(fs, self.samples(), self.DT, [GnssVelObs(0.005, np.ones(3))], lambda before, after: times.append(before.x.time))
+        run_filter(
+            fs, self.samples(), [gnss(0.005, np.ones(3), 0.2)], lambda before, after: times.append(before.x.time)
+        )
         np.testing.assert_allclose(times, [0.01], rtol=0, atol=1e-12)
 
     def test_update_argument_applies_every_observation(self):
         # a counting wrapper around the default update is called once per
         # applied observation and leaves the run bit-identical
-        obs = [GnssVelObs(0.03, np.array([0.1, 0.0, 0.0])), GnssVelObs(0.07, np.array([0.0, 0.1, 0.0])),
-               GnssVelObs(0.2, np.ones(3))]
+        obs = [gnss(0.03, np.array([0.1, 0.0, 0.0]), 0.2), gnss(0.07, np.array([0.0, 0.1, 0.0]), 0.2),
+               gnss(0.2, np.ones(3), 0.2)]
         applied = []
 
         def counting(fs, o):
@@ -518,8 +525,8 @@ class TestRunFilter:
             return step_observation(fs, o)
 
         fs = simple_filter(strategy=mixed_sensor_strategy())
-        run = run_filter(fs, self.samples(), self.DT, obs, update=counting)
-        default = run_filter(fs, self.samples(), self.DT, obs)
+        run = run_filter(fs, self.samples(), obs, update=counting)
+        default = run_filter(fs, self.samples(), obs)
         assert applied == [0.03, 0.07]
         for name in ("t", "att", "vel", "pos", "bg", "ba", "p_trace"):
             assert np.array_equal(getattr(run, name), getattr(default, name)), name
@@ -533,23 +540,23 @@ class TestRunFilter:
             seen.append((bank.P.shape, bank.x.att.shape, bank.x.vel.shape))
             return step_observation(bank, o)
 
-        run = run_filter(simple_filter(), self.samples(), self.DT, [GnssVelObs(0.03, np.ones(3))], update=update)
+        run = run_filter(simple_filter(), self.samples(), [gnss(0.03, np.ones(3), 0.2)], update=update)
         assert seen == [((1, 15, 15), (1, 3, 3), (1, 3))]
         assert run.diverged is None and len(run.t) == 11
 
     def test_run_fields_are_the_recorded_arrays(self):
         # the divergence message is an attribute outside the fields, so a
         # field-by-field copy of a run copies arrays only, and keeps it
-        obs = [GnssVelObs(0.05, np.array([np.inf, 0.0, 0.0]))]
-        run = run_filter(correlated_filter(), self.samples(), self.DT, obs)
+        obs = [gnss(0.05, np.array([np.inf, 0.0, 0.0]), 0.2)]
+        run = run_filter(correlated_filter(), self.samples(), obs)
         assert [f.name for f in fields(run)] == ["t", *_RECORDED]
         copy = replace(run, **{f.name: getattr(run, f.name).copy() for f in fields(run)})
         assert copy.diverged == run.diverged and "non-finite correction" in run.diverged
 
     def test_divergence_returns_trimmed_run(self):
         # a non-finite observation at the fifth step ends the run after four
-        obs = [GnssVelObs(0.05, np.array([np.inf, 0.0, 0.0]))]
-        run = run_filter(correlated_filter(), self.samples(), self.DT, obs)
+        obs = [gnss(0.05, np.array([np.inf, 0.0, 0.0]), 0.2)]
+        run = run_filter(correlated_filter(), self.samples(), obs)
         assert "non-finite correction from the gnss_vel observation at t=0.050" in run.diverged
         assert len(run.t) == len(run.att) == len(run.p_trace) == 5
         assert np.isfinite(run.att).all() and np.isfinite(run.vel).all()
@@ -562,10 +569,10 @@ class TestRunFilter:
         # between the observations at t=0.03 and t=0.1
         imu = self.samples()
         imu.gyro[6, 1] = bad
-        obs = [GnssVelObs(0.03, np.zeros(3)), GnssVelObs(0.1, np.zeros(3))]
+        obs = [gnss(0.03, np.zeros(3), 0.2), gnss(0.1, np.zeros(3), 0.2)]
         base = simple_filter()
         (fs,) = initial_filter_bank(base.x, base.P, [(param, Strategy())], QUIET_QC, base.earth)
-        run = run_filter(fs, imu, self.DT, obs)
+        run = run_filter(fs, imu, obs)
         assert run.diverged == f"state or covariance became non-finite at t=0.070 ({param.value})"
         assert len(run.t) == len(run.att) == len(run.p_trace) == 7
         assert np.isfinite(run.att).all() and np.isfinite(run.vel).all() and np.isfinite(run.p_trace).all()
@@ -604,13 +611,13 @@ class TestSegmentEngine:
     def test_segments_match_stepwise(self, segment, variant):
         # GNSS every `segment` IMU steps from t = 1 s on
         fs, imu, obs = self._filter_and_inputs(variant, 60.0, 2.0, 60.0 / segment)
-        self._assert_matches(run_filter(fs, imu, imu.dt, obs), stepwise_run(fs, imu, imu.dt, obs))
+        self._assert_matches(run_filter(fs, imu, obs), stepwise_run(fs, imu, obs))
 
     @pytest.mark.parametrize("variant", ["ekf", "l-inekf", "r-inekf"])
     def test_run_without_observations_longer_than_a_chunk(self, variant):
         fs, imu, obs = self._filter_and_inputs(variant, 100.0, 11.0, 0.0)
         assert obs == [] and len(imu.t) > CHUNK
-        self._assert_matches(run_filter(fs, imu, imu.dt, []), stepwise_run(fs, imu, imu.dt, []))
+        self._assert_matches(run_filter(fs, imu, []), stepwise_run(fs, imu, []))
 
 
 class TestFilterBank:
@@ -649,7 +656,7 @@ class TestFilterBank:
 
     def _assert_solo(self, run, member):
         fs, imu, observations = member
-        solo = run_filter(fs, imu, imu.dt, observations)
+        solo = run_filter(fs, imu, observations)
         assert run.diverged == solo.diverged
         for name in self.FIELDS:
             np.testing.assert_array_equal(getattr(run, name), getattr(solo, name), err_msg=name)
@@ -659,7 +666,7 @@ class TestFilterBank:
     def test_bank_equals_solo_runs(self, variant):
         members = self._members(variant)
         fs, imu, observations = self._bank(members)
-        runs = run_filter(fs, imu, imu.dt, observations)
+        runs = run_filter(fs, imu, observations)
         assert len(runs) == len(members)
         for run, member in zip(runs, members):
             assert run.diverged is None and len(run.t) == len(imu.t) + 1
@@ -670,7 +677,7 @@ class TestFilterBank:
         members = self._members(variant)
         members[1][1].gyro[61, 2] = np.nan  # the step that ends at t=1.24
         fs, imu, observations = self._bank(members)
-        runs = run_filter(fs, imu, imu.dt, observations)
+        runs = run_filter(fs, imu, observations)
         param = sim.variant_config(variant)[0]
         assert runs[1].diverged == f"state or covariance became non-finite at t=1.240 ({param.value})"
         assert len(runs[1].t) == 62
@@ -695,9 +702,9 @@ class TestFilterBank:
         observations = members[bad][2]
         idx = next(i for i, o in enumerate(observations) if o.kind == kind and o.time > 2.0)
         obs = observations[idx]
-        observations[idx] = type(obs)(obs.time, np.array(vel), obs.sigma)
+        observations[idx] = replace(obs, value=np.array(vel))
         fs, imu, stacked = self._bank(members)
-        runs = run_filter(fs, imu, imu.dt, stacked)
+        runs = run_filter(fs, imu, stacked)
         expected = f"{message} from the {kind} observation at t={obs.time:.3f}"
         assert [run.diverged for run in runs] == [expected if i == bad else None for i in range(len(runs))]
         for run, member in zip(runs, members):
@@ -712,7 +719,7 @@ class TestFilterBank:
         swapped = list(lists[2])
         idx = next(i for i, o in enumerate(swapped) if o.kind == "odo")
         odo = swapped[idx]
-        swapped[idx] = GnssVelObs(odo.time, odo.vel_body, odo.sigma)
+        swapped[idx] = replace(odo, kind="gnss_vel")
         with pytest.raises(ValueError, match=f"observation {idx} of member 2 is gnss_vel"):
             stack_observations([lists[0], lists[1], swapped])
         with pytest.raises(ValueError, match="member 1 has"):
@@ -720,7 +727,7 @@ class TestFilterBank:
         # observations stacked for two members do not fit a bank of three
         fs, imu, _ = self._bank(self._members("ekf"))
         with pytest.raises(ValueError, match="member rows"):
-            run_filter(fs, imu, imu.dt, stack_observations(lists[:2]), lambda before, after: pytest.fail("updated"))
+            run_filter(fs, imu, stack_observations(lists[:2]), lambda before, after: pytest.fail("updated"))
 
     @pytest.mark.parametrize("variant", ["ekf", "r-inekf", "ct-ekf"])
     def test_bank_matches_solo_runs_across_segment_boundaries(self, variant, monkeypatch):
@@ -729,7 +736,7 @@ class TestFilterBank:
         monkeypatch.setattr(kf, "CHUNK", 4)
         members = self._members(variant)
         fs, imu, observations = self._bank(members)
-        for run, member in zip(run_filter(fs, imu, imu.dt, observations), members):
+        for run, member in zip(run_filter(fs, imu, observations), members):
             assert run.diverged is None
             self._assert_solo(run, member)
 
@@ -744,7 +751,7 @@ class TestStrategyDispatch:
         # an observation kind the target map leaves out is updated in the
         # filter's own parameterization
         fs = simple_filter()
-        obs = OdoObs(0.0, np.array([0.1, -0.2, 0.05]))
+        obs = Observation("odo", 0.0, np.array([0.1, -0.2, 0.05]), np.full(3, 0.1))
         out_plain = updated(fs, obs)
         out = updated(fs, obs, Strategy(kind, {"gnss_vel": LEFT}))
         assert np.array_equal(out_plain.P, out.P) and np.array_equal(out_plain.x.att, out.x.att)
@@ -754,7 +761,7 @@ class TestStrategyDispatch:
         # differ from it in the last bits
         fs = simple_filter()
         with pytest.raises(ValueError, match=r"fs.select\(None\)"):
-            step_observation(fs, GnssVelObs(0.0, np.zeros(3)))
+            step_observation(fs, gnss(0.0, np.zeros(3), 0.2))
 
     def test_unknown_strategy_kind_rejected_when_built(self):
         # before the first observation, not after a propagated segment

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from cteskf import io
-from cteskf.sensors import GnssVelObs
-from cteskf.sim import ScenarioConfig, generate_truth, run_scenario, synthesize_gnss, synthesize_imu, synthesize_odo
+from cteskf.sensors import Observation
+from cteskf.sim import ScenarioConfig, generate_truth, run_scenario, synthesize_imu, synthesize_observations
 
 
 @pytest.fixture
@@ -12,11 +12,11 @@ def dataset_dir(tmp_path):
     earth = cfg.earth()
     truth = generate_truth(cfg, earth)
     stream = synthesize_imu(truth, cfg.imu, cfg, earth, seed=9)
-    gnss = synthesize_gnss(truth, 0.2, 1.0, cfg, seed=10)
-    odo = synthesize_odo(truth, 0.1, 10.0, cfg, seed=11)
+    gnss = synthesize_observations(truth, "gnss_vel", 0.2, 1.0, cfg, seed=10)
+    odo = synthesize_observations(truth, "odo", 0.1, 10.0, cfg, seed=11)
     io.write_imu(tmp_path / "imu.csv", stream.t, stream.gyro, stream.accel)
-    io.write_gnss(tmp_path / "gnss_vel.csv", gnss)
-    io.write_odo(tmp_path / "odo.csv", odo)
+    io.write_observations(tmp_path / "gnss_vel.csv", "gnss_vel", gnss)
+    io.write_observations(tmp_path / "odo.csv", "odo", odo)
     io.write_truth(tmp_path / "truth.csv", truth.t, truth.att, truth.vel, truth.pos)
     return tmp_path, cfg, truth, stream, gnss, odo
 
@@ -31,13 +31,13 @@ class TestRoundTrip:
 
     def test_observations_bit_exact(self, dataset_dir):
         path, _, _, _, gnss, odo = dataset_dir
-        gnss2 = io.read_gnss(path / "gnss_vel.csv")
-        odo2 = io.read_odo(path / "odo.csv")
+        gnss2 = io.read_observations(path / "gnss_vel.csv", "gnss_vel")
+        odo2 = io.read_observations(path / "odo.csv", "odo")
         assert len(gnss2) == len(gnss) and len(odo2) == len(odo)
         for a, b in zip(gnss, gnss2):
-            assert a.time == b.time and np.array_equal(a.vel, b.vel) and np.array_equal(a.sigma, b.sigma)
+            assert a.time == b.time and np.array_equal(a.value, b.value) and np.array_equal(a.sigma, b.sigma)
         for a, b in zip(odo, odo2):
-            assert np.array_equal(a.vel_body, b.vel_body)
+            assert b.kind == "odo" and np.array_equal(a.value, b.value)
 
     def test_truth_attitude_round_trip(self, dataset_dir):
         path, _, truth, _, _, _ = dataset_dir
@@ -88,15 +88,15 @@ class TestSchemaValidation:
         p = tmp_path / "gnss_vel.csv"
         p.write_text("t,vx,vy,vz,sx,sy,sz\n0.0,1,2,oops,0.1,0.1,0.1\n")
         with pytest.raises(io.CsvSchemaError) as err:
-            io.read_gnss(p)
+            io.read_observations(p, "gnss_vel")
         assert err.value.line_no == 2
 
     @pytest.mark.parametrize(
         "reader,header",
         [
             (io.read_imu, io.IMU_HEADER),
-            (io.read_gnss, io.GNSS_HEADER),
-            (io.read_odo, io.ODO_HEADER),
+            pytest.param(lambda p: io.read_observations(p, "gnss_vel"), io.GNSS_HEADER, id="gnss_vel"),
+            pytest.param(lambda p: io.read_observations(p, "odo"), io.ODO_HEADER, id="odo"),
             (io.read_truth, io.TRUTH_HEADER),
         ],
     )
@@ -116,7 +116,7 @@ class TestSchemaValidation:
         p = tmp_path / "odo.csv"
         p.write_text("t,vf,vl,vd,sx,sy,sz\n1.0,0,0,0,0.1,0.1,0.1\n0.5,0,0,0,0.1,0.1,0.1\n")
         with pytest.raises(io.CsvSchemaError) as err:
-            io.read_odo(p)
+            io.read_observations(p, "odo")
         assert err.value.line_no == 3
 
     def test_zero_quaternion_rejected(self, tmp_path):
@@ -126,13 +126,13 @@ class TestSchemaValidation:
             io.read_truth(p)
         assert err.value.line_no == 3
 
-    @pytest.mark.parametrize("reader,header", [(io.read_gnss, io.GNSS_HEADER), (io.read_odo, io.ODO_HEADER)])
+    @pytest.mark.parametrize("kind,header", [("gnss_vel", io.GNSS_HEADER), ("odo", io.ODO_HEADER)])
     @pytest.mark.parametrize("sigma", ["0.0", "-0.1"])
-    def test_nonpositive_sigma_rejected(self, tmp_path, reader, header, sigma):
+    def test_nonpositive_sigma_rejected(self, tmp_path, kind, header, sigma):
         p = tmp_path / "obs.csv"
         p.write_text(",".join(header) + f"\n0.0,1,2,3,0.1,0.1,0.1\n0.5,1,2,3,0.1,{sigma},0.1\n")
         with pytest.raises(io.CsvSchemaError, match="sigma must be positive") as err:
-            reader(p)
+            io.read_observations(p, kind)
         assert err.value.line_no == 3
 
     def test_comments_and_blank_lines_skipped(self, tmp_path):
@@ -155,7 +155,7 @@ class TestWriters:
             b"0.1,-0.0,5e-324,0.1,5e-324,0.1,1e+300\n"
         )
         gnss = tmp_path / "gnss_vel.csv"
-        io.write_gnss(gnss, [GnssVelObs(np.float64(0.1), values[:3], values[1:])])
+        io.write_observations(gnss, "gnss_vel", [Observation("gnss_vel", np.float64(0.1), values[:3], values[1:])])
         assert gnss.read_bytes().splitlines()[-1] == b"0.1,-0.0,5e-324,0.1,5e-324,0.1,1e+300"
 
 

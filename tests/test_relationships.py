@@ -38,7 +38,7 @@ def test_relationship_diagram_closes_on_live_covariances():
         scen.earth,
     )
     earth = scen.earth
-    epochs = bank_updates(bank, scen.imu, scen.dt, scen.obs)
+    epochs = bank_updates(bank, scen.imu, scen.obs)
     for (ekf_pre, f_ekf), (left_pre, f_left), (_, f_ct) in epochs:
         x_pred = ekf_pre.x
         # predicted covariances are equivalent at the predicted state

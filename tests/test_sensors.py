@@ -4,7 +4,7 @@ import pytest
 from cteskf import lie
 from cteskf.errorstate import ErrorParam, InjectionMode, inject_error, relation_matrix
 from cteskf.ins import EarthModel, NavState, EARTH_RADIUS
-from cteskf.sensors import GnssVelObs, OdoObs, innovation, noise_covariance, observation_matrix
+from cteskf.sensors import Observation, innovation, noise_covariance, observation_matrix
 
 PARAMS = [ErrorParam.ADDITIVE_EKF, ErrorParam.LEFT_INVARIANT, ErrorParam.RIGHT_INVARIANT]
 KINDS = ["gnss_vel", "odo"]
@@ -27,15 +27,15 @@ class TestInnovation:
         earth = small_scale_earth()
         rng = np.random.default_rng(0)
         x = random_state(rng)
-        gnss = GnssVelObs(0.0, x.vel.copy())
-        odo = OdoObs(0.0, x.att.T @ x.vel)
+        gnss = Observation("gnss_vel", 0.0, x.vel.copy(), np.full(3, 0.2))
+        odo = Observation("odo", 0.0, x.att.T @ x.vel, np.full(3, 0.1))
         np.testing.assert_allclose(innovation(x, gnss, earth), np.zeros(3), atol=1e-14)
         np.testing.assert_allclose(innovation(x, odo, earth), np.zeros(3), atol=1e-14)
 
     def test_gnss_sign(self):
         earth = small_scale_earth()
         x = NavState(np.eye(3), np.array([1.0, 0.0, 0.0]), np.zeros(3))
-        obs = GnssVelObs(0.0, np.zeros(3))
+        obs = Observation("gnss_vel", 0.0, np.zeros(3), np.full(3, 0.2))
         np.testing.assert_array_equal(innovation(x, obs, earth), [1.0, 0.0, 0.0])
 
     def test_odo_hand_rotation(self):
@@ -43,7 +43,7 @@ class TestInnovation:
         att = lie.so3_exp(np.array([0.0, 0.0, np.pi / 2]))
         x = NavState(att, np.array([1.0, 0.0, 0.0]), np.zeros(3))
         vb = np.array([0.3, 0.1, -0.2])
-        obs = OdoObs(0.0, vb)
+        obs = Observation("odo", 0.0, vb, np.full(3, 0.1))
         np.testing.assert_allclose(
             innovation(x, obs, earth), np.array([0.0, -1.0, 0.0]) - vb, atol=1e-14
         )
@@ -51,7 +51,7 @@ class TestInnovation:
     def test_timestamp_mismatch_rejected(self):
         earth = small_scale_earth()
         x = NavState(np.eye(3), np.zeros(3), np.zeros(3), time=10.0)
-        obs = GnssVelObs(10.1, np.zeros(3))
+        obs = Observation("gnss_vel", 10.1, np.zeros(3), np.full(3, 0.2))
         with pytest.raises(ValueError):
             innovation(x, obs, earth, time_tol=0.0025)
 
@@ -127,17 +127,28 @@ class TestObservationMatrix:
 
 class TestNoiseCovariance:
     def test_gnss_default(self):
-        obs = GnssVelObs(0.0, np.zeros(3), np.array([0.2, 0.2, 0.2]))
+        obs = Observation("gnss_vel", 0.0, np.zeros(3), np.array([0.2, 0.2, 0.2]))
         np.testing.assert_allclose(noise_covariance(obs), 0.04 * np.eye(3), atol=1e-15)
 
     def test_odo_default(self):
-        obs = OdoObs(0.0, np.zeros(3), np.array([0.1, 0.1, 0.1]))
+        obs = Observation("odo", 0.0, np.zeros(3), np.array([0.1, 0.1, 0.1]))
         np.testing.assert_allclose(noise_covariance(obs), 0.01 * np.eye(3), atol=1e-15)
 
     def test_unequal_sigma(self):
-        obs = GnssVelObs(0.0, np.zeros(3), np.array([0.1, 0.2, 0.3]))
+        obs = Observation("gnss_vel", 0.0, np.zeros(3), np.array([0.1, 0.2, 0.3]))
         np.testing.assert_allclose(np.diag(noise_covariance(obs)), [0.01, 0.04, 0.09], atol=1e-15)
 
     def test_rejects_nonpositive_sigma(self):
-        with pytest.raises(ValueError):
-            GnssVelObs(0.0, np.zeros(3), np.array([0.1, 0.0, 0.1]))
+        # a non-finite sigma too: a NaN one would fail the run's eigensolver
+        # with LinAlgError, not end its member with a FilterDivergence
+        for kind in KINDS:
+            for bad in (0.0, -0.1, np.nan, np.inf):
+                with pytest.raises(ValueError, match="sigma must be positive and finite"):
+                    Observation(kind, 0.0, np.zeros(3), np.array([0.1, bad, 0.1]))
+
+
+class TestObservation:
+    def test_rejects_unknown_kind_when_built(self):
+        # before it reaches a filter, as Strategy rejects an unknown kind
+        with pytest.raises(ValueError, match="unsupported observation kind 'baro'"):
+            Observation("baro", 0.0, np.zeros(3), np.full(3, 0.1))

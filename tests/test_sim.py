@@ -21,9 +21,8 @@ from cteskf.sim import (
     monte_carlo_sweep,
     run_scenario,
     synthesize,
-    synthesize_gnss,
     synthesize_imu,
-    synthesize_odo,
+    synthesize_observations,
     variant_config,
 )
 
@@ -227,17 +226,17 @@ class TestSynthesizeObservations:
         cfg = small_cfg()
         earth = cfg.earth()
         truth = generate_truth(cfg, earth)
-        obs = synthesize_gnss(truth, 0.0, 1.0, cfg, seed=0)
+        obs = synthesize_observations(truth, "gnss_vel", 0.0, 1.0, cfg, seed=0)
         for o in obs:
             idx = int(round(o.time * cfg.imu_rate))
-            np.testing.assert_array_equal(o.vel, truth.vel[idx])
+            np.testing.assert_array_equal(o.value, truth.vel[idx])
 
     def test_empirical_std_matches_sigma(self):
         cfg = small_cfg(kind="stationary", duration=100.0, imu_rate=100.0)
         earth = cfg.earth()
         truth = generate_truth(cfg, earth)
-        obs = synthesize_odo(truth, 0.1, 100.0, cfg, seed=5)
-        samples = np.array([o.vel_body for o in obs])
+        obs = synthesize_observations(truth, "odo", 0.1, 100.0, cfg, seed=5)
+        samples = np.array([o.value for o in obs])
         assert len(samples) >= 9000
         std = samples.std(axis=0)
         np.testing.assert_allclose(std, 0.1, rtol=0.05)
@@ -246,10 +245,29 @@ class TestSynthesizeObservations:
         cfg = small_cfg()
         earth = cfg.earth()
         truth = generate_truth(cfg, earth)
-        obs = synthesize_odo(truth, 0.0, 10.0, cfg, seed=0)
+        obs = synthesize_observations(truth, "odo", 0.0, 10.0, cfg, seed=0)
         for o in obs[:20]:
             # forward axis carries the speed, lateral/vertical are zero
-            np.testing.assert_allclose(o.vel_body, [cfg.speed, 0.0, 0.0], atol=1e-9)
+            np.testing.assert_allclose(o.value, [cfg.speed, 0.0, 0.0], atol=1e-9)
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.3])
+    @pytest.mark.parametrize("kind", ["gnss_vel", "odo"])
+    def test_one_draw_equals_a_draw_per_fix(self, kind, sigma):
+        # the fixes are drawn as one (count, 3) array: the bits of one
+        # size-3 draw and one att^T vel product per fix, in fix order
+        cfg = small_cfg(kind="figure-eight", duration=30.0, obs_start_s=0.5)
+        truth = generate_truth(cfg, cfg.earth())
+        rng = np.random.default_rng(8)
+        reference = []
+        for idx in range(50, len(truth.t), 2):
+            value = truth.vel[idx] if kind == "gnss_vel" else truth.att[idx].T @ truth.vel[idx]
+            noise = rng.normal(scale=sigma, size=3) if sigma > 0.0 else 0.0
+            reference.append((truth.t[idx], value + noise, np.full(3, max(sigma, 1e-12))))
+        obs = synthesize_observations(truth, kind, sigma, 50.0, cfg, seed=8)
+        assert len(obs) == len(reference) == 1476
+        for o, (time, value, sigmas) in zip(obs, reference):
+            assert o.kind == kind and o.time == time
+            assert o.value.tobytes() == value.tobytes() and o.sigma.tobytes() == sigmas.tobytes()
 
 
 class TestRunScenario:

@@ -38,6 +38,6 @@ class TestStatisticalSanity:
             assert_spd(after.P)
             checked += 1
 
-        run = run_filter(fs, sc.imu, sc.imu.dt, sc.gnss + sc.odo, check)
+        run = run_filter(fs, sc.imu, sc.gnss + sc.odo, check)
         assert run.diverged is None
         assert checked > 100
