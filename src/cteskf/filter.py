@@ -31,7 +31,7 @@ the one covariance recursion of the package.
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass, field, replace
+from dataclasses import InitVar, dataclass, field, fields, replace
 
 import numpy as np
 from scipy.linalg import LinAlgError, lapack
@@ -248,29 +248,30 @@ def state_difference(a: NavState, b: NavState) -> float:
 @dataclass
 class FilterRun:
     """What :func:`run_filter` records on the IMU grid, the initial state
-    first: sample times, navigation states and the covariance block traces
-    (attitude, velocity, position, gyro bias, accelerometer bias).  A diverged
-    run ends at its last completed step and carries the divergence message as
-    the attribute ``diverged``, outside the fields, which are the arrays."""
+    first: sample times, and the attitudes, velocities, positions and
+    covariance block traces (attitude, velocity, position, gyro bias,
+    accelerometer bias) that its ``record`` names; a field it does not
+    record is ``None``.  A diverged run ends at its last completed step and
+    carries the divergence message as the attribute ``diverged``, outside
+    the fields, which are the arrays."""
 
     t: np.ndarray
-    att: np.ndarray
-    vel: np.ndarray
-    pos: np.ndarray
-    bg: np.ndarray
-    ba: np.ndarray
-    p_trace: np.ndarray
+    att: np.ndarray | None
+    vel: np.ndarray | None
+    pos: np.ndarray | None
+    p_trace: np.ndarray | None
     diverged: InitVar[str | None] = None
 
     def __post_init__(self, diverged):
         self.diverged = diverged
 
 
-# the recorded fields of a FilterRun and the shape of one record
-_RECORDED = {"att": (3, 3), "vel": (3,), "pos": (3,), "bg": (3,), "ba": (3,), "p_trace": (5,)}
+# the fields of a FilterRun that run_filter can record, and the shape of one
+# record
+_RECORDED = {"att": (3, 3), "vel": (3,), "pos": (3,), "p_trace": (5,)}
 
 
-def run_filter(fs: FilterState, imu, observations, on_update=None, update=None):
+def run_filter(fs: FilterState, imu, observations, on_update=None, update=None, record=tuple(_RECORDED)):
     """Drive one filter, or a bank of filters in lockstep, through IMU
     samples and observations.
 
@@ -296,6 +297,12 @@ def run_filter(fs: FilterState, imu, observations, on_update=None, update=None):
     states around each update, shaped as ``fs`` is: one filter, or the
     members of the bank still running.
 
+    ``record`` names the :class:`FilterRun` fields to record, of ``att``,
+    ``vel``, ``pos`` and ``p_trace`` (``t`` is always recorded); a field it
+    leaves out is ``None``, and an unknown name raises ``ValueError`` before
+    the first step.  A run holds (members x (n + 1)) rows of each field it
+    records.
+
     The steps up to the next observation (at most :data:`CHUNK`) form one
     segment, propagated at the state's biases by one
     :func:`mechanize_sequence` call and :func:`propagate_covariance_sequence`
@@ -308,6 +315,9 @@ def run_filter(fs: FilterState, imu, observations, on_update=None, update=None):
     dt = imu.dt
     if not 0.0 < dt <= MAX_DT:
         raise ValueError(f"propagation step dt={dt} s must be positive and at most {MAX_DT} s")
+    unknown = set(record) - {f.name for f in fields(FilterRun)}
+    if unknown:
+        raise ValueError(f"run_filter cannot record {sorted(unknown)}; FilterRun records {['t', *_RECORDED]}")
     single = fs.P.ndim == 2
     bank = fs.select(None) if single else fs
     size = len(bank.P)
@@ -332,7 +342,7 @@ def run_filter(fs: FilterState, imu, observations, on_update=None, update=None):
     # time plus dt/2 reaches its stamp (n: after the last sample, never)
     due = np.searchsorted(t0 + dt * np.arange(1.5, n + 1.0), [o.time for o in pending]).tolist() + [n]
     t = np.concatenate(([t0], imu.t))
-    record = {name: np.empty((size, n + 1) + shape) for name, shape in _RECORDED.items()}
+    stores = {name: np.empty((size, n + 1) + shape) for name, shape in _RECORDED.items() if name in record}
     ends = [(n + 1, None)] * size
     active = np.arange(size)
 
@@ -346,7 +356,7 @@ def run_filter(fs: FilterState, imu, observations, on_update=None, update=None):
         active = active[keep]
         return keep
 
-    _store(record, slice(None), 0, bank)
+    _store(stores, slice(None), 0, bank)
     k = j = 0
     while k < n and len(active):
         stop = min(due[j] + 1, k + CHUNK, n)
@@ -362,9 +372,9 @@ def run_filter(fs: FilterState, imu, observations, on_update=None, update=None):
         # the segment's rows but its last, which holds the state after the
         # updates that follow it
         rows = slice(k + 1, stop)
-        for name, values in (("att", atts[:, 1:-1]), ("vel", vels[:, 1:-1]), ("pos", poss[:, 1:-1]),
-                             ("bg", x.bg[:, None]), ("ba", x.ba[:, None]), ("p_trace", traces[:, :-1])):
-            record[name][members, rows] = values
+        values = {"att": atts[:, 1:-1], "vel": vels[:, 1:-1], "pos": poss[:, 1:-1], "p_trace": traces[:, :-1]}
+        for name, store in stores.items():
+            store[members, rows] = values[name]
         if not finite.all():
             bad = (k + np.argmin(finite, axis=1)).tolist()
             keep = leave({
@@ -390,10 +400,11 @@ def run_filter(fs: FilterState, imu, observations, on_update=None, update=None):
             if on_update is not None:
                 on_update(*((before.select(0), bank.select(0)) if single else (before, bank)))
         if len(active):
-            _store(record, active if len(active) < size else slice(None), stop, bank)
+            _store(stores, active if len(active) < size else slice(None), stop, bank)
         k = stop
     runs = [
-        FilterRun(t[:rows], *(record[name][i, :rows] for name in _RECORDED), diverged=message)
+        FilterRun(t[:rows], **{name: stores[name][i, :rows] if name in stores else None for name in _RECORDED},
+                  diverged=message)
         for i, (rows, message) in enumerate(ends)
     ]
     return runs[0] if single else runs
@@ -419,12 +430,14 @@ def _covariances(bank: FilterState, atts, vels, poss, gyro, accel, dt):
     return p, traces, finite
 
 
-def _store(record: dict, members, row: int, bank: FilterState) -> None:
-    """Record the bank's states and covariance block traces in one row."""
+def _store(stores: dict, members, row: int, bank: FilterState) -> None:
+    """Record the bank's states and covariance block traces in one row of
+    the recorded fields' arrays."""
     x = bank.x
-    for name, value in (("att", x.att), ("vel", x.vel), ("pos", x.pos), ("bg", x.bg), ("ba", x.ba)):
-        record[name][members, row] = value
-    record["p_trace"][members, row] = bank.P.diagonal(axis1=1, axis2=2).reshape(-1, 5, 3).sum(axis=2)
+    traces = bank.P.diagonal(axis1=1, axis2=2).reshape(-1, 5, 3).sum(axis=2)
+    values = {"att": x.att, "vel": x.vel, "pos": x.pos, "p_trace": traces}
+    for name, store in stores.items():
+        store[members, row] = values[name]
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from .ins import EARTH_RADIUS, G0, EarthModel, NavState
 from .sensors import Observation, stack_observations
 
 DEG = np.pi / 180.0
+BANK_ROWS = 1 << 16  # member-rows of one Monte Carlo bank's record (members x IMU rows)
 
 
 @dataclass(frozen=True)
@@ -462,59 +463,73 @@ def run_scenario(cfg: ScenarioConfig, variant: str) -> tuple[FilterRun, dict]:
     instead of raising.  The filter runs as a bank of one.
     """
     sc = synthesize(cfg)
-    return next(_run_bank(cfg, variant, sc.earth, sc.truth, sc.imu, sc.gnss + sc.odo, sc.x0.select(None), sc.p0[None]))
+    fs = _bank_filter(cfg, variant, sc.earth, sc.imu.dt, sc.x0.select(None), sc.p0[None])
+    (run,) = run_filter(fs, sc.imu, sc.gnss + sc.odo)
+    return run, _score(cfg, variant, run, sc.truth)
 
 
-def _run_bank(cfg, variant, earth, truth, imu, observations, x0, p0):
-    """Run a bank of one variant's filters in lockstep from the initial
+def _bank_filter(cfg, variant, earth, dt, x0, p0) -> FilterState:
+    """The bank of one variant's filters that starts from the initial
     estimates ``x0`` (a bank) with additive covariances ``p0`` (N, 15, 15)
-    over one truth and time grid; the (run, metrics) of each member, scored
-    as it is read."""
+    and steps by ``dt``."""
     param, strategy = variant_config(variant)
     a0 = relation_matrix(ErrorParam.ADDITIVE_EKF, param, x0, earth)
-    fs = FilterState(
+    return FilterState(
         x0, a0 @ p0 @ a0.swapaxes(-1, -2), param, strategy, cfg.injection_mode(), cfg.imu.qc(), earth,
-        time_tol=0.6 * imu.dt,
+        time_tol=0.6 * dt,
     )
-    return ((run, _score(cfg, variant, run, truth)) for run in run_filter(fs, imu, observations))
+
+
+def _attitude_errors(cfg, run, truth) -> np.ndarray:
+    """A run's rotation-vector attitude errors against the truth over the
+    settling window; the window holds the last row, since the config keeps
+    its start at or before the last sample."""
+    window = run.t >= cfg.settle_time()
+    return lie.so3_log(run.att[window] @ truth.att[window].transpose(0, 2, 1))
+
+
+def _rms_deg(att_err: np.ndarray) -> float:
+    """The total attitude RMSE, in degrees, of rotation-vector errors."""
+    return float(np.sqrt(np.mean(np.sum(att_err**2, axis=1)))) / DEG
 
 
 def _score(cfg, variant, run, truth) -> dict:
     """A run's metrics, from its errors against the truth over the settling
-    window; the window holds the last row, since the config keeps its start
-    at or before the last sample."""
+    window."""
     if run.diverged:
         return {"variant": variant, "diverged": run.diverged}
     window = run.t >= cfg.settle_time()
-    att_err = lie.so3_log(run.att[window] @ truth.att[window].transpose(0, 2, 1))
+    att_err = _attitude_errors(cfg, run, truth)
     return {
         "variant": variant,
         "diverged": None,
         "att_rmse_deg": np.sqrt(np.mean(att_err**2, axis=0)) / DEG,
-        "att_rmse_total_deg": float(np.sqrt(np.mean(np.sum(att_err**2, axis=1)))) / DEG,
+        "att_rmse_total_deg": _rms_deg(att_err),
         "vel_rmse": np.sqrt(np.mean((run.vel[window] - truth.vel[window]) ** 2, axis=0)),
         "pos_rmse": np.sqrt(np.mean((run.pos[window] - truth.pos[window]) ** 2, axis=0)),
         "final_att_err_deg": float(np.linalg.norm(att_err[-1])) / DEG,
     }
 
 
-def _sweep_cell(args):
-    """Mean attitude RMSE per variant over one cell's seeds.  Every seed of
-    a cell shares the truth and the time grid (the synthesis stamps the
-    observations on the IMU grid), so each variant runs all seeds as one
-    bank; a diverged member scores inf."""
-    cfg, yaw_deg, seeds, variants = args
-    cell = replace(cfg, init_att_err_deg=(cfg.init_att_err_deg[0], cfg.init_att_err_deg[1], yaw_deg))
+def _sweep_bank(args):
+    """Total attitude RMSE (members, variants) of one bank of sweep members,
+    each a (yaw error, seed) pair.  Every member of a sweep shares the truth
+    and the time grid (:class:`Trajectory` reads neither the seed nor the
+    initial attitude error, and the synthesis stamps the observations on the
+    IMU grid), so each variant runs the bank in lockstep and records only
+    the attitude; a diverged member scores inf."""
+    cfg, members, variants = args
+    roll, pitch, _ = cfg.init_att_err_deg
     starts, shared = [], {}
 
     def observations():
-        # memory bounds the bank: one seed's scenario at a time is
+        # memory bounds the bank: one member's scenario at a time is
         # synthesized, and only its IMU rates, initial estimate and
         # observations (which stack_observations consumes) are kept
-        for i, seed in enumerate(seeds):
-            sc = synthesize(replace(cell, seed=seed))
+        for i, (yaw, seed) in enumerate(members):
+            sc = synthesize(replace(cfg, seed=seed, init_att_err_deg=(roll, pitch, yaw)))
             if not shared:
-                rates = (len(seeds),) + sc.imu.gyro.shape
+                rates = (len(members),) + sc.imu.gyro.shape
                 imu = ImuStream(sc.imu.t, np.empty(rates), np.empty(rates), sc.imu.dt)
                 shared.update(earth=sc.earth, truth=sc.truth, imu=imu)
             shared["imu"].gyro[i], shared["imu"].accel[i] = sc.imu.gyro, sc.imu.accel
@@ -527,13 +542,14 @@ def _sweep_cell(args):
     x0, p0 = zip(*starts)
     x0, p0 = NavState.stack(x0), np.stack(p0)
     earth, truth, imu = shared["earth"], shared["truth"], shared["imu"]
-    rows = np.zeros((len(seeds), len(variants)))
+    scores = np.empty((len(members), len(variants)))
     for j, variant in enumerate(variants):
-        rows[:, j] = [
-            np.inf if metrics["diverged"] else metrics["att_rmse_total_deg"]
-            for _, metrics in _run_bank(cell, variant, earth, truth, imu, observations, x0, p0)
+        fs = _bank_filter(cfg, variant, earth, imu.dt, x0, p0)
+        scores[:, j] = [
+            np.inf if run.diverged else _rms_deg(_attitude_errors(cfg, run, truth))
+            for run in run_filter(fs, imu, observations, record=("att",))
         ]
-    return rows.mean(axis=0)
+    return scores
 
 
 @dataclass
@@ -549,21 +565,30 @@ def monte_carlo_sweep(
     """Attitude RMSE per initial-yaw-error cell, averaged over seeds.
 
     Cell seeds are derived deterministically from the base seed and the cell
-    index, so results do not depend on the execution order or on ``jobs``.
+    index.  The sweep's members, one per (cell, seed) in cell order, run in
+    the fewest banks whose records hold at most :data:`BANK_ROWS`
+    member-rows (members x IMU rows, the initial state included; one member
+    at least), as equal in size as they can be.  Each bank synthesizes its
+    members, runs every variant on them with an attitude-only record and
+    scores each member.  ``jobs > 1`` runs the banks in a process pool.  A member gets the bits
+    of its own :func:`run_scenario` in any bank, so results depend neither
+    on the split nor on ``jobs``.
     """
     yaw_grid = np.asarray(list(yaw_grid_deg), dtype=float)
     if yaw_grid.size == 0:
         raise ValueError("yaw grid must not be empty")
     if n_seeds < 1:
         raise ValueError(f"a sweep needs at least one seed per cell, got {n_seeds}")
-    tasks = [
-        (cfg, yaw, [cfg.seed ^ (cell << 16) ^ s for s in range(n_seeds)], tuple(variants))
-        for cell, yaw in enumerate(yaw_grid)
-    ]
+    variants = tuple(variants)
+    members = [(yaw, cfg.seed ^ (cell << 16) ^ s) for cell, yaw in enumerate(yaw_grid.tolist()) for s in range(n_seeds)]
+    rows = round(cfg.duration * cfg.imu_rate) + 1
+    count = -(-len(members) // max(1, BANK_ROWS // rows))
+    bounds = [b * len(members) // count for b in range(count + 1)]
+    tasks = [(cfg, members[a:b], variants) for a, b in zip(bounds, bounds[1:])]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_sweep_cell, tasks))
+            scores = list(pool.map(_sweep_bank, tasks))
     else:
-        rows = [_sweep_cell(t) for t in tasks]
-    return SweepResult(yaw_grid, tuple(variants), np.vstack(rows))
-
+        scores = [_sweep_bank(t) for t in tasks]
+    cells = np.vstack(scores).reshape(len(yaw_grid), n_seeds, len(variants))
+    return SweepResult(yaw_grid, variants, cells.mean(axis=1))

@@ -263,7 +263,7 @@ def _series_max_diff(sa, sb) -> float:
     # sqrt(2) reads the relative rotation angle accurately for small angles
     att = np.linalg.norm(sa.att - sb.att, axis=(1, 2)) / np.sqrt(2.0)
     worst = float(att.max())
-    for field in ("vel", "pos", "bg", "ba"):
+    for field in ("vel", "pos"):
         diff = np.linalg.norm(getattr(sa, field) - getattr(sb, field), axis=1)
         worst = max(worst, float(diff.max()))
     return worst

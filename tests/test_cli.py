@@ -176,7 +176,7 @@ class TestRun:
 
             n = 1
             z = np.zeros((n, 3))
-            run = FilterRun(np.zeros(n), np.zeros((n, 3, 3)), z, z, z, z, np.zeros((n, 5)), diverged="boom")
+            run = FilterRun(np.zeros(n), np.zeros((n, 3, 3)), z, z, np.zeros((n, 5)), diverged="boom")
             return run, {"variant": variant, "diverged": "boom"}
 
         monkeypatch.setattr(cli_mod, "run_scenario", fake_run)

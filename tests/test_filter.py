@@ -495,7 +495,7 @@ class TestRunFilter:
         )
         plain = run_filter(simple_filter(), self.samples(), [])
         assert updates == [] and run.diverged is None
-        for name in ("att", "vel", "pos", "bg", "ba", "p_trace"):
+        for name in ("att", "vel", "pos", "p_trace"):
             np.testing.assert_array_equal(getattr(run, name), getattr(plain, name))
 
     @pytest.mark.parametrize("time_tol", [np.inf, 0.006])
@@ -528,7 +528,7 @@ class TestRunFilter:
         run = run_filter(fs, self.samples(), obs, update=counting)
         default = run_filter(fs, self.samples(), obs)
         assert applied == [0.03, 0.07]
-        for name in ("t", "att", "vel", "pos", "bg", "ba", "p_trace"):
+        for name in ("t", "att", "vel", "pos", "p_trace"):
             assert np.array_equal(getattr(run, name), getattr(default, name)), name
 
     def test_update_argument_sees_a_bank_of_one(self):
@@ -543,6 +543,26 @@ class TestRunFilter:
         run = run_filter(simple_filter(), self.samples(), [gnss(0.03, np.ones(3), 0.2)], update=update)
         assert seen == [((1, 15, 15), (1, 3, 3), (1, 3))]
         assert run.diverged is None and len(run.t) == 11
+
+    @pytest.mark.parametrize("fix", [np.array([0.1, 0.0, 0.0]), np.array([np.inf, 0.0, 0.0])], ids=["ok", "diverges"])
+    def test_record_names_the_recorded_fields(self, fix):
+        # an attitude-only record holds the full record's attitudes, also
+        # for a run that diverges at its fifth step, and None elsewhere
+        obs = [gnss(0.03, np.array([0.0, 0.1, 0.0]), 0.2), gnss(0.05, fix, 0.2)]
+        full = run_filter(correlated_filter(), self.samples(), obs)
+        lean = run_filter(correlated_filter(), self.samples(), obs, record=("att",))
+        assert lean.diverged == full.diverged
+        np.testing.assert_array_equal(lean.t, full.t)
+        np.testing.assert_array_equal(lean.att, full.att)
+        assert lean.vel is None and lean.pos is None and lean.p_trace is None
+
+    @pytest.mark.parametrize("record", [("att", "bg"), ("ba",), ("attitude",)])
+    def test_unknown_record_field_rejected(self, record):
+        obs = [gnss(0.03, np.ones(3), 0.2)]
+        with pytest.raises(ValueError, match="cannot record"):
+            run_filter(
+                simple_filter(), self.samples(), obs, lambda before, after: pytest.fail("updated"), record=record
+            )
 
     def test_run_fields_are_the_recorded_arrays(self):
         # the divergence message is an attribute outside the fields, so a
@@ -625,7 +645,7 @@ class TestFilterBank:
     grids, against a run of each member alone: the same bits."""
 
     SEEDS = (3, 4, 5)
-    FIELDS = ("t", "att", "vel", "pos", "bg", "ba", "p_trace")
+    FIELDS = ("t", "att", "vel", "pos", "p_trace")
 
     @staticmethod
     def _members(variant, seeds=SEEDS, injection="retraction"):

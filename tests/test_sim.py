@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 import cteskf
-from cteskf import lie
+from cteskf import lie, sim
 from cteskf.errorstate import ErrorParam, relation_matrix
-from cteskf.filter import mechanize_sequence, propagate_covariance_sequence
+from cteskf.filter import mechanize_sequence, propagate_covariance_sequence, run_filter
 from cteskf.ins import NavState
 from cteskf.sim import (
     AVIATION_IMU,
@@ -350,20 +350,63 @@ class TestMonteCarloSweep:
         "sensors", [dict(use_odo=True), dict(use_gnss=False, use_odo=False)], ids=["gnss-odo", "unaided"]
     )
     def test_cell_bank_equals_solo_runs(self, sensors):
-        # a cell runs its seeds as one bank per variant, and every member
-        # gets the bits of its own run_scenario
+        # one bank holds the members of both cells, and every member gets
+        # the bits of its own run_scenario
         cfg = small_cfg(duration=4.0, imu_rate=50.0, init_att_err_deg=(30.0, 30.0, 0.0), **sensors)
         variants = ("ekf", "l-inekf", "ct-ekf")
-        result = monte_carlo_sweep(cfg, [90.0], 3, variants=variants)
-        solo = [
-            [run_scenario(replace(cfg, seed=cfg.seed ^ s, init_att_err_deg=(30.0, 30.0, 90.0)), v)[1]["att_rmse_total_deg"]
-             for v in variants]
-            for s in range(3)
-        ]
-        np.testing.assert_array_equal(result.rmse_deg[0], np.mean(solo, axis=0))
+        grid = [90.0, -60.0]
+        result = monte_carlo_sweep(cfg, grid, 3, variants=variants)
+        for cell, yaw in enumerate(grid):
+            solo = [
+                [run_scenario(replace(cfg, seed=cfg.seed ^ (cell << 16) ^ s, init_att_err_deg=(30.0, 30.0, yaw)), v)[1]
+                 ["att_rmse_total_deg"] for v in variants]
+                for s in range(3)
+            ]
+            np.testing.assert_array_equal(result.rmse_deg[cell], np.mean(solo, axis=0))
 
-    def test_parallel_matches_serial(self):
+    @staticmethod
+    def bank_calls(monkeypatch):
+        """Wrap sim.run_filter; the (members, record rows, record) of each
+        call."""
+        calls = []
+
+        def spy(fs, imu, observations, *args, **kwargs):
+            calls.append((len(fs.P), len(imu.t) + 1, kwargs.get("record")))
+            return run_filter(fs, imu, observations, *args, **kwargs)
+
+        monkeypatch.setattr(sim, "run_filter", spy)
+        return calls
+
+    @pytest.mark.parametrize("per_bank, sizes", [(0, [1] * 6), (2, [2, 2, 2]), (4, [3, 3]), (6, [6])])
+    def test_bank_split_keeps_every_bit(self, monkeypatch, per_bank, sizes):
+        # the sweep's six members run in the fewest banks of at most
+        # per_bank members (one at least), as equal in size as they can be,
+        # and the split leaves the cell means bit for bit
+        cfg = small_cfg(duration=2.0, imu_rate=50.0, use_odo=True, init_att_err_deg=(30.0, 30.0, 0.0))
+        variants = ("ekf", "ct-ekf")
+        one_bank = monte_carlo_sweep(cfg, [120.0, -30.0], 3, variants=variants)
+        rows = 101
+        monkeypatch.setattr(sim, "BANK_ROWS", per_bank * rows + rows // 2)
+        calls = self.bank_calls(monkeypatch)
+        split = monte_carlo_sweep(cfg, [120.0, -30.0], 3, variants=variants)
+        assert [members for members, _, _ in calls[:: len(variants)]] == sizes
+        assert {record_rows for _, record_rows, _ in calls} == {rows}
+        assert split.rmse_deg.tobytes() == one_bank.rmse_deg.tobytes()
+
+    def test_sweep_records_attitude_only_within_bank_rows(self, monkeypatch):
+        # the memory policy: every run of a sweep records the attitude only
+        # and holds at most BANK_ROWS member-rows
+        calls = self.bank_calls(monkeypatch)
+        monte_carlo_sweep(small_cfg(duration=2.0, imu_rate=50.0), [0.0, 90.0], 2, variants=("ekf", "ct-ekf"))
+        assert len(calls) == 2
+        for members, record_rows, record in calls:
+            assert record == ("att",)
+            assert members * record_rows <= sim.BANK_ROWS
+
+    def test_parallel_matches_serial(self, monkeypatch):
+        # two members per bank: the pool maps over two banks
         cfg = small_cfg(duration=5.0, imu_rate=50.0, init_att_err_deg=(10.0, 10.0, 0.0))
+        monkeypatch.setattr(sim, "BANK_ROWS", 2 * 251)
         grid = [-30.0, 30.0]
         serial = monte_carlo_sweep(cfg, grid, 2, variants=("ekf", "ct-ekf"), jobs=1)
         parallel = monte_carlo_sweep(cfg, grid, 2, variants=("ekf", "ct-ekf"), jobs=2)
