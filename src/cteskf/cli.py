@@ -182,6 +182,10 @@ def cmd_sweep(args) -> int:
     yaw_step = _get(cfg, "sweep.yaw_step_deg", 30.0, float)
     n_seeds = _get(cfg, "sweep.seeds", 10, int)
     _reject_leftovers(cfg, ())
+    if not np.isfinite([yaw_min, yaw_max, yaw_step]).all():
+        raise ConfigError(
+            f"sweep grid must be finite: yaw_min_deg={yaw_min}, yaw_max_deg={yaw_max}, yaw_step_deg={yaw_step}"
+        )
     if yaw_step <= 0 or yaw_max < yaw_min:
         raise ConfigError("sweep grid is empty or inverted")
     if n_seeds < 1:

@@ -285,9 +285,9 @@ def run_filter(fs: FilterState, imu, observations, on_update=None, update=None, 
     sample are never applied, and one stamped before the initial time plus
     dt/2 raises ``ValueError`` before the first step.  The members of a bank
     share the observation grid: an observation's ``value`` and ``sigma`` are
-    shared, or hold one row per member
-    (:func:`cteskf.sensors.stack_observations`); another number of rows
-    raises ``ValueError`` before the first step.
+    shared, or hold one row per member, as the fixes that
+    :func:`cteskf.sim.synthesize` draws for a bank do; another number of
+    rows raises ``ValueError`` before the first step.
 
     ``update(bank, obs)`` applies one observation to the members still
     running, a bank of one for a single filter, and returns the updated
@@ -555,7 +555,6 @@ def propagate_covariance_sequence(
     qc: np.ndarray,
     earth: EarthModel,
     record_every: int = 0,
-    chunk: int = CHUNK,
 ) -> tuple[np.ndarray, list]:
     """Covariance recursion P <- (I + F dt) P (I + F dt)^T + G Qc G^T dt over a
     precomputed state history, with F and G frozen at each step's pre-step
@@ -563,9 +562,10 @@ def propagate_covariance_sequence(
     step-by-step recursion to rounding.
 
     The steps between snapshots are composed into one transition pair
-    (:func:`_compose`) and applied to P at once; at most ``chunk`` steps are
-    held in memory.  Returns the final covariance and, if record_every > 0,
-    snapshots taken every that many steps (starting at step 0 with P0).  A
+    (:func:`_compose`) and applied to P at once; at most :data:`CHUNK`
+    steps are held in memory.  Returns the final covariance and, if
+    record_every > 0, snapshots taken every that many steps (starting at
+    step 0 with P0).  A
     bank (``p0`` (M, 15, 15), histories as :func:`mechanize_sequence` gives
     them and biases (M, 3)) propagates every member at once.
     """
@@ -576,9 +576,9 @@ def propagate_covariance_sequence(
     history = []
     # segments end on snapshot steps and at chunk ends; without snapshots a
     # chunk is one segment
-    every = record_every or chunk
-    for start in range(0, n, chunk):
-        stop = min(start + chunk, n)
+    every = record_every or CHUNK
+    for start in range(0, n, CHUNK):
+        stop = min(start + CHUNK, n)
         sm = system_matrix(
             param,
             NavState(atts[..., start:stop, :, :], vels[..., start:stop, :], poss[..., start:stop, :]),

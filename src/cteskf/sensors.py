@@ -31,7 +31,8 @@ class Observation:
     wheels (its lateral and vertical channels are zero pseudo-observations).
     ``value`` is the measured 3-vector and ``sigma`` its per-axis standard
     deviations; in a bank either may carry a leading member axis
-    (:func:`stack_observations`)."""
+    (:func:`cteskf.sim.synthesize` draws a bank's fixes with a ``value``
+    (N, 3) and a shared ``sigma``)."""
 
     kind: str
     time: float
@@ -46,35 +47,6 @@ class Observation:
         # a NaN sigma would fail the innovation covariance's eigensolver
         if not np.all((self.sigma > 0.0) & (self.sigma < np.inf)):
             raise ValueError("observation sigma must be positive and finite")
-
-
-def stack_observations(members) -> list:
-    """One observation list for a filter bank from each member's own list:
-    each observation's ``value`` and ``sigma`` gain a leading member axis,
-    as views of one array each.  ``members`` is read once, one list at a
-    time, so it may be a generator that builds them.  The members must
-    observe on one grid: a list of another length, or an observation of
-    another kind or time stamp than member 0's, raises ``ValueError``.
-    Members without observations give an empty list."""
-    grid, values, sigmas = None, [], []
-    for m, own in enumerate(members):
-        stamps = [(obs.kind, obs.time) for obs in own]
-        grid = stamps if grid is None else grid
-        if len(stamps) != len(grid):
-            raise ValueError(f"member {m} has {len(stamps)} observations, member 0 has {len(grid)}")
-        for idx, ((kind, time), (kind0, time0)) in enumerate(zip(stamps, grid)):
-            if kind != kind0 or time != time0:
-                raise ValueError(
-                    f"observation {idx} of member {m} is {kind} at t={time:.6g}, "
-                    f"member 0's is {kind0} at t={time0:.6g}"
-                )
-        values.append(np.array([obs.value for obs in own]).reshape(len(own), 3))
-        sigmas.append(np.array([obs.sigma for obs in own]).reshape(len(own), 3))
-    if grid is None:
-        raise ValueError("a bank needs at least one member")
-    values, sigmas = np.stack(values), np.stack(sigmas)
-    # the last member's observations carry the stacked arrays
-    return [replace(obs, value=values[:, idx], sigma=sigmas[:, idx]) for idx, obs in enumerate(own)]
 
 
 def select_members(obs: Observation, idx) -> Observation:

@@ -19,7 +19,7 @@ from . import lie
 from .errorstate import ErrorParam, InjectionMode, process_noise, relation_matrix
 from .filter import FilterRun, FilterState, Strategy, mixed_sensor_strategy, run_filter
 from .ins import EARTH_RADIUS, G0, EarthModel, NavState
-from .sensors import Observation, stack_observations
+from .sensors import Observation
 
 DEG = np.pi / 180.0
 BANK_ROWS = 1 << 16  # member-rows of one Monte Carlo bank's record (members x IMU rows)
@@ -355,14 +355,21 @@ def synthesize_observations(
     on every ``imu_rate / rate``-th truth sample from ``obs_start_s`` on:
     the true velocity, in the Earth frame or the body frame, plus seeded
     noise of standard deviation ``sigma``, drawn for all fixes at once (the
-    bits of one draw per fix).  A zero ``sigma`` draws nothing and stores a
-    sigma of 1e-12, which keeps every fix's sigma positive."""
-    rng = np.random.default_rng(seed)
+    bits of one draw per fix).  A list of seeds, one per member of a filter
+    bank, gives each fix one ``value`` (N, 3), whose row i holds the bits
+    that seed i gives alone, and a shared ``sigma``.  A zero ``sigma``
+    draws nothing and stores a sigma of 1e-12, which keeps every fix's
+    sigma positive."""
     idx = np.arange(int(round(cfg.obs_start_s * cfg.imu_rate)), len(truth.t), int(round(cfg.imu_rate / rate)))
-    values = truth.vel[idx] if kind == "gnss_vel" else lie.matvec(truth.att[idx].transpose(0, 2, 1), truth.vel[idx])
-    values = values + (rng.normal(scale=sigma, size=(len(idx), 3)) if sigma > 0.0 else 0.0)
+    exact = truth.vel[idx] if kind == "gnss_vel" else lie.matvec(truth.att[idx].transpose(0, 2, 1), truth.vel[idx])
+    bank = isinstance(seed, list)
+    values = np.stack(
+        [exact + (np.random.default_rng(s).normal(scale=sigma, size=exact.shape) if sigma > 0.0 else 0.0)
+         for s in (seed if bank else [seed])],
+        axis=1,
+    )
     sigmas = np.full((len(idx), 3), max(sigma, 1e-12))
-    return [Observation(kind, t, v, s) for t, v, s in zip(truth.t[idx], values, sigmas)]
+    return [Observation(kind, t, v if bank else v[0], s) for t, v, s in zip(truth.t[idx], values, sigmas)]
 
 
 VARIANTS = ("ekf", "l-inekf", "r-inekf", "ct-ekf", "sw-ekf")
@@ -412,10 +419,10 @@ def initial_estimate(cfg: ScenarioConfig, truth0: NavState, rng) -> tuple[NavSta
 
 @dataclass
 class Scenario:
-    """A config's synthesized inputs: the Earth model, the truth, the IMU
-    stream, the GNSS and odometry observations (empty when the sensor is
-    disabled) and the initial estimate with its additive-parameterization
-    covariance."""
+    """A config's synthesized inputs, or a filter bank's (see
+    :func:`synthesize`): the Earth model, the truth, the IMU stream, the
+    GNSS and odometry observations (empty when the sensor is disabled) and
+    the initial estimate with its additive-parameterization covariance."""
 
     earth: EarthModel
     truth: TruthSeries
@@ -426,7 +433,7 @@ class Scenario:
     p0: np.ndarray
 
 
-def synthesize(cfg: ScenarioConfig) -> Scenario:
+def synthesize(cfg: ScenarioConfig, members=None) -> Scenario:
     """Synthesize everything a run of ``cfg`` consumes.
 
     This is the one place that derives the seed streams: the IMU, GNSS and
@@ -434,24 +441,46 @@ def synthesize(cfg: ScenarioConfig) -> Scenario:
     ``cfg.seed`` (``SeedSequence([seed, 1 | 2 | 3 | 0xC0FFEE])``).  Runs of
     one config therefore see the same inputs, and enabling a sensor leaves
     the other draws unchanged.
+
+    ``members`` lists the (initial yaw error, seed) pairs of a filter bank.
+    The bank shares the truth, the IMU grid and the observation grid
+    (:class:`Trajectory` reads neither the seed nor the initial attitude
+    error), so the truth is generated once.  Member i gets the bits of
+    ``synthesize(replace(cfg, seed=seed_i, init_att_err_deg=(roll, pitch,
+    yaw_i)))``: its IMU rates are row i of ``imu.gyro``/``imu.accel`` (N, n,
+    3), which carry no bias truth; each fix is one :class:`Observation`
+    whose ``value`` is (N, 3) and whose ``sigma`` (3,) is shared; ``x0`` is
+    a bank and ``p0`` (N, 15, 15).
     """
     earth = cfg.earth()
     truth = generate_truth(cfg, earth)
-    imu = synthesize_imu(truth, cfg.imu, cfg, earth, np.random.SeedSequence([cfg.seed, 1]))
-    gnss = (
-        synthesize_observations(
-            truth, "gnss_vel", cfg.gnss_sigma, cfg.gnss_rate, cfg, np.random.SeedSequence([cfg.seed, 2])
-        )
-        if cfg.use_gnss
-        else []
-    )
-    odo = (
-        synthesize_observations(truth, "odo", cfg.odo_sigma, cfg.odo_rate, cfg, np.random.SeedSequence([cfg.seed, 3]))
-        if cfg.use_odo
-        else []
-    )
-    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0xC0FFEE]))
-    x0, p0 = initial_estimate(cfg, truth.state(0), rng)
+    roll, pitch, _ = cfg.init_att_err_deg
+    configs = [cfg] if members is None else [
+        replace(cfg, seed=seed, init_att_err_deg=(roll, pitch, yaw)) for yaw, seed in members
+    ]
+
+    def observations(kind: str, sigma: float, rate: float, stream: int) -> list:
+        seeds = [np.random.SeedSequence([c.seed, stream]) for c in configs]
+        return synthesize_observations(truth, kind, sigma, rate, cfg, seeds[0] if members is None else seeds)
+
+    gnss = observations("gnss_vel", cfg.gnss_sigma, cfg.gnss_rate, 2) if cfg.use_gnss else []
+    odo = observations("odo", cfg.odo_sigma, cfg.odo_rate, 3) if cfg.use_odo else []
+    x0, p0 = zip(*(
+        initial_estimate(c, truth.state(0), np.random.default_rng(np.random.SeedSequence([c.seed, 0xC0FFEE])))
+        for c in configs
+    ))
+    # the members' IMU streams, bias truth included, are drawn one at a time
+    # and only their rates kept
+    imus = (synthesize_imu(truth, c.imu, c, earth, np.random.SeedSequence([c.seed, 1])) for c in configs)
+    if members is None:
+        (imu,) = imus
+        x0, p0 = x0[0], p0[0]
+    else:
+        rates = (len(members), len(truth.t) - 1, 3)
+        imu = ImuStream(truth.t[1:].copy(), np.empty(rates), np.empty(rates), 1.0 / cfg.imu_rate)
+        for i, own in enumerate(imus):
+            imu.gyro[i], imu.accel[i] = own.gyro, own.accel
+        x0, p0 = NavState.stack(x0), np.stack(p0)
     return Scenario(earth, truth, imu, gnss, odo, x0, p0)
 
 
@@ -463,20 +492,20 @@ def run_scenario(cfg: ScenarioConfig, variant: str) -> tuple[FilterRun, dict]:
     instead of raising.  The filter runs as a bank of one.
     """
     sc = synthesize(cfg)
-    fs = _bank_filter(cfg, variant, sc.earth, sc.imu.dt, sc.x0.select(None), sc.p0[None])
-    (run,) = run_filter(fs, sc.imu, sc.gnss + sc.odo)
+    (run,) = run_filter(_bank_filter(cfg, variant, sc), sc.imu, sc.gnss + sc.odo)
     return run, _score(cfg, variant, run, sc.truth)
 
 
-def _bank_filter(cfg, variant, earth, dt, x0, p0) -> FilterState:
-    """The bank of one variant's filters that starts from the initial
-    estimates ``x0`` (a bank) with additive covariances ``p0`` (N, 15, 15)
-    and steps by ``dt``."""
+def _bank_filter(cfg: ScenarioConfig, variant: str, sc: Scenario) -> FilterState:
+    """The bank of one variant's filters that starts from the scenario's
+    initial estimates, a bank of one for a single scenario, and steps by
+    its IMU's ``dt``."""
     param, strategy = variant_config(variant)
-    a0 = relation_matrix(ErrorParam.ADDITIVE_EKF, param, x0, earth)
+    x0, p0 = (sc.x0.select(None), sc.p0[None]) if sc.p0.ndim == 2 else (sc.x0, sc.p0)
+    a0 = relation_matrix(ErrorParam.ADDITIVE_EKF, param, x0, sc.earth)
     return FilterState(
-        x0, a0 @ p0 @ a0.swapaxes(-1, -2), param, strategy, cfg.injection_mode(), cfg.imu.qc(), earth,
-        time_tol=0.6 * dt,
+        x0, a0 @ p0 @ a0.swapaxes(-1, -2), param, strategy, cfg.injection_mode(), cfg.imu.qc(), sc.earth,
+        time_tol=0.6 * sc.imu.dt,
     )
 
 
@@ -513,41 +542,17 @@ def _score(cfg, variant, run, truth) -> dict:
 
 def _sweep_bank(args):
     """Total attitude RMSE (members, variants) of one bank of sweep members,
-    each a (yaw error, seed) pair.  Every member of a sweep shares the truth
-    and the time grid (:class:`Trajectory` reads neither the seed nor the
-    initial attitude error, and the synthesis stamps the observations on the
-    IMU grid), so each variant runs the bank in lockstep and records only
-    the attitude; a diverged member scores inf."""
+    each a (yaw error, seed) pair: the bank is synthesized on one truth
+    (:func:`synthesize`), each variant runs it in lockstep and records only
+    the attitude, and each member is scored; a diverged member scores inf."""
     cfg, members, variants = args
-    roll, pitch, _ = cfg.init_att_err_deg
-    starts, shared = [], {}
-
-    def observations():
-        # memory bounds the bank: one member's scenario at a time is
-        # synthesized, and only its IMU rates, initial estimate and
-        # observations (which stack_observations consumes) are kept
-        for i, (yaw, seed) in enumerate(members):
-            sc = synthesize(replace(cfg, seed=seed, init_att_err_deg=(roll, pitch, yaw)))
-            if not shared:
-                rates = (len(members),) + sc.imu.gyro.shape
-                imu = ImuStream(sc.imu.t, np.empty(rates), np.empty(rates), sc.imu.dt)
-                shared.update(earth=sc.earth, truth=sc.truth, imu=imu)
-            shared["imu"].gyro[i], shared["imu"].accel[i] = sc.imu.gyro, sc.imu.accel
-            starts.append((sc.x0, sc.p0))
-            own = sc.gnss + sc.odo
-            del sc
-            yield own
-
-    observations = stack_observations(observations())
-    x0, p0 = zip(*starts)
-    x0, p0 = NavState.stack(x0), np.stack(p0)
-    earth, truth, imu = shared["earth"], shared["truth"], shared["imu"]
+    sc = synthesize(cfg, members)
     scores = np.empty((len(members), len(variants)))
     for j, variant in enumerate(variants):
-        fs = _bank_filter(cfg, variant, earth, imu.dt, x0, p0)
+        # unnamed, a variant's records are freed before the next one runs
         scores[:, j] = [
-            np.inf if run.diverged else _rms_deg(_attitude_errors(cfg, run, truth))
-            for run in run_filter(fs, imu, observations, record=("att",))
+            np.inf if run.diverged else _rms_deg(_attitude_errors(cfg, run, sc.truth))
+            for run in run_filter(_bank_filter(cfg, variant, sc), sc.imu, sc.gnss + sc.odo, record=("att",))
         ]
     return scores
 
@@ -568,11 +573,12 @@ def monte_carlo_sweep(
     index.  The sweep's members, one per (cell, seed) in cell order, run in
     the fewest banks whose records hold at most :data:`BANK_ROWS`
     member-rows (members x IMU rows, the initial state included; one member
-    at least), as equal in size as they can be.  Each bank synthesizes its
-    members, runs every variant on them with an attitude-only record and
-    scores each member.  ``jobs > 1`` runs the banks in a process pool.  A member gets the bits
-    of its own :func:`run_scenario` in any bank, so results depend neither
-    on the split nor on ``jobs``.
+    at least), as equal in size as they can be.  Each bank is synthesized
+    at once (``synthesize(cfg, members)``: one truth, one observation per
+    fix), every variant runs on it with an attitude-only record, and each
+    member is scored.  ``jobs > 1`` runs the banks in a process pool.  A
+    member gets the bits of its own :func:`run_scenario` in any bank, so
+    results depend neither on the split nor on ``jobs``.
     """
     yaw_grid = np.asarray(list(yaw_grid_deg), dtype=float)
     if yaw_grid.size == 0:

@@ -206,6 +206,16 @@ class TestSweep:
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "z")]) == 2
         assert not (tmp_path / "z").exists()
 
+    @pytest.mark.parametrize("key, value", [("yaw_min_deg", "nan"), ("yaw_step_deg", "inf"), ("yaw_max_deg", "inf")])
+    def test_nonfinite_grid_is_a_config_error(self, tmp_path, capsys, key, value):
+        # np.arange would raise on such a grid: the error is reported, not a
+        # traceback
+        cfg = write_cfg(tmp_path, SWEEP_CFG + f"\nsweep.{key} = {value}\n")
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "z")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: sweep grid must be finite") and f"{key}={value}" in err
+        assert not (tmp_path / "z").exists()
+
 
 class TestVerifyCommand:
     def test_fast_battery_passes(self, tmp_path, capsys):

@@ -47,7 +47,7 @@ from cteskf.filter import (
     step_observation,
 )
 from cteskf.ins import EarthModel, ImuSample, NavState, EARTH_RADIUS
-from cteskf.sensors import Observation, stack_observations
+from cteskf.sensors import Observation
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -648,31 +648,40 @@ class TestFilterBank:
     FIELDS = ("t", "att", "vel", "pos", "p_trace")
 
     @staticmethod
-    def _members(variant, seeds=SEEDS, injection="retraction"):
-        """Filter, IMU and observations of each seed of a short GNSS plus
-        odometry scenario at Earth scale."""
-        cfg = sim.ScenarioConfig(
+    def _config(injection="retraction"):
+        """A short GNSS plus odometry scenario at Earth scale."""
+        return sim.ScenarioConfig(
             duration=3.0, radius=100.0, imu_rate=50.0, use_odo=True, gnss_rate=2.0,
             init_att_err_deg=(30.0, 30.0, 100.0), obs_start_s=0.5, injection=injection,
         )
+
+    @staticmethod
+    def _filter(cfg, variant, sc):
+        """The variant's filter, or bank, from a scenario's initial estimate."""
         param, strategy = sim.variant_config(variant)
+        a0 = relation_matrix(EKF, param, sc.x0, sc.earth)
+        return FilterState(
+            sc.x0, a0 @ sc.p0 @ a0.swapaxes(-1, -2), param, strategy, cfg.injection_mode(), cfg.imu.qc(), sc.earth,
+            time_tol=0.6 * sc.imu.dt,
+        )
+
+    @classmethod
+    def _members(cls, variant, seeds=SEEDS, injection="retraction"):
+        """Filter, IMU and observations of each seed's solo scenario."""
+        cfg = cls._config(injection)
         members = []
         for seed in seeds:
             sc = sim.synthesize(replace(cfg, seed=seed))
-            a0 = relation_matrix(EKF, param, sc.x0, sc.earth)
-            fs = FilterState(
-                sc.x0, a0 @ sc.p0 @ a0.T, param, strategy, cfg.injection_mode(), cfg.imu.qc(), sc.earth,
-                time_tol=0.6 * sc.imu.dt,
-            )
-            members.append((fs, sc.imu, sc.gnss + sc.odo))
+            members.append((cls._filter(cfg, variant, sc), sc.imu, sc.gnss + sc.odo))
         return members
 
-    @staticmethod
-    def _bank(members):
-        filters, imus, observations = zip(*members)
-        fs = replace(filters[0], x=NavState.stack([f.x for f in filters]), P=np.stack([f.P for f in filters]))
-        imu = sim.ImuStream(imus[0].t, np.stack([i.gyro for i in imus]), np.stack([i.accel for i in imus]), imus[0].dt)
-        return fs, imu, stack_observations(list(observations))
+    @classmethod
+    def _bank(cls, variant, seeds=SEEDS, injection="retraction"):
+        """Filter bank, IMU and observations of the seeds' members, drawn at
+        once by synthesize(cfg, members)."""
+        cfg = cls._config(injection)
+        sc = sim.synthesize(cfg, [(cfg.init_att_err_deg[2], seed) for seed in seeds])
+        return cls._filter(cfg, variant, sc), sc.imu, sc.gnss + sc.odo
 
     def _assert_solo(self, run, member):
         fs, imu, observations = member
@@ -685,7 +694,7 @@ class TestFilterBank:
     @pytest.mark.parametrize("variant", sim.VARIANTS)
     def test_bank_equals_solo_runs(self, variant):
         members = self._members(variant)
-        fs, imu, observations = self._bank(members)
+        fs, imu, observations = self._bank(variant)
         runs = run_filter(fs, imu, observations)
         assert len(runs) == len(members)
         for run, member in zip(runs, members):
@@ -695,8 +704,8 @@ class TestFilterBank:
     @pytest.mark.parametrize("variant", sim.VARIANTS)
     def test_nonfinite_gyro_ends_only_its_member(self, variant):
         members = self._members(variant)
-        members[1][1].gyro[61, 2] = np.nan  # the step that ends at t=1.24
-        fs, imu, observations = self._bank(members)
+        fs, imu, observations = self._bank(variant)
+        members[1][1].gyro[61, 2] = imu.gyro[1, 61, 2] = np.nan  # the step that ends at t=1.24
         runs = run_filter(fs, imu, observations)
         param = sim.variant_config(variant)[0]
         assert runs[1].diverged == f"state or covariance became non-finite at t=1.240 ({param.value})"
@@ -719,11 +728,12 @@ class TestFilterBank:
     def test_nonfinite_observation_ends_only_its_member(self, variant, bad, injection, kind, vel, message):
         # the members left after a failed update apply the same observation
         members = self._members(variant, injection=injection)
+        fs, imu, stacked = self._bank(variant, injection=injection)
         observations = members[bad][2]
         idx = next(i for i, o in enumerate(observations) if o.kind == kind and o.time > 2.0)
         obs = observations[idx]
         observations[idx] = replace(obs, value=np.array(vel))
-        fs, imu, stacked = self._bank(members)
+        stacked[idx].value[bad] = vel
         runs = run_filter(fs, imu, stacked)
         expected = f"{message} from the {kind} observation at t={obs.time:.3f}"
         assert [run.diverged for run in runs] == [expected if i == bad else None for i in range(len(runs))]
@@ -731,23 +741,11 @@ class TestFilterBank:
             self._assert_solo(run, member)
 
     def test_members_must_share_the_observation_grid(self):
-        lists = [member[2] for member in self._members("ekf")]
-        moved = list(lists[1])
-        moved[3] = replace(moved[3], time=moved[3].time + 0.02)
-        with pytest.raises(ValueError, match="observation 3 of member 1 is"):
-            stack_observations([lists[0], moved, lists[2]])
-        swapped = list(lists[2])
-        idx = next(i for i, o in enumerate(swapped) if o.kind == "odo")
-        odo = swapped[idx]
-        swapped[idx] = replace(odo, kind="gnss_vel")
-        with pytest.raises(ValueError, match=f"observation {idx} of member 2 is gnss_vel"):
-            stack_observations([lists[0], lists[1], swapped])
-        with pytest.raises(ValueError, match="member 1 has"):
-            stack_observations([lists[0], lists[1][:-1], lists[2]])
-        # observations stacked for two members do not fit a bank of three
-        fs, imu, _ = self._bank(self._members("ekf"))
+        # observations drawn for two members do not fit a bank of three
+        fs, imu, _ = self._bank("ekf")
+        _, _, observations = self._bank("ekf", seeds=self.SEEDS[:2])
         with pytest.raises(ValueError, match="member rows"):
-            run_filter(fs, imu, stack_observations(lists[:2]), lambda before, after: pytest.fail("updated"))
+            run_filter(fs, imu, observations, lambda before, after: pytest.fail("updated"))
 
     @pytest.mark.parametrize("variant", ["ekf", "r-inekf", "ct-ekf"])
     def test_bank_matches_solo_runs_across_segment_boundaries(self, variant, monkeypatch):
@@ -755,7 +753,7 @@ class TestFilterBank:
         # and a bank of three propagates its covariances one step per call
         monkeypatch.setattr(kf, "CHUNK", 4)
         members = self._members(variant)
-        fs, imu, observations = self._bank(members)
+        fs, imu, observations = self._bank(variant)
         for run, member in zip(run_filter(fs, imu, observations), members):
             assert run.diverged is None
             self._assert_solo(run, member)
@@ -850,23 +848,23 @@ class TestBatchHelpers:
         return out
 
     @pytest.mark.parametrize("param", [EKF, LEFT, RIGHT])
-    def test_covariance_sequence_matches_stepwise(self, param):
+    def test_covariance_sequence_matches_stepwise(self, param, monkeypatch):
         qc = process_noise(1e-8, 1e-6, 1e-15, 1e-13)
         # one chunk; then an odd step count over chunks of 12 whose last one
         # holds 11 steps, so the composition folds odd leftovers at several levels
         for n, chunk in ((200, 1024), (203, 12)):
+            monkeypatch.setattr(kf, "CHUNK", chunk)
             earth, x0, gyro, accel, dt = self._earth_scale_run(n)
             atts, vels, poss = mechanize_sequence(x0, gyro, accel, dt, earth)
             p0 = default_p0(x0.att, np.radians([5.0, 5.0, 10.0]))
             a = relation_matrix(EKF, param, x0, earth)
             p_fast, _ = propagate_covariance_sequence(
-                param, a @ p0 @ a.T, atts, vels, poss, gyro, accel, np.zeros(3), np.zeros(3), dt, qc, earth,
-                chunk=chunk,
+                param, a @ p0 @ a.T, atts, vels, poss, gyro, accel, np.zeros(3), np.zeros(3), dt, qc, earth
             )
             p_step = self._stepwise_covariances(param, a @ p0 @ a.T, x0, gyro, accel, dt, qc, earth)[-1]
             np.testing.assert_allclose(p_fast, p_step, rtol=1e-10, atol=1e-12 * np.abs(p_step).max())
 
-    def test_covariance_sequence_recording(self):
+    def test_covariance_sequence_recording(self, monkeypatch):
         earth = quiet_earth()
         n, dt = 100, 0.01
         gyro = np.zeros((n, 3))
@@ -890,9 +888,10 @@ class TestBatchHelpers:
             a = relation_matrix(EKF, param, x0, earth)
             stepwise = self._stepwise_covariances(param, a @ p0 @ a.T, x0, gyro, accel, dt, qc, earth)
             for every, chunk in ((50, 1024), (30, 16), (7, 16)):
+                monkeypatch.setattr(kf, "CHUNK", chunk)
                 _, history = propagate_covariance_sequence(
                     param, a @ p0 @ a.T, atts, vels, poss, gyro, accel, np.zeros(3), np.zeros(3), dt, qc, earth,
-                    record_every=every, chunk=chunk,
+                    record_every=every,
                 )
                 expected = stepwise[::every]
                 assert len(history) == len(expected) == n // every + 1

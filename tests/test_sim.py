@@ -403,6 +403,31 @@ class TestMonteCarloSweep:
             assert record == ("att",)
             assert members * record_rows <= sim.BANK_ROWS
 
+    def test_one_truth_and_one_observation_per_fix_per_bank(self, monkeypatch):
+        # three banks of two members: each bank generates the truth once and
+        # builds one observation per fix, whatever its size
+        cfg = small_cfg(duration=2.0, imu_rate=50.0, use_odo=True)
+        sc = synthesize(cfg)
+        fixes = len(sc.gnss) + len(sc.odo)
+        truths, observations = [], []
+
+        def truth_spy(*args):
+            truths.append(args)
+            return generate_truth(*args)
+
+        class CountedObservation(sim.Observation):
+            def __post_init__(self):
+                observations.append(self)
+                super().__post_init__()
+
+        monkeypatch.setattr(sim, "generate_truth", truth_spy)
+        monkeypatch.setattr(sim, "Observation", CountedObservation)
+        monkeypatch.setattr(sim, "BANK_ROWS", 2 * 101 + 50)
+        monte_carlo_sweep(cfg, [0.0, 90.0, -90.0], 2, variants=("ekf",))
+        assert len(truths) == 3
+        assert len(observations) == 3 * fixes
+        assert {obs.value.shape for obs in observations} == {(2, 3)}
+
     def test_parallel_matches_serial(self, monkeypatch):
         # two members per bank: the pool maps over two banks
         cfg = small_cfg(duration=5.0, imu_rate=50.0, init_att_err_deg=(10.0, 10.0, 0.0))
@@ -439,6 +464,37 @@ class TestSynthesize:
         without, with_odo = synthesize(cfg), synthesize(replace(cfg, use_odo=True))
         assert without.odo == [] and len(with_odo.odo) > 0
         self.assert_same_inputs(without, with_odo, sensors=("gnss",))
+
+    @pytest.mark.parametrize("sigmas", [{}, dict(gnss_sigma=0.0, odo_sigma=0.0)], ids=["noisy", "zero-sigma"])
+    def test_bank_member_gets_its_solo_inputs(self, sigmas):
+        # two yaws and two seeds: member i gets the bits of its own scenario
+        cfg = small_cfg(use_odo=True, init_att_err_deg=(20.0, 10.0, 0.0), **sigmas)
+        members = [(90.0, 7), (-45.0, 7), (90.0, 8), (-45.0, 8)]
+        bank = synthesize(cfg, members)
+        assert bank.imu.gyro.shape == (len(members), len(bank.imu.t), 3) and bank.imu.bias_gyro is None
+        for i, (yaw, seed) in enumerate(members):
+            solo = synthesize(replace(cfg, seed=seed, init_att_err_deg=(20.0, 10.0, yaw)))
+            for name in ("t", "att", "vel", "pos"):
+                assert getattr(bank.truth, name).tobytes() == getattr(solo.truth, name).tobytes(), name
+            assert bank.imu.t.tobytes() == solo.imu.t.tobytes() and bank.imu.dt == solo.imu.dt
+            for name in ("gyro", "accel"):
+                assert getattr(bank.imu, name)[i].tobytes() == getattr(solo.imu, name).tobytes(), name
+            for sensor in ("gnss", "odo"):
+                fixes, own = getattr(bank, sensor), getattr(solo, sensor)
+                assert len(fixes) == len(own) > 0
+                for fix, obs in zip(fixes, own):
+                    assert (fix.kind, fix.time) == (obs.kind, obs.time)
+                    assert fix.value.shape == (len(members), 3) and fix.value[i].tobytes() == obs.value.tobytes()
+                    assert fix.sigma.tobytes() == obs.sigma.tobytes()
+            for name, value in vars(solo.x0).items():
+                got = getattr(bank.x0, name)
+                assert (got[i].tobytes() == value.tobytes()) if name != "time" else got == value, name
+            assert bank.p0[i].tobytes() == solo.p0.tobytes()
+
+    def test_unaided_bank_has_no_observations(self):
+        bank = synthesize(small_cfg(use_gnss=False), [(0.0, 1), (30.0, 2)])
+        assert bank.gnss == [] and bank.odo == []
+        assert bank.imu.gyro.shape == (2, len(bank.imu.t), 3) and bank.p0.shape == (2, 15, 15)
 
     def test_seed_policy_lives_in_sim_only(self):
         # synthesize is the one place that derives the seed streams
