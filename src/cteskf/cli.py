@@ -23,6 +23,8 @@ from .sim import CONSUMER_IMU, VARIANTS, ImuSpec, ScenarioConfig, monte_carlo_sw
 
 log = logging.getLogger("cteskf")
 
+MAX_SWEEP_MEMBERS = 100_000  # cells x seeds of one `cteskf sweep`
+
 
 class ConfigError(ValueError):
     pass
@@ -124,6 +126,8 @@ def variants_from_config(cfg: dict):
     for v in variants:
         if v not in VARIANTS:
             raise ConfigError(f"unknown filter variant {v!r}; expected one of {sorted(VARIANTS)}")
+    if not variants or len(set(variants)) < len(variants):
+        raise ConfigError(f"run.variants must name at least one variant, each once; got {raw!r}")
     return variants
 
 
@@ -190,6 +194,9 @@ def cmd_sweep(args) -> int:
         raise ConfigError("sweep grid is empty or inverted")
     if n_seeds < 1:
         raise ConfigError(f"sweep.seeds must be at least 1, got {n_seeds}")
+    # np.arange's length before it rounds up: at most floor(MAX / seeds) iff the sweep fits
+    if (yaw_max + yaw_step / 2 - yaw_min) / yaw_step > MAX_SWEEP_MEMBERS // n_seeds:
+        raise ConfigError(f"sweep grid x {n_seeds} seeds exceeds {MAX_SWEEP_MEMBERS} members")
     grid = np.arange(yaw_min, yaw_max + yaw_step / 2, yaw_step)
     result = monte_carlo_sweep(scenario, grid, n_seeds, variants=variants, jobs=args.jobs)
     os.makedirs(args.out, exist_ok=True)

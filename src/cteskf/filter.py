@@ -20,9 +20,9 @@ trajectories only under first-order injection, where injecting the
 correction in the target parameterization equals injecting it in the
 filter's own.  Under the default retraction injection they differ.
 
-:func:`run_filter` is the one event loop that drives a filter, or a bank
-that shares one IMU time grid and one observation grid, through its IMU
-samples and observations.  Between two observations it propagates the whole
+:func:`run_filter` is the one event loop: it drives a bank that shares one
+IMU time grid and one observation grid through its IMU samples and
+observations.  Between two observations it propagates the whole
 segment at once with :func:`mechanize_sequence` and
 :func:`propagate_covariance_sequence`, the one strapdown mechanization and
 the one covariance recursion of the package.
@@ -109,7 +109,6 @@ class FilterState:
     injection: InjectionMode = InjectionMode.RETRACTION
     qc: np.ndarray = field(default_factory=lambda: np.zeros((12, 12)))
     earth: EarthModel = field(default_factory=EarthModel)
-    time_tol: float = np.inf
 
     def select(self, idx) -> "FilterState":
         """Index the member axis, as :meth:`cteskf.ins.NavState.select` does."""
@@ -153,7 +152,7 @@ def _innovation(fs: FilterState, obs: Observation) -> np.ndarray:
     """The innovation of ``obs`` at the filter's state.  A non-finite one
     (from a non-finite observation) has no finite correction and ends the
     member's run before K dz is formed."""
-    dz = innovation(fs.x, obs, fs.earth, fs.time_tol)
+    dz = innovation(fs.x, obs)
     if not np.isfinite(dz).all():
         _diverge(
             ~np.isfinite(dz).all(axis=-1),
@@ -266,14 +265,13 @@ class FilterRun:
         self.diverged = diverged
 
 
-# the fields of a FilterRun that run_filter can record, and the shape of one
-# record
+# the FilterRun fields that run_filter can record, and the shape of a record
 _RECORDED = {"att": (3, 3), "vel": (3,), "pos": (3,), "p_trace": (5,)}
 
 
 def run_filter(fs: FilterState, imu, observations, on_update=None, update=None, record=tuple(_RECORDED)):
-    """Drive one filter, or a bank of filters in lockstep, through IMU
-    samples and observations.
+    """Drive a bank of filters in lockstep through IMU samples and
+    observations; a single filter is a bank of one, ``fs.select(None)``.
 
     ``imu`` holds the samples as arrays, as :class:`cteskf.sim.ImuStream`
     does: times ``t`` (n,) and raw rates ``gyro``, ``accel``, (n, 3) shared
@@ -283,19 +281,19 @@ def run_filter(fs: FilterState, imu, observations, on_update=None, update=None, 
     step, every observation stamped at or before that time plus dt/2 is
     applied, in time order (a stable sort); observations after the last
     sample are never applied, and one stamped before the initial time plus
-    dt/2 raises ``ValueError`` before the first step.  The members of a bank
-    share the observation grid: an observation's ``value`` and ``sigma`` are
-    shared, or hold one row per member, as the fixes that
+    dt/2 raises ``ValueError`` before the first step.  So every update sees
+    a state within dt/2 of its stamp, the one observation-time check.  The
+    members share the observation grid: an observation's ``value`` and
+    ``sigma`` are shared or hold one row per member, as the fixes that
     :func:`cteskf.sim.synthesize` draws for a bank do; another number of
     rows raises ``ValueError`` before the first step.
 
     ``update(bank, obs)`` applies one observation to the members still
-    running, a bank of one for a single filter, and returns the updated
-    bank; ``None`` selects :func:`step_observation`, looked up at call time
-    so that a wrapper bound to the module attribute (the benchmark's tracer)
-    sees every update.  ``on_update(before, after)`` receives the filter
-    states around each update, shaped as ``fs`` is: one filter, or the
-    members of the bank still running.
+    running and returns the updated bank; ``None`` selects
+    :func:`step_observation`, looked up at call time so that a wrapper
+    bound to the module attribute (the benchmark's tracer) sees every
+    update.  ``on_update(before, after)`` receives the banks of the members
+    still running around each update.
 
     ``record`` names the :class:`FilterRun` fields to record, of ``att``,
     ``vel``, ``pos`` and ``p_trace`` (``t`` is always recorded); a field it
@@ -309,20 +307,19 @@ def run_filter(fs: FilterState, imu, observations, on_update=None, update=None, 
     calls of at most :data:`CHUNK` member-steps.  A member whose state or
     covariance stops being finite, or whose update raises
     :class:`FilterDivergence`, ends its run at the last step completed
-    before it and leaves the bank; the others run on.  Returns the
-    :class:`FilterRun` of a single filter, or one per member of a bank.
+    before it and leaves the bank; the others run on.  Returns one
+    :class:`FilterRun` per member; a 2-D ``P`` raises ``ValueError``.
     """
     dt = imu.dt
     if not 0.0 < dt <= MAX_DT:
         raise ValueError(f"propagation step dt={dt} s must be positive and at most {MAX_DT} s")
+    if fs.P.ndim != 3:
+        raise ValueError("run_filter runs a bank: pass a single filter as fs.select(None)")
     unknown = set(record) - {f.name for f in fields(FilterRun)}
     if unknown:
         raise ValueError(f"run_filter cannot record {sorted(unknown)}; FilterRun records {['t', *_RECORDED]}")
-    single = fs.P.ndim == 2
-    bank = fs.select(None) if single else fs
-    size = len(bank.P)
-    if update is None:
-        update = step_observation
+    bank, size = fs, len(fs.P)
+    update = update or step_observation
     pending = sorted(observations, key=lambda o: o.time)
     for obs in pending:
         rows = {len(a) for a in (obs.value, obs.sigma) if a.ndim == 2}
@@ -356,25 +353,23 @@ def run_filter(fs: FilterState, imu, observations, on_update=None, update=None, 
         active = active[keep]
         return keep
 
-    _store(stores, slice(None), 0, bank)
+    _store(stores, slice(None), 0, bank.x, _traces(bank.P))
     k = j = 0
     while k < n and len(active):
         stop = min(due[j] + 1, k + CHUNK, n)
-        x = bank.x
+        # a slice indexes a full bank faster than an index array
         members = active if len(active) < size else slice(None)
         seg_gyro, seg_accel = gyro[members, k:stop], accel[members, k:stop]
         # a non-finite input or result is found below and ends its member
         with np.errstate(invalid="ignore", over="ignore"):
-            atts, vels, poss = mechanize_sequence(x, seg_gyro, seg_accel, dt, bank.earth)
+            atts, vels, poss = mechanize_sequence(bank.x, seg_gyro, seg_accel, dt, bank.earth)
             p, traces, finite = _covariances(bank, atts, vels, poss, seg_gyro, seg_accel, dt)
         finite &= np.isfinite(atts[:, 1:]).all(axis=(2, 3))
         finite &= np.isfinite(vels[:, 1:]).all(axis=2) & np.isfinite(poss[:, 1:]).all(axis=2)
         # the segment's rows but its last, which holds the state after the
         # updates that follow it
-        rows = slice(k + 1, stop)
-        values = {"att": atts[:, 1:-1], "vel": vels[:, 1:-1], "pos": poss[:, 1:-1], "p_trace": traces[:, :-1]}
-        for name, store in stores.items():
-            store[members, rows] = values[name]
+        interior = NavState(atts[:, 1:-1], vels[:, 1:-1], poss[:, 1:-1])
+        _store(stores, members, slice(k + 1, stop), interior, traces[:, :-1])
         if not finite.all():
             bad = (k + np.argmin(finite, axis=1)).tolist()
             keep = leave({
@@ -398,16 +393,20 @@ def run_filter(fs: FilterState, imu, observations, on_update=None, update=None, 
                 continue
             j += 1
             if on_update is not None:
-                on_update(*((before.select(0), bank.select(0)) if single else (before, bank)))
+                on_update(before, bank)
         if len(active):
-            _store(stores, active if len(active) < size else slice(None), stop, bank)
+            _store(stores, active if len(active) < size else slice(None), stop, bank.x, _traces(bank.P))
         k = stop
-    runs = [
+    return [
         FilterRun(t[:rows], **{name: stores[name][i, :rows] if name in stores else None for name in _RECORDED},
                   diverged=message)
         for i, (rows, message) in enumerate(ends)
     ]
-    return runs[0] if single else runs
+
+
+def _traces(p: np.ndarray) -> np.ndarray:
+    """The block traces (..., 5) of covariances (..., 15, 15), in state order."""
+    return p.diagonal(axis1=-2, axis2=-1).reshape(p.shape[:-2] + (5, 3)).sum(axis=-1)
 
 
 def _covariances(bank: FilterState, atts, vels, poss, gyro, accel, dt):
@@ -426,18 +425,16 @@ def _covariances(bank: FilterState, atts, vels, poss, gyro, accel, dt):
         )
         ps = np.array(history[1:]).swapaxes(0, 1)
         finite[:, a:b] = np.isfinite(ps).all(axis=(2, 3))
-        traces[:, a:b] = ps.diagonal(axis1=2, axis2=3).reshape(members, b - a, 5, 3).sum(axis=3)
+        traces[:, a:b] = _traces(ps)
     return p, traces, finite
 
 
-def _store(stores: dict, members, row: int, bank: FilterState) -> None:
-    """Record the bank's states and covariance block traces in one row of
-    the recorded fields' arrays."""
-    x = bank.x
-    traces = bank.P.diagonal(axis1=1, axis2=2).reshape(-1, 5, 3).sum(axis=2)
+def _store(stores: dict, members, rows, x: NavState, traces: np.ndarray) -> None:
+    """Write states and covariance block traces into the recorded fields at
+    the bank ``members`` and the record ``rows`` (one row or a range)."""
     values = {"att": x.att, "vel": x.vel, "pos": x.pos, "p_trace": traces}
     for name, store in stores.items():
-        store[members, row] = values[name]
+        store[members, rows] = values[name]
 
 
 # ---------------------------------------------------------------------------

@@ -58,15 +58,10 @@ def select_members(obs: Observation, idx) -> Observation:
     return replace(obs, value=pick(obs.value), sigma=pick(obs.sigma))
 
 
-def innovation(
-    x: NavState, obs: Observation, earth: EarthModel, time_tol: float = np.inf
-) -> np.ndarray:
+def innovation(x: NavState, obs: Observation) -> np.ndarray:
     """Predicted-minus-measured observation at the current estimate; a bank
-    state gives one innovation per member, (..., 3)."""
-    if abs(obs.time - x.time) > time_tol:
-        raise ValueError(
-            f"observation at t={obs.time} does not match filter time t={x.time}"
-        )
+    state gives one innovation per member, (..., 3).  The stamp is not read:
+    :func:`cteskf.filter.run_filter`'s schedule matches it to the state."""
     predicted = x.vel if obs.kind == "gnss_vel" else matvec(x.att.swapaxes(-1, -2), x.vel)
     return predicted - obs.value
 

@@ -23,6 +23,7 @@ from .sensors import Observation
 
 DEG = np.pi / 180.0
 BANK_ROWS = 1 << 16  # member-rows of one Monte Carlo bank's record (members x IMU rows)
+BIAS_CORR_TIME = 3600.0  # s, the correlation time of the bias random walks in ImuSpec.qc
 
 
 @dataclass(frozen=True)
@@ -60,14 +61,14 @@ class ImuSpec:
         """m/s^2."""
         return self.accel_bias_ug * 1e-6 * G0
 
-    def qc(self, bias_corr_time: float = 3600.0) -> np.ndarray:
-        """Continuous 12x12 PSD; bias walks use instability^2 / correlation
-        time as a first-order Gauss-Markov approximation."""
+    def qc(self) -> np.ndarray:
+        """Continuous 12x12 PSD; bias walks use instability^2 /
+        :data:`BIAS_CORR_TIME` as a first-order Gauss-Markov approximation."""
         return process_noise(
             self.gyro_noise_density**2,
             self.accel_noise_density**2,
-            self.gyro_bias_si**2 / bias_corr_time,
-            self.accel_bias_si**2 / bias_corr_time,
+            self.gyro_bias_si**2 / BIAS_CORR_TIME,
+            self.accel_bias_si**2 / BIAS_CORR_TIME,
         )
 
 
@@ -450,8 +451,11 @@ def synthesize(cfg: ScenarioConfig, members=None) -> Scenario:
     yaw_i)))``: its IMU rates are row i of ``imu.gyro``/``imu.accel`` (N, n,
     3), which carry no bias truth; each fix is one :class:`Observation`
     whose ``value`` is (N, 3) and whose ``sigma`` (3,) is shared; ``x0`` is
-    a bank and ``p0`` (N, 15, 15).
+    a bank and ``p0`` (N, 15, 15).  An empty ``members`` raises
+    ``ValueError``.
     """
+    if members is not None and not len(members):
+        raise ValueError("a filter bank needs at least one member")
     earth = cfg.earth()
     truth = generate_truth(cfg, earth)
     roll, pitch, _ = cfg.init_att_err_deg
@@ -498,15 +502,11 @@ def run_scenario(cfg: ScenarioConfig, variant: str) -> tuple[FilterRun, dict]:
 
 def _bank_filter(cfg: ScenarioConfig, variant: str, sc: Scenario) -> FilterState:
     """The bank of one variant's filters that starts from the scenario's
-    initial estimates, a bank of one for a single scenario, and steps by
-    its IMU's ``dt``."""
+    initial estimates, a bank of one for a single scenario."""
     param, strategy = variant_config(variant)
     x0, p0 = (sc.x0.select(None), sc.p0[None]) if sc.p0.ndim == 2 else (sc.x0, sc.p0)
     a0 = relation_matrix(ErrorParam.ADDITIVE_EKF, param, x0, sc.earth)
-    return FilterState(
-        x0, a0 @ p0 @ a0.swapaxes(-1, -2), param, strategy, cfg.injection_mode(), cfg.imu.qc(), sc.earth,
-        time_tol=0.6 * sc.imu.dt,
-    )
+    return FilterState(x0, a0 @ p0 @ a0.swapaxes(-1, -2), param, strategy, cfg.injection_mode(), cfg.imu.qc(), sc.earth)
 
 
 def _attitude_errors(cfg, run, truth) -> np.ndarray:

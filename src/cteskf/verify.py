@@ -285,15 +285,15 @@ def check_first_update_identity(seed=0) -> PropertyResult:
     stream = synthesize(replace(cfg, imu=ImuSpec(1e-15, 1e-15, 1e-15, 1e-15))).imu
 
     def run_bank(equivalent: bool):
-        updates = []  # (before, after) of each filter's update
+        updates = []  # (before, after) of each filter's update, banks of one
         for param in PARAMS:
             a0 = relation_matrix(EKF, param, x0, earth) if equivalent else np.eye(15)
             fs = FilterState(x0.copy(), a0 @ p0 @ a0.T, param, Strategy(), InjectionMode.FIRST_ORDER, cfg.imu.qc(), earth)
-            run = run_filter(fs, stream, [obs], lambda before, after: updates.append((before, after)))
+            (run,) = run_filter(fs.select(None), stream, [obs], lambda before, after: updates.append((before, after)))
             if run.diverged:
                 raise FilterDivergence(run.diverged)
-        x_pred = updates[0][0].x
-        bank = [after for _, after in updates]
+        x_pred = updates[0][0].x.select(0)
+        bank = [after.select(0) for _, after in updates]
         diff = max(state_difference(bank[0].x, f.x) for f in bank[1:])
         resid = 0.0
         for f in bank[1:]:
@@ -345,7 +345,7 @@ def check_switch_ineffectiveness(duration=60.0, tol=1e-12, seed=0) -> PropertyRe
     logs = []
     for update in (None, witness):
         log = []
-        run = run_filter(plain, sc.imu, sc.gnss, lambda before, after: log.append(after), update)
+        (run,) = run_filter(plain.select(None), sc.imu, sc.gnss, lambda _, after: log.append(after.select(0)), update)
         if run.diverged or not log or len(log) < len(sc.gnss):
             detail = run.diverged or f"{len(log)} of {len(sc.gnss)} observations applied"
             return PropertyResult("switch-ineffectiveness", False, np.inf, tol, detail)

@@ -82,15 +82,23 @@ def imu_stream(dt: float, gyro, accel, t0: float = 0.0) -> ImuStream:
     return ImuStream(t0 + dt * np.arange(1, n + 1), gyro, accel, dt, np.zeros((n, 3)), np.zeros((n, 3)))
 
 
+def solo_run(fs: FilterState, samples, observations, on_update=None, **kwargs):
+    """run_filter on one filter as a bank of one: its FilterRun, with
+    ``on_update(before, after)`` seeing the one filter's states."""
+    seen = None if on_update is None else lambda before, after: on_update(before.select(0), after.select(0))
+    (run,) = run_filter(fs.select(None), samples, observations, seen, **kwargs)
+    return run
+
+
 def bank_updates(bank: list[FilterState], samples, observations) -> list:
-    """Run each filter of a bank through run_filter on the same data and pair
-    their update logs: one tuple per observation, holding each filter's
+    """Run each filter of a list through run_filter on the same data and
+    pair their update logs: one tuple per observation, holding each filter's
     (before, after) states.  No run may diverge or leave an observation
     unapplied."""
     logs = []
     for fs in bank:
         log = []
-        run = run_filter(fs, samples, observations, lambda before, after: log.append((before, after)))
+        run = solo_run(fs, samples, observations, lambda before, after: log.append((before, after)))
         assert run.diverged is None, run.diverged
         assert len(log) == len(observations)
         logs.append(log)

@@ -168,6 +168,19 @@ class TestRun:
         assert "settling window" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, text", [("run", RUN_CFG), ("sweep", SWEEP_CFG)], ids=["run", "sweep"])
+    @pytest.mark.parametrize("variants, message", [
+        ("", "got ''"), (",", "got ','"), ("ekf,ekf", "got 'ekf,ekf'"),
+    ])
+    def test_empty_or_repeated_variants_are_a_config_error(self, tmp_path, capsys, command, text, variants, message):
+        # they used to print an empty table, or write an rmse.csv of the yaw
+        # column only, and exit 0
+        cfg = write_cfg(tmp_path, text + f"\nrun.variants = {variants}\n")
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        assert "run.variants must name at least one variant, each once; " + message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_divergence_gives_nonzero_exit(self, tmp_path, monkeypatch):
         import cteskf.cli as cli_mod
 
@@ -215,6 +228,37 @@ class TestSweep:
         err = capsys.readouterr().err
         assert err.startswith("error: sweep grid must be finite") and f"{key}={value}" in err
         assert not (tmp_path / "z").exists()
+
+    @pytest.mark.parametrize(
+        "line", ["sweep.yaw_step_deg = 1e-17", "sweep.yaw_step_deg = 1e-12", "sweep.seeds = 1000000000"]
+    )
+    def test_oversized_sweep_is_a_config_error(self, tmp_path, capsys, monkeypatch, line):
+        # the grid's size is worked out before np.arange builds it: 1e-17
+        # used to raise from np.arange, and 1e-12 asks it for petabytes
+        import cteskf.cli as cli_mod
+
+        monkeypatch.setattr(cli_mod, "monte_carlo_sweep", lambda *args, **kwargs: pytest.fail("swept"))
+        cfg = write_cfg(tmp_path, SWEEP_CFG + f"\n{line}\n")
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "z")]) == 2
+        assert f"exceeds {cli_mod.MAX_SWEEP_MEMBERS} members" in capsys.readouterr().err
+        assert not (tmp_path / "z").exists()
+
+    @pytest.mark.parametrize("yaw_max", ["30", "29"])
+    @pytest.mark.parametrize("seeds, code", [(4, 0), (5, 2)])
+    def test_sweep_size_bound_is_exact(self, tmp_path, monkeypatch, yaw_max, seeds, code):
+        # -30..30 and -30..29 in steps of 30 are both three cells: 3 x 4
+        # members fit a bound of 12, 3 x 5 do not
+        import cteskf.cli as cli_mod
+        from cteskf.sim import SweepResult
+
+        def fake(cfg, grid, n_seeds, variants, jobs):
+            assert len(grid) * n_seeds == 12
+            return SweepResult(grid, variants, np.zeros((len(grid), len(variants))))
+
+        monkeypatch.setattr(cli_mod, "monte_carlo_sweep", fake)
+        monkeypatch.setattr(cli_mod, "MAX_SWEEP_MEMBERS", 12)
+        text = SWEEP_CFG + f"\nsweep.yaw_max_deg = {yaw_max}\nsweep.seeds = {seeds}\n"
+        assert main(["sweep", "--config", write_cfg(tmp_path, text), "--out", str(tmp_path / "z")]) == code
 
 
 class TestVerifyCommand:

@@ -18,6 +18,7 @@ from conftest import (
     imu_stream,
     initial_filter_bank,
     quiet_earth,
+    solo_run,
 )
 
 import cteskf
@@ -128,7 +129,7 @@ def propagated(fs, n=1, dt=0.01):
     seen = []
     imu = imu_stream(dt, np.zeros((n, 3)), np.zeros((n, 3)), fs.x.time)
     last = [gnss(imu.t[-1], np.zeros(3), 0.2)]
-    run_filter(fs, imu, last, lambda before, after: seen.append(after), lambda f, obs: f)
+    solo_run(fs, imu, last, lambda before, after: seen.append(after), update=lambda f, obs: f)
     return seen[0]
 
 
@@ -158,7 +159,7 @@ class TestPropagate:
     def test_nonfinite_covariance_ends_run(self):
         fs = simple_filter()
         fs.P[0, 0] = np.inf
-        run = run_filter(fs, imu_stream(0.01, np.zeros((5, 3)), np.zeros((5, 3))), [])
+        run = solo_run(fs, imu_stream(0.01, np.zeros((5, 3)), np.zeros((5, 3))), [])
         assert run.diverged == "state or covariance became non-finite at t=0.010 (ekf)"
         assert len(run.t) == 1
 
@@ -473,42 +474,71 @@ class TestRunFilter:
     @pytest.mark.parametrize("dt", [0.0, -0.01, 0.75, np.inf, np.nan])
     def test_rejects_bad_dt(self, dt):
         with pytest.raises(ValueError, match="propagation step"):
-            run_filter(simple_filter(), imu_stream(dt, np.zeros((10, 3)), np.zeros((10, 3))), [])
+            solo_run(simple_filter(), imu_stream(dt, np.zeros((10, 3)), np.zeros((10, 3))), [])
 
     def test_observation_at_sample_time_applied_after_that_step(self):
         # observations given out of order are applied in time order, each
         # right after the step that ends at its time stamp
         obs = [gnss(0.07, np.array([0.1, 0.0, 0.0]), 0.2), gnss(0.03, np.array([0.0, 0.1, 0.0]), 0.2)]
         times = []
-        run = run_filter(simple_filter(), self.samples(), obs, lambda before, after: times.append(before.x.time))
+        run = solo_run(simple_filter(), self.samples(), obs, lambda before, after: times.append(before.x.time))
         np.testing.assert_allclose(times, [0.03, 0.07], rtol=0, atol=1e-12)
-        plain = run_filter(simple_filter(), self.samples(), [])
+        plain = solo_run(simple_filter(), self.samples(), [])
         np.testing.assert_array_equal(run.vel[:3], plain.vel[:3])
         assert not np.array_equal(run.vel[3], plain.vel[3])
         np.testing.assert_array_equal(run.t, np.arange(11) * self.DT)
 
     def test_observation_after_last_sample_not_applied(self):
         updates = []
-        run = run_filter(
+        run = solo_run(
             simple_filter(), self.samples(), [gnss(0.2, np.ones(3), 0.2)],
             lambda before, after: updates.append(after),
         )
-        plain = run_filter(simple_filter(), self.samples(), [])
+        plain = solo_run(simple_filter(), self.samples(), [])
         assert updates == [] and run.diverged is None
         for name in ("att", "vel", "pos", "p_trace"):
             np.testing.assert_array_equal(getattr(run, name), getattr(plain, name))
 
-    @pytest.mark.parametrize("time_tol", [np.inf, 0.006])
-    def test_observation_before_first_epoch_rejected(self, time_tol):
+    def test_single_filter_rejected(self):
+        # run_filter takes a bank only, as step_observation does
+        with pytest.raises(ValueError, match=r"fs.select\(None\)"):
+            run_filter(simple_filter(), self.samples(), [], lambda before, after: pytest.fail("updated"))
+
+    def test_every_update_is_within_half_a_step_of_its_stamp(self):
+        # the schedule is the one observation-time check: a fix on a sample,
+        # just under dt/2 after or before one, or at exactly +dt/2 reaches
+        # the state of that sample, also after a member of the bank leaves
+        # (the fourth fix ends member 1); dt is exact in binary, so the bound
+        # is checked without rounding
+        dt, n = 0.125, 12
+        stamps = [
+            2 * dt, 3 * dt, 4 * dt + dt / 2, np.nextafter(5 * dt + dt / 2, -np.inf),
+            np.nextafter(7 * dt - dt / 2, np.inf), 8 * dt, np.nextafter(9 * dt + dt / 2, -np.inf),
+            np.nextafter(11 * dt - dt / 2, np.inf), 11 * dt + dt / 2,
+        ]
+        samples = [2, 3, 4, 5, 7, 8, 9, 11, 11]
+        value = np.zeros((2, 3))
+        value[1, 0] = np.inf
+        obs = [gnss(t, value if i == 3 else np.zeros(3), 0.2) for i, t in enumerate(stamps)]
+        seen = []
+        bank = simple_filter().select(None).select([0, 0])
+        runs = run_filter(
+            bank, imu_stream(dt, np.zeros((n, 3)), np.zeros((n, 3))), obs,
+            lambda before, after: seen.append((len(before.P), before.x.time)),
+        )
+        assert [len(r.t) for r in runs] == [n + 1, 5] and "non-finite correction" in runs[1].diverged
+        assert seen == [(2 if i < 3 else 1, k * dt) for i, k in enumerate(samples)]
+        assert all(abs(time - stamp) <= dt / 2 for (_, time), stamp in zip(seen, stamps))
+
+    def test_observation_before_first_epoch_rejected(self):
         # the first propagated epoch is t=0.01: an observation stamped before
-        # t=0.005 matches no epoch, whatever the filter's time tolerance
+        # t=0.005 matches no epoch
         fs = simple_filter()
-        fs.time_tol = time_tol
         obs = [gnss(0.03, np.zeros(3), 0.2), gnss(0.004, np.ones(3), 0.2)]
         with pytest.raises(ValueError, match=r"gnss_vel observation at t=0\.004 precedes the first propagated epoch"):
-            run_filter(fs, self.samples(), obs, lambda before, after: pytest.fail("updated"))
+            solo_run(fs, self.samples(), obs, lambda before, after: pytest.fail("updated"))
         times = []
-        run_filter(
+        solo_run(
             fs, self.samples(), [gnss(0.005, np.ones(3), 0.2)], lambda before, after: times.append(before.x.time)
         )
         np.testing.assert_allclose(times, [0.01], rtol=0, atol=1e-12)
@@ -525,22 +555,22 @@ class TestRunFilter:
             return step_observation(fs, o)
 
         fs = simple_filter(strategy=mixed_sensor_strategy())
-        run = run_filter(fs, self.samples(), obs, update=counting)
-        default = run_filter(fs, self.samples(), obs)
+        run = solo_run(fs, self.samples(), obs, update=counting)
+        default = solo_run(fs, self.samples(), obs)
         assert applied == [0.03, 0.07]
         for name in ("t", "att", "vel", "pos", "p_trace"):
             assert np.array_equal(getattr(run, name), getattr(default, name)), name
 
     def test_update_argument_sees_a_bank_of_one(self):
         # a custom update of a single filter gets what step_observation
-        # takes, a bank of one, and returns one
+        # takes, the bank of one that run_filter runs, and returns one
         seen = []
 
         def update(bank, o):
             seen.append((bank.P.shape, bank.x.att.shape, bank.x.vel.shape))
             return step_observation(bank, o)
 
-        run = run_filter(simple_filter(), self.samples(), [gnss(0.03, np.ones(3), 0.2)], update=update)
+        run = solo_run(simple_filter(), self.samples(), [gnss(0.03, np.ones(3), 0.2)], update=update)
         assert seen == [((1, 15, 15), (1, 3, 3), (1, 3))]
         assert run.diverged is None and len(run.t) == 11
 
@@ -549,8 +579,8 @@ class TestRunFilter:
         # an attitude-only record holds the full record's attitudes, also
         # for a run that diverges at its fifth step, and None elsewhere
         obs = [gnss(0.03, np.array([0.0, 0.1, 0.0]), 0.2), gnss(0.05, fix, 0.2)]
-        full = run_filter(correlated_filter(), self.samples(), obs)
-        lean = run_filter(correlated_filter(), self.samples(), obs, record=("att",))
+        full = solo_run(correlated_filter(), self.samples(), obs)
+        lean = solo_run(correlated_filter(), self.samples(), obs, record=("att",))
         assert lean.diverged == full.diverged
         np.testing.assert_array_equal(lean.t, full.t)
         np.testing.assert_array_equal(lean.att, full.att)
@@ -560,7 +590,7 @@ class TestRunFilter:
     def test_unknown_record_field_rejected(self, record):
         obs = [gnss(0.03, np.ones(3), 0.2)]
         with pytest.raises(ValueError, match="cannot record"):
-            run_filter(
+            solo_run(
                 simple_filter(), self.samples(), obs, lambda before, after: pytest.fail("updated"), record=record
             )
 
@@ -568,7 +598,7 @@ class TestRunFilter:
         # the divergence message is an attribute outside the fields, so a
         # field-by-field copy of a run copies arrays only, and keeps it
         obs = [gnss(0.05, np.array([np.inf, 0.0, 0.0]), 0.2)]
-        run = run_filter(correlated_filter(), self.samples(), obs)
+        run = solo_run(correlated_filter(), self.samples(), obs)
         assert [f.name for f in fields(run)] == ["t", *_RECORDED]
         copy = replace(run, **{f.name: getattr(run, f.name).copy() for f in fields(run)})
         assert copy.diverged == run.diverged and "non-finite correction" in run.diverged
@@ -576,7 +606,7 @@ class TestRunFilter:
     def test_divergence_returns_trimmed_run(self):
         # a non-finite observation at the fifth step ends the run after four
         obs = [gnss(0.05, np.array([np.inf, 0.0, 0.0]), 0.2)]
-        run = run_filter(correlated_filter(), self.samples(), obs)
+        run = solo_run(correlated_filter(), self.samples(), obs)
         assert "non-finite correction from the gnss_vel observation at t=0.050" in run.diverged
         assert len(run.t) == len(run.att) == len(run.p_trace) == 5
         assert np.isfinite(run.att).all() and np.isfinite(run.vel).all()
@@ -592,7 +622,7 @@ class TestRunFilter:
         obs = [gnss(0.03, np.zeros(3), 0.2), gnss(0.1, np.zeros(3), 0.2)]
         base = simple_filter()
         (fs,) = initial_filter_bank(base.x, base.P, [(param, Strategy())], QUIET_QC, base.earth)
-        run = run_filter(fs, imu, obs)
+        run = solo_run(fs, imu, obs)
         assert run.diverged == f"state or covariance became non-finite at t=0.070 ({param.value})"
         assert len(run.t) == len(run.att) == len(run.p_trace) == 7
         assert np.isfinite(run.att).all() and np.isfinite(run.vel).all() and np.isfinite(run.p_trace).all()
@@ -631,13 +661,13 @@ class TestSegmentEngine:
     def test_segments_match_stepwise(self, segment, variant):
         # GNSS every `segment` IMU steps from t = 1 s on
         fs, imu, obs = self._filter_and_inputs(variant, 60.0, 2.0, 60.0 / segment)
-        self._assert_matches(run_filter(fs, imu, obs), stepwise_run(fs, imu, obs))
+        self._assert_matches(solo_run(fs, imu, obs), stepwise_run(fs, imu, obs))
 
     @pytest.mark.parametrize("variant", ["ekf", "l-inekf", "r-inekf"])
     def test_run_without_observations_longer_than_a_chunk(self, variant):
         fs, imu, obs = self._filter_and_inputs(variant, 100.0, 11.0, 0.0)
         assert obs == [] and len(imu.t) > CHUNK
-        self._assert_matches(run_filter(fs, imu, []), stepwise_run(fs, imu, []))
+        self._assert_matches(solo_run(fs, imu, []), stepwise_run(fs, imu, []))
 
 
 class TestFilterBank:
@@ -661,8 +691,7 @@ class TestFilterBank:
         param, strategy = sim.variant_config(variant)
         a0 = relation_matrix(EKF, param, sc.x0, sc.earth)
         return FilterState(
-            sc.x0, a0 @ sc.p0 @ a0.swapaxes(-1, -2), param, strategy, cfg.injection_mode(), cfg.imu.qc(), sc.earth,
-            time_tol=0.6 * sc.imu.dt,
+            sc.x0, a0 @ sc.p0 @ a0.swapaxes(-1, -2), param, strategy, cfg.injection_mode(), cfg.imu.qc(), sc.earth
         )
 
     @classmethod
@@ -685,7 +714,7 @@ class TestFilterBank:
 
     def _assert_solo(self, run, member):
         fs, imu, observations = member
-        solo = run_filter(fs, imu, observations)
+        solo = solo_run(fs, imu, observations)
         assert run.diverged == solo.diverged
         for name in self.FIELDS:
             np.testing.assert_array_equal(getattr(run, name), getattr(solo, name), err_msg=name)

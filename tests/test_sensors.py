@@ -24,36 +24,26 @@ def random_state(rng, pos_scale=30.0):
 
 class TestInnovation:
     def test_perfect_observation_is_zero(self):
-        earth = small_scale_earth()
         rng = np.random.default_rng(0)
         x = random_state(rng)
         gnss = Observation("gnss_vel", 0.0, x.vel.copy(), np.full(3, 0.2))
         odo = Observation("odo", 0.0, x.att.T @ x.vel, np.full(3, 0.1))
-        np.testing.assert_allclose(innovation(x, gnss, earth), np.zeros(3), atol=1e-14)
-        np.testing.assert_allclose(innovation(x, odo, earth), np.zeros(3), atol=1e-14)
+        np.testing.assert_allclose(innovation(x, gnss), np.zeros(3), atol=1e-14)
+        np.testing.assert_allclose(innovation(x, odo), np.zeros(3), atol=1e-14)
 
     def test_gnss_sign(self):
-        earth = small_scale_earth()
         x = NavState(np.eye(3), np.array([1.0, 0.0, 0.0]), np.zeros(3))
         obs = Observation("gnss_vel", 0.0, np.zeros(3), np.full(3, 0.2))
-        np.testing.assert_array_equal(innovation(x, obs, earth), [1.0, 0.0, 0.0])
+        np.testing.assert_array_equal(innovation(x, obs), [1.0, 0.0, 0.0])
 
     def test_odo_hand_rotation(self):
-        earth = small_scale_earth()
         att = lie.so3_exp(np.array([0.0, 0.0, np.pi / 2]))
         x = NavState(att, np.array([1.0, 0.0, 0.0]), np.zeros(3))
         vb = np.array([0.3, 0.1, -0.2])
         obs = Observation("odo", 0.0, vb, np.full(3, 0.1))
         np.testing.assert_allclose(
-            innovation(x, obs, earth), np.array([0.0, -1.0, 0.0]) - vb, atol=1e-14
+            innovation(x, obs), np.array([0.0, -1.0, 0.0]) - vb, atol=1e-14
         )
-
-    def test_timestamp_mismatch_rejected(self):
-        earth = small_scale_earth()
-        x = NavState(np.eye(3), np.zeros(3), np.zeros(3), time=10.0)
-        obs = Observation("gnss_vel", 10.1, np.zeros(3), np.full(3, 0.2))
-        with pytest.raises(ValueError):
-            innovation(x, obs, earth, time_tol=0.0025)
 
 
 class TestObservationMatrix:

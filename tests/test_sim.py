@@ -496,6 +496,12 @@ class TestSynthesize:
         assert bank.gnss == [] and bank.odo == []
         assert bank.imu.gyro.shape == (2, len(bank.imu.t), 3) and bank.p0.shape == (2, 15, 15)
 
+    def test_empty_bank_rejected(self, monkeypatch):
+        # by name, before the truth or any stream is drawn
+        monkeypatch.setattr(sim, "generate_truth", lambda *args: pytest.fail("drew the truth"))
+        with pytest.raises(ValueError, match="a filter bank needs at least one member"):
+            synthesize(small_cfg(duration=1.0), [])
+
     def test_seed_policy_lives_in_sim_only(self):
         # synthesize is the one place that derives the seed streams
         package = Path(cteskf.__file__).parent

@@ -1,5 +1,5 @@
 import numpy as np
-from conftest import assert_spd
+from conftest import assert_spd, solo_run
 
 from cteskf.sim import ScenarioConfig, run_scenario
 
@@ -21,7 +21,7 @@ class TestStatisticalSanity:
 
     def test_covariance_stays_spd_through_update_cycles(self):
         from cteskf.errorstate import ErrorParam, InjectionMode
-        from cteskf.filter import FilterState, mixed_sensor_strategy, run_filter
+        from cteskf.filter import FilterState, mixed_sensor_strategy
         from cteskf.sim import synthesize
 
         cfg = ScenarioConfig(
@@ -38,6 +38,6 @@ class TestStatisticalSanity:
             assert_spd(after.P)
             checked += 1
 
-        run = run_filter(fs, sc.imu, sc.gnss + sc.odo, check)
+        run = solo_run(fs, sc.imu, sc.gnss + sc.odo, check)
         assert run.diverged is None
         assert checked > 100
