@@ -34,7 +34,6 @@ import math
 from dataclasses import InitVar, dataclass, field, fields, replace
 
 import numpy as np
-from scipy.linalg import LinAlgError, lapack
 
 from . import lie
 from .errorstate import (
@@ -124,27 +123,22 @@ def _symmetrize(p: np.ndarray) -> np.ndarray:
 
 
 def _gain_and_update(p: np.ndarray, h: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Kalman gain and updated covariance via a symmetric factorization, for
-    one filter or a bank ((..., 15, 15), (..., 3, 15), (..., 3, 3))."""
+    """Kalman gain and updated covariance by one batched solve, for one
+    filter or a bank ((..., 15, 15), (..., 3, 15), (..., 3, 3)).  A member
+    whose innovation covariance is not positive definite, or whose condition
+    number exceeds 1e12, ends its run."""
     hp = h @ p
     s = _symmetrize(hp @ _t(h) + r)
-    # s is symmetric, so its singular values are the magnitudes of its
-    # eigenvalues and the 2-norm condition number needs no SVD
-    ev = np.abs(np.linalg.eigvalsh(s))
-    lo, hi = ev.min(axis=-1), ev.max(axis=-1)
-    if not (lo.min() > 0.0 and (hi / lo).max() <= 1e12):
-        cond = [h / l if l > 0.0 else np.inf for h, l in zip(np.ravel(hi).tolist(), np.ravel(lo).tolist())]
-        _diverge(~(np.array(cond) <= 1e12), lambda i: f"innovation covariance is singular (cond={cond[i]:.3e})")
-    # Cholesky factor and solve straight through LAPACK (what cho_factor and
-    # cho_solve call), without their per-call argument checks
-    s3, hp3 = s.reshape(-1, 3, 3), hp.reshape(-1, 3, 15)
-    k = np.empty((len(s3), 15, 3))
-    for i, (si, hpi) in enumerate(zip(s3, hp3)):
-        c, info = lapack.dpotrf(si)
-        if info > 0:
-            raise LinAlgError(f"{info}-th leading minor of the innovation covariance is not positive definite")
-        k[i] = lapack.dpotrs(c, hpi)[0].T
-    k = k.reshape(hp.shape[:-2] + (15, 3))
+    # ascending eigenvalues of the symmetric s: a positive first one makes it
+    # positive definite, and last/first is then its condition number
+    ev = np.linalg.eigvalsh(s)
+    lo, hi = ev[..., 0], ev[..., -1]
+    _diverge(
+        ~((lo > 0.0) & (hi <= 1e12 * lo)),
+        lambda i: f"innovation covariance is not positive definite or has condition number above 1e12 "
+        f"(eigenvalues {np.ravel(lo)[i]:.3e} to {np.ravel(hi)[i]:.3e})",
+    )
+    k = _t(np.linalg.solve(s, hp))
     return k, _symmetrize(p - k @ hp)
 
 
@@ -283,8 +277,8 @@ def run_filter(fs: FilterState, imu, observations, on_update=None, update=None, 
     sample are never applied, and one stamped before the initial time plus
     dt/2 raises ``ValueError`` before the first step.  So every update sees
     a state within dt/2 of its stamp, the one observation-time check.  The
-    members share the observation grid: an observation's ``value`` and
-    ``sigma`` are shared or hold one row per member, as the fixes that
+    members share the observation grid and each fix's ``sigma``: its
+    ``value`` is shared or holds one row per member, as the fixes that
     :func:`cteskf.sim.synthesize` draws for a bank do; another number of
     rows raises ``ValueError`` before the first step.
 
@@ -322,8 +316,8 @@ def run_filter(fs: FilterState, imu, observations, on_update=None, update=None, 
     update = update or step_observation
     pending = sorted(observations, key=lambda o: o.time)
     for obs in pending:
-        rows = {len(a) for a in (obs.value, obs.sigma) if a.ndim == 2}
-        if rows - {size}:
+        rows = len(obs.value) if obs.value.ndim == 2 else size
+        if rows != size:
             raise ValueError(f"{obs.kind} observation at t={obs.time:.6g} has {rows} member rows, the bank {size}")
     t0 = bank.x.time
     if pending and pending[0].time < t0 + 0.5 * dt:

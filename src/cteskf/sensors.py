@@ -29,10 +29,11 @@ class Observation:
     """One velocity fix of a sensor ``kind``: ``gnss_vel`` measures the
     Earth-frame velocity, ``odo`` the body-frame velocity of non-steering
     wheels (its lateral and vertical channels are zero pseudo-observations).
-    ``value`` is the measured 3-vector and ``sigma`` its per-axis standard
-    deviations; in a bank either may carry a leading member axis
-    (:func:`cteskf.sim.synthesize` draws a bank's fixes with a ``value``
-    (N, 3) and a shared ``sigma``)."""
+    ``value`` is the measured 3-vector, or one row per member of a bank
+    (N, 3), as :func:`cteskf.sim.synthesize` draws a bank's fixes; ``sigma``
+    (3,) holds its per-axis standard deviations, shared by every member.
+    A non-finite ``time``, or a ``sigma`` of another shape or not positive
+    and finite, raises ``ValueError``."""
 
     kind: str
     time: float
@@ -44,18 +45,21 @@ class Observation:
             raise ValueError(f"unsupported observation kind {self.kind!r}")
         self.value = np.asarray(self.value, dtype=float)
         self.sigma = np.asarray(self.sigma, dtype=float)
+        # run_filter's schedule has no step for a non-finite stamp: it would
+        # be dropped, and a NaN one would drop the fixes sorted after it too
+        if not np.isfinite(self.time):
+            raise ValueError(f"observation time must be finite, not {self.time}")
+        if self.sigma.shape != (3,):
+            raise ValueError(f"observation sigma must have shape (3,), not {self.sigma.shape}")
         # a NaN sigma would fail the innovation covariance's eigensolver
         if not np.all((self.sigma > 0.0) & (self.sigma < np.inf)):
             raise ValueError("observation sigma must be positive and finite")
 
 
 def select_members(obs: Observation, idx) -> Observation:
-    """The observation of the bank members ``idx``: arrays that carry a
-    member axis are indexed, shared ones are kept."""
-    def pick(a):
-        return a[idx] if a.ndim == 2 else a
-
-    return replace(obs, value=pick(obs.value), sigma=pick(obs.sigma))
+    """The observation of the bank members ``idx``: a ``value`` with a member
+    axis is indexed, a shared one is kept."""
+    return replace(obs, value=obs.value[idx]) if obs.value.ndim == 2 else obs
 
 
 def innovation(x: NavState, obs: Observation) -> np.ndarray:
@@ -107,6 +111,6 @@ def observation_matrix(
 
 
 def noise_covariance(obs: Observation) -> np.ndarray:
-    """Diagonal observation noise covariance; parameterization-independent.
-    Per-member sigmas (..., 3) give one matrix per member."""
-    return (obs.sigma**2)[..., None] * I3
+    """Diagonal observation noise covariance (3, 3), shared by every member
+    of a bank; parameterization-independent."""
+    return (obs.sigma**2)[:, None] * I3

@@ -271,12 +271,54 @@ class TestUpdatePlain:
             _canonical_correction(xi, obs, InjectionMode.FIRST_ORDER)
 
     def test_indefinite_innovation_rejected(self):
-        # well conditioned but negative definite: the Cholesky factor fails
+        # well conditioned but negative definite: the signed eigenvalue check
+        # ends the member, as a singular innovation covariance does
         fs = simple_filter(p_scale=0.0)
         fs.P[3:6, 3:6] = -np.eye(3)
         obs = gnss(0.0, np.zeros(3), 0.1)
-        with pytest.raises(np.linalg.LinAlgError):
+        with pytest.raises(FilterDivergence, match="innovation covariance is not positive definite") as raised:
             updated(fs, obs)
+        assert list(raised.value.members) == [0]
+
+
+class TestBatchedGain:
+    @staticmethod
+    def _problem(rng, cond):
+        """A covariance, observation matrix and noise whose innovation
+        covariance is a randomly oriented SPD matrix of condition number
+        about ``cond``: the noise has that spectrum, and H P H^T is small
+        beside its smallest eigenvalue."""
+        q = np.linalg.qr(rng.normal(size=(15, 15)))[0]
+        p = q @ np.diag(np.geomspace(1e-5 / cond, 1e-2 / cond, 15)) @ q.T
+        v = np.linalg.qr(rng.normal(size=(3, 3)))[0]
+        return p, rng.normal(size=(3, 15)), (v * np.geomspace(1.0 / cond, 1.0, 3)) @ v.T
+
+    def test_agrees_with_cholesky_reference(self):
+        from scipy.linalg import cho_factor, cho_solve
+
+        rng = np.random.default_rng(7)
+        for cond in np.geomspace(1.0, 1e10, 21):
+            p, h, r = self._problem(rng, cond)
+            k, p_new = _gain_and_update(p, h, r)
+            s = h @ p @ h.T + r
+            s = (s + s.T) / 2.0
+            ref = cho_solve(cho_factor(s), h @ p).T
+            cond_s = np.linalg.cond(s)
+            assert cond_s > 0.5 * cond
+            # two backward-stable solves can differ by rounding times the
+            # condition number of s; 1e-12 floors that bound
+            bound = 1e-12 + cond_s * np.finfo(float).eps
+            assert np.linalg.norm(k - ref) <= bound * np.linalg.norm(ref), cond
+            ref_p = p - ref @ h @ p
+            assert np.linalg.norm(p_new - (ref_p + ref_p.T) / 2.0) <= bound * np.linalg.norm(p)
+
+    def test_bank_member_gets_its_solo_bits(self):
+        rng = np.random.default_rng(8)
+        bank = [self._problem(rng, cond) for cond in (1.0, 1e2, 1e5, 1e8, 1e10)]
+        k, p = _gain_and_update(*(np.stack(a) for a in zip(*bank)))
+        for i, member in enumerate(bank):
+            k_solo, p_solo = _gain_and_update(*member)
+            assert k[i].tobytes() == k_solo.tobytes() and p[i].tobytes() == p_solo.tobytes()
 
 
 class TestUpdateSwitch:
@@ -768,6 +810,23 @@ class TestFilterBank:
         assert [run.diverged for run in runs] == [expected if i == bad else None for i in range(len(runs))]
         for run, member in zip(runs, members):
             self._assert_solo(run, member)
+
+    def test_indefinite_innovation_ends_only_its_member(self):
+        # member 1's velocity variance is negative, so its innovation
+        # covariance at the fix is negative definite; member 0 runs on
+        solo = simple_filter()
+        bad = simple_filter()
+        bad.P[3:6, 3:6] = -np.eye(3)
+        fs = replace(solo, x=NavState.stack([solo.x, bad.x]), P=np.stack([solo.P, bad.P]))
+        imu = imu_stream(0.01, np.zeros((10, 3)), np.zeros((10, 3)))
+        observations = [gnss(0.05, np.array([0.1, 0.0, 0.0]), 0.1)]
+        runs = run_filter(fs, imu, observations)
+        assert runs[1].diverged.startswith("innovation covariance is not positive definite")
+        assert len(runs[1].t) == 5
+        alone = solo_run(solo, imu, observations)
+        assert runs[0].diverged is None and len(runs[0].t) == 11
+        for name in self.FIELDS:
+            assert getattr(runs[0], name).tobytes() == getattr(alone, name).tobytes(), name
 
     def test_members_must_share_the_observation_grid(self):
         # observations drawn for two members do not fit a bank of three

@@ -138,6 +138,20 @@ class TestNoiseCovariance:
 
 
 class TestObservation:
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("time", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_time(self, kind, time):
+        # run_filter has no step for such a stamp: it dropped the fix, and a
+        # NaN one every fix sorted after it
+        with pytest.raises(ValueError, match="observation time must be finite"):
+            Observation(kind, time, np.zeros(3), np.full(3, 0.1))
+
+    @pytest.mark.parametrize("shape", [(), (2,), (4,), (2, 3), (1, 3)])
+    def test_rejects_sigma_not_one_vector(self, shape):
+        # every member of a bank shares a fix's noise
+        with pytest.raises(ValueError, match=r"sigma must have shape \(3,\)"):
+            Observation("gnss_vel", 0.0, np.zeros(3), np.full(shape, 0.1))
+
     def test_rejects_unknown_kind_when_built(self):
         # before it reaches a filter, as Strategy rejects an unknown kind
         with pytest.raises(ValueError, match="unsupported observation kind 'baro'"):

@@ -1,3 +1,4 @@
+import ast
 from dataclasses import replace
 from pathlib import Path
 
@@ -509,6 +510,19 @@ class TestSynthesize:
             text = path.read_text()
             if path.name != "sim.py":
                 assert "SeedSequence" not in text and "0xC0FFEE" not in text, path.name
+
+    def test_package_imports_no_scipy(self):
+        # numpy is the package's one runtime dependency; scipy serves tests
+        package = Path(cteskf.__file__).parent
+        for path in sorted(package.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""]
+                else:
+                    continue
+                assert not any(name.split(".")[0] == "scipy" for name in names), path.name
 
 
 def left_invariant_traces(cfg, record_every=None):
