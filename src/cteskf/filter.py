@@ -30,6 +30,7 @@ the one covariance recursion of the package.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import InitVar, dataclass, field, fields, replace
 
@@ -52,6 +53,7 @@ _THREE_I3 = 3.0 * np.eye(3)
 
 MAX_DT = 0.5  # s, the longest propagation step run_filter accepts
 CHUNK = 1024  # member-steps of F, G and P held in memory at once
+MIDPOINT_COLUMNS = 16  # bank size from which mechanize_sequence runs the midpoint rule on member arrays
 
 
 class FilterDivergence(RuntimeError):
@@ -126,9 +128,14 @@ def _gain_and_update(p: np.ndarray, h: np.ndarray, r: np.ndarray) -> tuple[np.nd
     """Kalman gain and updated covariance by one batched solve, for one
     filter or a bank ((..., 15, 15), (..., 3, 15), (..., 3, 3)).  A member
     whose innovation covariance is not positive definite, or whose condition
-    number exceeds 1e12, ends its run."""
-    hp = h @ p
-    s = _symmetrize(hp @ _t(h) + r)
+    number exceeds 1e12, ends its run; so does one whose innovation
+    covariance is not finite, before the eigenvalues are sought."""
+    # a covariance that overflows is found below and ends its member
+    with np.errstate(over="ignore", invalid="ignore"):
+        hp = h @ p
+        s = _symmetrize(hp @ _t(h) + r)
+    if not np.isfinite(s).all():
+        _diverge(~np.isfinite(s).all(axis=(-2, -1)), lambda i: "innovation covariance is not finite")
     # ascending eigenvalues of the symmetric s: a positive first one makes it
     # positive definite, and last/first is then its condition number
     ev = np.linalg.eigvalsh(s)
@@ -240,11 +247,11 @@ def state_difference(a: NavState, b: NavState) -> float:
 
 @dataclass
 class FilterRun:
-    """What :func:`run_filter` records on the IMU grid, the initial state
-    first: sample times, and the attitudes, velocities, positions and
-    covariance block traces (attitude, velocity, position, gyro bias,
-    accelerometer bias) that its ``record`` names; a field it does not
-    record is ``None``.  A diverged run ends at its last completed step and
+    """What :func:`run_filter` records on the IMU grid from its first
+    recorded row, by default the initial state: sample times, and the
+    attitudes, velocities, positions and covariance block traces (attitude,
+    velocity, position, gyro bias, accelerometer bias) that its ``record``
+    names; a field it does not record is ``None``.  A diverged run ends at its last completed step and
     carries the divergence message as the attribute ``diverged``, outside
     the fields, which are the arrays."""
 
@@ -263,7 +270,9 @@ class FilterRun:
 _RECORDED = {"att": (3, 3), "vel": (3,), "pos": (3,), "p_trace": (5,)}
 
 
-def run_filter(fs: FilterState, imu, observations, on_update=None, update=None, record=tuple(_RECORDED)):
+def run_filter(
+    fs: FilterState, imu, observations, on_update=None, update=None, record=tuple(_RECORDED), first_row: int = 0
+):
     """Drive a bank of filters in lockstep through IMU samples and
     observations; a single filter is a bank of one, ``fs.select(None)``.
 
@@ -292,8 +301,12 @@ def run_filter(fs: FilterState, imu, observations, on_update=None, update=None, 
     ``record`` names the :class:`FilterRun` fields to record, of ``att``,
     ``vel``, ``pos`` and ``p_trace`` (``t`` is always recorded); a field it
     leaves out is ``None``, and an unknown name raises ``ValueError`` before
-    the first step.  A run holds (members x (n + 1)) rows of each field it
-    records.
+    the first step.  Row k of the record holds the state after k steps (row
+    0 the initial state), and the rows before ``first_row`` are not
+    recorded: a run holds (members x (n + 1 - ``first_row``)) rows of each
+    field it records, ``t`` included, and a member that ends before
+    ``first_row`` holds none.  A ``first_row`` outside 0..n raises
+    ``ValueError`` before the first step.
 
     The steps up to the next observation (at most :data:`CHUNK`) form one
     segment, propagated at the state's biases by one
@@ -312,6 +325,9 @@ def run_filter(fs: FilterState, imu, observations, on_update=None, update=None, 
     unknown = set(record) - {f.name for f in fields(FilterRun)}
     if unknown:
         raise ValueError(f"run_filter cannot record {sorted(unknown)}; FilterRun records {['t', *_RECORDED]}")
+    n = len(imu.t)
+    if not 0 <= first_row <= n:
+        raise ValueError(f"first recorded row {first_row} lies outside the record's rows 0..{n}")
     bank, size = fs, len(fs.P)
     update = update or step_observation
     pending = sorted(observations, key=lambda o: o.time)
@@ -326,14 +342,20 @@ def run_filter(fs: FilterState, imu, observations, on_update=None, update=None, 
             f"{early.kind} observation at t={early.time:.6g} precedes the first propagated "
             f"epoch t={t0 + dt:.6g} by more than dt/2"
         )
-    n = len(imu.t)
     gyro = np.broadcast_to(imu.gyro, (size, n, 3))
     accel = np.broadcast_to(imu.accel, (size, n, 3))
     # the step after which each observation is applied: the first whose end
     # time plus dt/2 reaches its stamp (n: after the last sample, never)
     due = np.searchsorted(t0 + dt * np.arange(1.5, n + 1.0), [o.time for o in pending]).tolist() + [n]
     t = np.concatenate(([t0], imu.t))
-    stores = {name: np.empty((size, n + 1) + shape) for name, shape in _RECORDED.items() if name in record}
+    stores = {name: np.empty((size, n + 1 - first_row) + shape) for name, shape in _RECORDED.items() if name in record}
+    traced = "p_trace" in stores
+
+    def store_row(members, row: int, bank: FilterState):
+        """Record the bank's state and covariance block traces as ``row``."""
+        x, traces = bank.x, _traces(bank.P)[:, None] if traced else None
+        _store(stores, members, row - first_row, NavState(x.att[:, None], x.vel[:, None], x.pos[:, None]), traces)
+
     ends = [(n + 1, None)] * size
     active = np.arange(size)
 
@@ -347,7 +369,7 @@ def run_filter(fs: FilterState, imu, observations, on_update=None, update=None, 
         active = active[keep]
         return keep
 
-    _store(stores, slice(None), 0, bank.x, _traces(bank.P))
+    store_row(slice(None), 0, bank)
     k = j = 0
     while k < n and len(active):
         stop = min(due[j] + 1, k + CHUNK, n)
@@ -357,13 +379,13 @@ def run_filter(fs: FilterState, imu, observations, on_update=None, update=None, 
         # a non-finite input or result is found below and ends its member
         with np.errstate(invalid="ignore", over="ignore"):
             atts, vels, poss = mechanize_sequence(bank.x, seg_gyro, seg_accel, dt, bank.earth)
-            p, traces, finite = _covariances(bank, atts, vels, poss, seg_gyro, seg_accel, dt)
+            p, traces, finite = _covariances(bank, atts, vels, poss, seg_gyro, seg_accel, dt, traced)
         finite &= np.isfinite(atts[:, 1:]).all(axis=(2, 3))
         finite &= np.isfinite(vels[:, 1:]).all(axis=2) & np.isfinite(poss[:, 1:]).all(axis=2)
         # the segment's rows but its last, which holds the state after the
         # updates that follow it
         interior = NavState(atts[:, 1:-1], vels[:, 1:-1], poss[:, 1:-1])
-        _store(stores, members, slice(k + 1, stop), interior, traces[:, :-1])
+        _store(stores, members, k + 1 - first_row, interior, traces[:, :-1] if traced else None)
         if not finite.all():
             bad = (k + np.argmin(finite, axis=1)).tolist()
             keep = leave({
@@ -389,11 +411,14 @@ def run_filter(fs: FilterState, imu, observations, on_update=None, update=None, 
             if on_update is not None:
                 on_update(before, bank)
         if len(active):
-            _store(stores, active if len(active) < size else slice(None), stop, bank.x, _traces(bank.P))
+            store_row(active if len(active) < size else slice(None), stop, bank)
         k = stop
     return [
-        FilterRun(t[:rows], **{name: stores[name][i, :rows] if name in stores else None for name in _RECORDED},
-                  diverged=message)
+        FilterRun(
+            t[first_row:rows],
+            **{name: stores[name][i, : max(0, rows - first_row)] if name in stores else None for name in _RECORDED},
+            diverged=message,
+        )
         for i, (rows, message) in enumerate(ends)
     ]
 
@@ -403,32 +428,47 @@ def _traces(p: np.ndarray) -> np.ndarray:
     return p.diagonal(axis1=-2, axis2=-1).reshape(p.shape[:-2] + (5, 3)).sum(axis=-1)
 
 
-def _covariances(bank: FilterState, atts, vels, poss, gyro, accel, dt):
+def _covariances(bank: FilterState, atts, vels, poss, gyro, accel, dt, traced: bool):
     """The covariance recursion of a bank over a segment's state histories,
     in calls of at most :data:`CHUNK` member-steps: the final covariances,
-    and each member's covariance block traces (M, m, 5) after each step and
-    whether its covariance is finite there (M, m)."""
+    whether each member's covariance is finite after each step (M, m), and,
+    when ``traced``, its covariance block traces there (M, m, 5), else
+    ``None``.
+
+    Once a covariance is not finite it stays so, so a finite final
+    covariance clears every step of its call; the steps are stacked only
+    for the traces or when a final covariance is not finite."""
     members, m = gyro.shape[:2]
     piece = max(1, CHUNK // members)
-    p, traces, finite = bank.P, np.empty((members, m, 5)), np.empty((members, m), dtype=bool)
+    p, finite = bank.P, np.ones((members, m), dtype=bool)
+    traces = np.empty((members, m, 5)) if traced else None
     for a in range(0, m, piece):
         b = min(a + piece, m)
         p, history = propagate_covariance_sequence(
             bank.param, p, atts[:, a : b + 1], vels[:, a : b + 1], poss[:, a : b + 1], gyro[:, a:b], accel[:, a:b],
             bank.x.bg, bank.x.ba, dt, bank.qc, bank.earth, record_every=1,
         )
-        ps = np.array(history[1:]).swapaxes(0, 1)
-        finite[:, a:b] = np.isfinite(ps).all(axis=(2, 3))
-        traces[:, a:b] = _traces(ps)
+        if traced or not np.isfinite(p).all():
+            ps = np.array(history[1:]).swapaxes(0, 1)
+            finite[:, a:b] = np.isfinite(ps).all(axis=(2, 3))
+            if traced:
+                traces[:, a:b] = _traces(ps)
     return p, traces, finite
 
 
-def _store(stores: dict, members, rows, x: NavState, traces: np.ndarray) -> None:
-    """Write states and covariance block traces into the recorded fields at
-    the bank ``members`` and the record ``rows`` (one row or a range)."""
+def _store(stores: dict, members, start: int, x: NavState, traces) -> None:
+    """Write the states and covariance block traces (M, rows, ...) of
+    consecutive rows into the recorded fields at the bank ``members``, the
+    first at the stored row ``start``; rows before stored row 0 are not
+    recorded and are dropped."""
+    stop = start + x.att.shape[1]
+    if stop <= 0:
+        return
+    skip = max(0, -start)
+    rows = slice(start + skip, stop)
     values = {"att": x.att, "vel": x.vel, "pos": x.pos, "p_trace": traces}
     for name, store in stores.items():
-        store[members, rows] = values[name]
+        store[members, rows] = values[name][:, skip:]
 
 
 # ---------------------------------------------------------------------------
@@ -459,7 +499,9 @@ def mechanize_sequence(
 
     Per step the attitude advances by the body rotation increment composed
     with the Earth rotation over the step, and velocity and position by the
-    midpoint rule of :func:`cteskf.ins.midpoint_translation`.  Returns
+    midpoint rule of :func:`cteskf.ins.midpoint_translation`, on member
+    arrays for a bank of at least :data:`MIDPOINT_COLUMNS` members and on
+    floats below, with the same bits either way.  Returns
     attitude (N+1,3,3), velocity (N+1,3) and position (N+1,3) histories
     including the initial state.  A bank (x0 fields and samples with a
     leading member axis, ``gyro`` (M, N, 3)) gives (M, N+1, ...) histories.
@@ -480,23 +522,23 @@ def mechanize_sequence(
     last = atts[..., -1, :, :]
     atts[..., -1, :, :] = last @ ((_THREE_I3 - _t(last) @ last) / 2.0)
 
-    # velocity and position: the midpoint rule on Python floats, member by
-    # member, since gravity at the current position keeps this loop
-    # sequential; the specific force is resolved at the midpoint attitude
-    # E R_k B_k
+    # velocity and position: the midpoint rule, sequential since gravity is
+    # taken at the current position; the specific force is resolved at the
+    # midpoint attitude E R_k B_k
     forces = earth.frame_turn(0.5 * dt) @ atts[..., :-1, :, :] @ (body_half @ f_b[..., None])
     count = math.prod(atts.shape[:-3])
-    vels, poss = _midpoint_histories(
-        forces.reshape(count, n, 3), x0.vel.reshape(count, 3), x0.pos.reshape(count, 3), dt, earth
-    )
+    midpoint = _midpoint_columns if count >= MIDPOINT_COLUMNS else _midpoint_floats
+    vels, poss = midpoint(forces.reshape(count, n, 3), x0.vel.reshape(count, 3), x0.pos.reshape(count, 3), dt, earth)
     shape = atts.shape[:-2] + (3,)
-    return atts, np.array(vels).reshape(shape), np.array(poss).reshape(shape)
+    return atts, np.asarray(vels).reshape(shape), np.asarray(poss).reshape(shape)
 
 
-def _midpoint_histories(forces, vel0, pos0, dt, earth) -> tuple[list, list]:
-    """Each member's velocity and position history, initial state first, one
-    after the other, from its Earth-frame specific forces (M, N, 3) and
-    initial velocity and position (M, 3)."""
+def _midpoint_floats(forces, vel0, pos0, dt, earth) -> tuple[list, list]:
+    """Each member's velocity and position history, initial state first,
+    one member after the other on Python floats, from its Earth-frame
+    specific forces (M, N, 3) and initial velocity and position (M, 3): two
+    lists of M (N+1) rows.  The caller makes them arrays once the float
+    copy of the forces is freed."""
     vels, poss = [], []
     for member, vel, pos in zip(forces.tolist(), vel0.tolist(), pos0.tolist()):
         vel, pos = tuple(vel), tuple(pos)
@@ -507,6 +549,35 @@ def _midpoint_histories(forces, vel0, pos0, dt, earth) -> tuple[list, list]:
             vels.append(vel)
             poss.append(pos)
     return vels, poss
+
+
+def _midpoint_columns(forces, vel0, pos0, dt, earth) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_midpoint_floats` with every member at once, one step after
+    the other on (3, M) arrays that hold a member per column.  Each
+    component takes the operations of :func:`cteskf.ins.midpoint_translation`
+    in their order, so a member gets the same bits in either form."""
+    members, n = forces.shape[:2]
+    wx, wy, wz = earth.omega_ie.tolist()
+    # omega_ie x v row by row, (wy vz - wz vy, wz vx - wx vz, wx vy - wy vx):
+    # both products of each row in one multiplication, then one difference
+    w = np.array([[[wy], [wz], [wx]], [[wz], [wx], [wy]]])
+    turns = np.array([[2, 0, 1], [1, 2, 0]])
+    half_dt = 0.5 * dt
+    f = forces.transpose(1, 2, 0)
+    vels, poss = np.empty((n + 1, 3, members)), np.empty((n + 1, 3, members))
+    vel, pos = vel0.T, pos0.T
+    vels[0], poss[0] = vel, pos
+    for k in range(n):
+        cross = w * vel[turns]
+        acc = f[k] - 2.0 * (cross[0] - cross[1]) + earth.gravity_columns(pos)
+        mid = vel + half_dt * acc
+        cross = w * mid[turns]
+        acc = f[k] - 2.0 * (cross[0] - cross[1]) + earth.gravity_columns(pos + half_dt * vel)
+        new = vel + dt * acc
+        vels[k + 1] = new
+        poss[k + 1] = pos = pos + half_dt * (vel + new)
+        vel = new
+    return vels.transpose(2, 0, 1), poss.transpose(2, 0, 1)
 
 
 def _compose(phi: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -530,6 +601,65 @@ def _compose(phi: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             w[-1] = last_phi @ w[-1] @ _t(last_phi) + last_w
             phi[-1] = last_phi @ phi[-1]
     return phi[0], w[0]
+
+
+def _noise_input(sign: float) -> np.ndarray:
+    """G with ``sign`` I on the gyro and accelerometer noise and I on the
+    bias noise."""
+    g = np.zeros((15, 12))
+    g[0:6, 0:6] = sign * np.eye(6)
+    g[9:15, 6:12] = np.eye(6)
+    return g
+
+
+# G of the left-invariant error, and the additive G at the attitude R = I
+_FIXED_G = {ErrorParam.ADDITIVE_EKF: _noise_input(1.0), ErrorParam.LEFT_INVARIANT: _noise_input(-1.0)}
+
+
+def _step_free_noise(param: ErrorParam, qc: np.ndarray, dt: float) -> np.ndarray | None:
+    """The process noise G Qc G^T dt when it is the same at every step, else
+    ``None``; read-only, and formed once for each (param, Qc, dt) of the
+    last few, since a run asks for it once per segment."""
+    return _step_free_noise_of(param, np.asarray(qc, dtype=float).tobytes(), dt)
+
+
+@functools.lru_cache(maxsize=8)
+def _step_free_noise_of(param: ErrorParam, qc_bytes: bytes, dt: float) -> np.ndarray | None:
+    """:func:`_step_free_noise` of the 12x12 Qc whose bytes are ``qc_bytes``.
+
+    The left-invariant G is constant, so its term is the per-step one to the
+    bit.  The additive G maps the gyro and accelerometer noise through the
+    attitude R, which leaves the term unchanged when Qc's 3x3 blocks among
+    those two noises are multiples of I, R (c I) R^T = c I, and no block
+    couples them to the bias noise; the form :meth:`cteskf.sim.ImuSpec.qc`
+    gives.  The per-step term then differs from this one by the rounding of
+    R R^T.  The right-invariant G depends on the state.
+    """
+    g = _FIXED_G.get(param)
+    if g is None:
+        return None
+    qc = np.frombuffer(qc_bytes).reshape(12, 12)
+    if param is ErrorParam.ADDITIVE_EKF:
+        blocks = qc[0:6, 0:6].reshape(2, 3, 2, 3).swapaxes(1, 2)
+        if qc[0:6, 6:12].any() or qc[6:12, 0:6].any() or not np.array_equal(blocks, blocks[..., :1, :1] * np.eye(3)):
+            return None
+    w = (g @ qc @ g.T) * dt
+    w.flags.writeable = False
+    return w
+
+
+def _step_pairs(param, x: NavState, u: ImuSample, dt, qc, earth, w_fixed) -> tuple[np.ndarray, np.ndarray]:
+    """The transition pairs I + F dt and G Qc G^T dt of a stack of steps,
+    the step axis first, ahead of a member axis; ``w_fixed``, when not
+    ``None``, stands for every step's noise term, and G is then not used."""
+    sm = system_matrix(param, x, u, earth)
+    phi = sm.F
+    phi *= dt
+    phi += I15
+    phi = np.moveaxis(phi, -3, 0)
+    if w_fixed is not None:
+        return phi, np.broadcast_to(w_fixed, phi.shape)
+    return phi, np.moveaxis((sm.G @ qc @ _t(sm.G)) * dt, -3, 0)
 
 
 def propagate_covariance_sequence(
@@ -565,20 +695,18 @@ def propagate_covariance_sequence(
     f_b = accel - ba[..., None, :]
     p = np.array(p0, dtype=float)
     history = []
+    w_fixed = _step_free_noise(param, qc, dt)
     # segments end on snapshot steps and at chunk ends; without snapshots a
     # chunk is one segment
     every = record_every or CHUNK
     for start in range(0, n, CHUNK):
         stop = min(start + CHUNK, n)
-        sm = system_matrix(
+        phi, w = _step_pairs(
             param,
             NavState(atts[..., start:stop, :, :], vels[..., start:stop, :], poss[..., start:stop, :]),
             ImuSample(0.0, omega_b[..., start:stop, :], f_b[..., start:stop, :]),
-            earth,
+            dt, qc, earth, w_fixed,
         )
-        # the step axis first, ahead of a member axis
-        phi = np.moveaxis(I15 + sm.F * dt, -3, 0)
-        w = np.moveaxis((sm.G @ qc @ _t(sm.G)) * dt, -3, 0)
         bounds = [start, *range(start - start % every + every, stop, every), stop]
         for a, b in zip(bounds[:-1], bounds[1:]):
             if record_every and a % record_every == 0:

@@ -123,6 +123,30 @@ class EarthModel:
         c = -gamma / math.sqrt(dist_sq)
         return c * x, c * y, c * z
 
+    def gravity_columns(self, r: np.ndarray) -> np.ndarray:
+        """:meth:`gravity_xyz` on positions (3, M), one per column, for the
+        member-array midpoint rule: the same operations component by
+        component, in the same order, so each column gets the bits
+        :meth:`gravity_xyz` gives its position."""
+        if self.gravity_mode == "constant":
+            return self.gravity_const[:, None]
+        sq = r * r
+        dist_sq = sq[0] + sq[1] + sq[2]
+        if not dist_sq.all():
+            raise ValueError(f"{self.gravity_mode} gravity is undefined at the origin")
+        if self.gravity_mode == "spherical":
+            c = -EARTH_GM / (dist_sq * np.sqrt(dist_sq))
+            # row i of omega_sq r as s_i0 x + s_i1 y + s_i2 z, the products at once
+            terms = self.omega_sq[:, :, None] * r
+            return c * r - (terms[:, 0] + terms[:, 1] + terms[:, 2])
+        sin_lat_sq = sq[2] / dist_sq
+        gamma = (
+            _GAMMA_EQUATOR
+            * (1.0 + _SOMIGLIANA_K * sin_lat_sq)
+            / np.sqrt(1.0 - _ECC_SQ * sin_lat_sq)
+        )
+        return (-gamma / np.sqrt(dist_sq)) * r
+
 
 def gravitational_accel(r: np.ndarray, earth: EarthModel) -> np.ndarray:
     """Gravitational (mass-attraction) acceleration: g(r) + (omega_ie x)^2 r,

@@ -22,7 +22,7 @@ from .ins import EARTH_RADIUS, G0, EarthModel, NavState
 from .sensors import Observation
 
 DEG = np.pi / 180.0
-BANK_ROWS = 1 << 16  # member-rows of one Monte Carlo bank's record (members x IMU rows)
+BANK_BYTES = 24 << 20  # what the members of one Monte Carlo bank hold: attitude record and IMU rates
 BIAS_CORR_TIME = 3600.0  # s, the correlation time of the bias random walks in ImuSpec.qc
 
 
@@ -317,10 +317,19 @@ class ImuStream:
     bias_accel: np.ndarray | None = None
 
 
+def _sample_times(cfg: ScenarioConfig) -> np.ndarray:
+    """The times of the truth rows: the initial state and each IMU sample."""
+    return np.arange(round(cfg.duration * cfg.imu_rate) + 1) / cfg.imu_rate
+
+
+def _settle_row(cfg: ScenarioConfig) -> int:
+    """The first row of a run's record in the settling window."""
+    return int(np.searchsorted(_sample_times(cfg), cfg.settle_time()))
+
+
 def generate_truth(cfg: ScenarioConfig, earth: EarthModel) -> TruthSeries:
     traj = Trajectory(cfg)
-    n = int(round(cfg.duration * cfg.imu_rate))
-    t = np.arange(n + 1) / cfg.imu_rate
+    t = _sample_times(cfg)
     att, vel, pos = traj.batch_states(t)
     return TruthSeries(t, att, vel, pos, traj)
 
@@ -510,11 +519,12 @@ def _bank_filter(cfg: ScenarioConfig, variant: str, sc: Scenario) -> FilterState
 
 
 def _attitude_errors(cfg, run, truth) -> np.ndarray:
-    """A run's rotation-vector attitude errors against the truth over the
-    settling window; the window holds the last row, since the config keeps
-    its start at or before the last sample."""
+    """A completed run's rotation-vector attitude errors against the truth
+    over the settling window; the window holds the last row, since the
+    config keeps its start at or before the last sample.  The run's rows
+    are the truth's last ones: it may record from a later first row."""
     window = run.t >= cfg.settle_time()
-    return lie.so3_log(run.att[window] @ truth.att[window].transpose(0, 2, 1))
+    return lie.so3_log(run.att[window] @ truth.att[len(truth.t) - len(run.t) :][window].transpose(0, 2, 1))
 
 
 def _rms_deg(att_err: np.ndarray) -> float:
@@ -540,19 +550,30 @@ def _score(cfg, variant, run, truth) -> dict:
     }
 
 
+def _member_bytes(cfg: ScenarioConfig) -> int:
+    """The bytes one sweep member holds: its attitude record over the
+    settling window, 9 floats a row, and its IMU rates, 6 floats a step."""
+    steps = round(cfg.duration * cfg.imu_rate)
+    return 8 * (9 * (steps + 1 - _settle_row(cfg)) + 6 * steps)
+
+
 def _sweep_bank(args):
     """Total attitude RMSE (members, variants) of one bank of sweep members,
     each a (yaw error, seed) pair: the bank is synthesized on one truth
     (:func:`synthesize`), each variant runs it in lockstep and records only
-    the attitude, and each member is scored; a diverged member scores inf."""
+    the attitude over the settling window, and each member is scored; a
+    diverged member scores inf."""
     cfg, members, variants = args
     sc = synthesize(cfg, members)
+    first = _settle_row(cfg)
     scores = np.empty((len(members), len(variants)))
     for j, variant in enumerate(variants):
         # unnamed, a variant's records are freed before the next one runs
         scores[:, j] = [
             np.inf if run.diverged else _rms_deg(_attitude_errors(cfg, run, sc.truth))
-            for run in run_filter(_bank_filter(cfg, variant, sc), sc.imu, sc.gnss + sc.odo, record=("att",))
+            for run in run_filter(
+                _bank_filter(cfg, variant, sc), sc.imu, sc.gnss + sc.odo, record=("att",), first_row=first
+            )
         ]
     return scores
 
@@ -571,14 +592,14 @@ def monte_carlo_sweep(
 
     Cell seeds are derived deterministically from the base seed and the cell
     index.  The sweep's members, one per (cell, seed) in cell order, run in
-    the fewest banks whose records hold at most :data:`BANK_ROWS`
-    member-rows (members x IMU rows, the initial state included; one member
-    at least), as equal in size as they can be.  Each bank is synthesized
-    at once (``synthesize(cfg, members)``: one truth, one observation per
-    fix), every variant runs on it with an attitude-only record, and each
-    member is scored.  ``jobs > 1`` runs the banks in a process pool.  A
-    member gets the bits of its own :func:`run_scenario` in any bank, so
-    results depend neither on the split nor on ``jobs``.
+    the fewest banks whose members hold at most :data:`BANK_BYTES`
+    (:func:`_member_bytes`; one member at least), as equal in size as they
+    can be.  Each bank is synthesized at once (``synthesize(cfg,
+    members)``: one truth, one observation per fix), every variant runs on
+    it with an attitude-only record of the settling window, and each member
+    is scored.  ``jobs > 1`` runs the banks in a process pool.  A member
+    gets the bits of its own :func:`run_scenario` in any bank, so results
+    depend neither on the split nor on ``jobs``.
     """
     yaw_grid = np.asarray(list(yaw_grid_deg), dtype=float)
     if yaw_grid.size == 0:
@@ -587,8 +608,7 @@ def monte_carlo_sweep(
         raise ValueError(f"a sweep needs at least one seed per cell, got {n_seeds}")
     variants = tuple(variants)
     members = [(yaw, cfg.seed ^ (cell << 16) ^ s) for cell, yaw in enumerate(yaw_grid.tolist()) for s in range(n_seeds)]
-    rows = round(cfg.duration * cfg.imu_rate) + 1
-    count = -(-len(members) // max(1, BANK_ROWS // rows))
+    count = -(-len(members) // max(1, BANK_BYTES // _member_bytes(cfg)))
     bounds = [b * len(members) // count for b in range(count + 1)]
     tasks = [(cfg, members[a:b], variants) for a, b in zip(bounds, bounds[1:])]
     if jobs > 1:

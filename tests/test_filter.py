@@ -654,21 +654,57 @@ class TestRunFilter:
         assert np.isfinite(run.att).all() and np.isfinite(run.vel).all()
         np.testing.assert_array_equal(run.t, np.arange(5) * self.DT)
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("sample, bad", [("gyro", np.nan), ("gyro", np.inf), ("accel", 1e200)])
     @pytest.mark.parametrize("param", [EKF, LEFT, RIGHT])
-    def test_nonfinite_imu_sample_ends_run_at_its_step(self, param, bad):
+    def test_nonfinite_imu_sample_ends_run_at_its_step(self, param, sample, bad):
         # the bad sample of the step ending at t=0.07 lies inside the segment
-        # between the observations at t=0.03 and t=0.1
+        # between the observations at t=0.03 and t=0.1.  A non-finite rate
+        # makes that step's state non-finite; a huge specific force keeps
+        # the state finite and overflows only the covariance, at that step,
+        # or at the next for the right-invariant F, which does not read the
+        # force.  An attitude-only record checks each segment's final
+        # covariance and searches the steps only when that check fails: it
+        # ends at the same step, with the same message, as a full record
         imu = self.samples()
-        imu.gyro[6, 1] = bad
+        getattr(imu, sample)[6, 1] = bad
         obs = [gnss(0.03, np.zeros(3), 0.2), gnss(0.1, np.zeros(3), 0.2)]
         base = simple_filter()
         (fs,) = initial_filter_bank(base.x, base.P, [(param, Strategy())], QUIET_QC, base.earth)
+        rows = 8 if sample == "accel" and param is RIGHT else 7
         run = solo_run(fs, imu, obs)
-        assert run.diverged == f"state or covariance became non-finite at t=0.070 ({param.value})"
-        assert len(run.t) == len(run.att) == len(run.p_trace) == 7
+        assert run.diverged == f"state or covariance became non-finite at t={rows / 100:.3f} ({param.value})"
+        assert len(run.t) == len(run.att) == len(run.p_trace) == rows
         assert np.isfinite(run.att).all() and np.isfinite(run.vel).all() and np.isfinite(run.p_trace).all()
-        np.testing.assert_array_equal(run.t, np.arange(7) * self.DT)
+        np.testing.assert_array_equal(run.t, np.arange(rows) * self.DT)
+        lean = solo_run(fs, imu, obs, record=("att",))
+        assert lean.diverged == run.diverged
+        assert lean.t.tobytes() == run.t.tobytes() and lean.att.tobytes() == run.att.tobytes()
+
+    @pytest.mark.parametrize("first_row", [0, 1, 3, 4, 7, 10])
+    def test_first_row_records_the_later_rows(self, first_row):
+        # row k holds the state after k steps, whatever the first recorded
+        # row; the observations at t=0.03 and t=0.07 end segments on rows 3
+        # and 7
+        obs = [gnss(0.03, np.array([0.1, 0.0, 0.0]), 0.2), gnss(0.07, np.array([0.0, 0.1, 0.0]), 0.2)]
+        full = solo_run(correlated_filter(), self.samples(), obs)
+        late = solo_run(correlated_filter(), self.samples(), obs, first_row=first_row)
+        assert late.diverged is None
+        for name in ("t", *_RECORDED):
+            assert getattr(late, name).tobytes() == getattr(full, name)[first_row:].tobytes(), name
+
+    @pytest.mark.parametrize("first_row", [-1, 11])
+    def test_first_row_outside_the_record_rejected(self, first_row):
+        with pytest.raises(ValueError, match="first recorded row"):
+            solo_run(
+                simple_filter(), self.samples(), [], lambda before, after: pytest.fail("updated"), first_row=first_row
+            )
+
+    def test_run_that_ends_before_the_first_row_records_nothing(self):
+        # the divergence at the fifth step ends the run after rows 0 to 4
+        obs = [gnss(0.05, np.array([np.inf, 0.0, 0.0]), 0.2)]
+        run = solo_run(correlated_filter(), self.samples(), obs, first_row=7)
+        assert "non-finite correction" in run.diverged
+        assert len(run.t) == len(run.att) == len(run.p_trace) == 0
 
 
 class TestSegmentEngine:
@@ -828,6 +864,24 @@ class TestFilterBank:
         for name in self.FIELDS:
             assert getattr(runs[0], name).tobytes() == getattr(alone, name).tobytes(), name
 
+    def test_nonfinite_innovation_covariance_ends_only_its_member(self):
+        # member 1's covariance is finite, but at 30 m/s its odometry
+        # innovation covariance H P H^T overflows: it ends at the fix before
+        # any eigenvalue is sought, without an overflow warning (a warning
+        # fails this suite), and member 0 runs on with its solo bits
+        solo = simple_filter()
+        solo.x.vel = np.array([30.0, 0.0, 0.0])
+        fs = replace(solo, x=NavState.stack([solo.x, solo.x]), P=np.stack([solo.P, 1e306 * np.eye(15)]))
+        imu = imu_stream(0.01, np.zeros((10, 3)), np.zeros((10, 3)))
+        observations = [Observation("odo", 0.05, np.array([30.0, 0.0, 0.0]), np.full(3, 0.1))]
+        runs = run_filter(fs, imu, observations)
+        assert runs[1].diverged == "innovation covariance is not finite"
+        assert len(runs[1].t) == 5
+        alone = solo_run(solo, imu, observations)
+        assert runs[0].diverged is None and len(runs[0].t) == 11
+        for name in self.FIELDS:
+            assert getattr(runs[0], name).tobytes() == getattr(alone, name).tobytes(), name
+
     def test_members_must_share_the_observation_grid(self):
         # observations drawn for two members do not fit a bank of three
         fs, imu, _ = self._bank("ekf")
@@ -901,6 +955,140 @@ class TestStrategyDispatch:
         for path in sorted(Path(cteskf.__file__).parent.glob("*.py")):
             Refs().visit(ast.parse(path.read_text()))
         assert found == {("filter.py", "step_observation", name) for name in names}
+
+
+class TestMidpointForms:
+    """mechanize_sequence runs the midpoint rule on member arrays for banks
+    of at least MIDPOINT_COLUMNS members and on floats below; a member gets
+    the same bits from either."""
+
+    @pytest.mark.parametrize("mode", ["constant", "spherical", "normal"])
+    def test_both_forms_give_a_member_its_solo_bits(self, mode, monkeypatch):
+        forms = []
+        for name in ("_midpoint_floats", "_midpoint_columns"):
+            form = getattr(kf, name)
+            monkeypatch.setattr(kf, name, lambda *args, form=form, name=name: forms.append(name) or form(*args))
+        # a tilted rotation axis fills every term of omega_ie x v and of
+        # (omega_ie x)^2 r, so each sum runs over three nonzero terms
+        earth = EarthModel(omega_ie=7.292115e-5 * np.array([2.0, -3.0, 6.0]) / 7.0, gravity_mode=mode)
+        rng = np.random.default_rng(43)
+        size, n, dt = kf.MIDPOINT_COLUMNS, 25, 0.02
+        x0 = NavState(
+            lie.so3_exp(rng.normal(size=(size, 3))), rng.normal(scale=20.0, size=(size, 3)),
+            np.array([EARTH_RADIUS, 0.0, 0.0]) + rng.normal(scale=1e5, size=(size, 3)),
+            rng.normal(scale=1e-4, size=(size, 3)), rng.normal(scale=1e-2, size=(size, 3)),
+        )
+        gyro = rng.normal(scale=0.2, size=(size, n, 3))
+        accel = rng.normal(scale=2.0, size=(size, n, 3)) + np.array([0.0, 0.0, 9.8])
+        # a bank at the switch, and one a member smaller, straddle it
+        bank = mechanize_sequence(x0, gyro, accel, dt, earth)
+        smaller = mechanize_sequence(x0.select(slice(1, None)), gyro[1:], accel[1:], dt, earth)
+        assert forms[:2] == ["_midpoint_columns", "_midpoint_floats"]
+        for i in range(size):
+            solo = mechanize_sequence(x0.select(i), gyro[i], accel[i], dt, earth)
+            for got, want in zip(bank, solo):
+                assert got[i].tobytes() == want.tobytes()
+            if i:
+                for got, want in zip(smaller, solo):
+                    assert got[i - 1].tobytes() == want.tobytes()
+
+
+class TestStepFreeNoise:
+    """propagate_covariance_sequence forms G Qc G^T dt once per call when it
+    is the same at every step, and per step otherwise."""
+
+    DT = 0.01
+
+    @staticmethod
+    def _history(n=40, seed=47):
+        """A bank of two members' state histories at Earth scale, with
+        attitudes orthonormal to rounding."""
+        rng = np.random.default_rng(seed)
+        earth = EarthModel(gravity_mode="spherical")
+        atts = lie.so3_exp(rng.normal(size=(2, n + 1, 3)))
+        vels = rng.normal(scale=5.0, size=(2, n + 1, 3))
+        poss = np.array([EARTH_RADIUS, 0.0, 0.0]) + rng.normal(scale=100.0, size=(2, n + 1, 3))
+        x0 = NavState(
+            atts[:, 0], vels[:, 0], poss[:, 0], rng.normal(scale=1e-4, size=(2, 3)), rng.normal(scale=1e-3, size=(2, 3))
+        )
+        gyro = rng.normal(scale=0.3, size=(2, n, 3))
+        accel = rng.normal(scale=1.0, size=(2, n, 3))
+        return earth, x0, atts, vels, poss, gyro, accel
+
+    def _per_step(self, param, qc):
+        """Every step's G Qc G^T dt, as the per-step path forms it."""
+        earth, x0, atts, vels, poss, gyro, accel = self._history()
+        x = NavState(atts[:, :-1], vels[:, :-1], poss[:, :-1])
+        sm = system_matrix(param, x, ImuSample(0.0, gyro - x0.bg[:, None], accel - x0.ba[:, None]), earth)
+        return (sm.G @ qc @ sm.G.swapaxes(-1, -2)) * self.DT
+
+    @staticmethod
+    def _coupled_qc():
+        """Qc whose gyro noise couples to the gyro bias noise."""
+        qc = sim.CONSUMER_IMU.qc()
+        qc[0:3, 6:9] = qc[6:9, 0:3] = 0.5 * np.sqrt(qc[0, 0] * qc[6, 6]) * np.eye(3)
+        return qc
+
+    @staticmethod
+    def _random_qc(seed=53):
+        a = np.random.default_rng(seed).normal(size=(12, 12))
+        return a @ a.T
+
+    @pytest.mark.parametrize("qc", ["consumer", "coupled", "random"])
+    def test_left_invariant_term_is_the_per_step_one(self, qc):
+        # the left-invariant G is constant, so any Qc gives the per-step bits
+        qc = {"consumer": sim.CONSUMER_IMU.qc(), "coupled": self._coupled_qc(), "random": self._random_qc()}[qc]
+        w = kf._step_free_noise(LEFT, qc, self.DT)
+        per_step = self._per_step(LEFT, qc)
+        assert np.array_equal(np.broadcast_to(w, per_step.shape), per_step)
+
+    def test_additive_term_agrees_to_rounding(self):
+        # the per-step term rotates the noise by R, R (q I) R^T = q R R^T
+        qc = sim.CONSUMER_IMU.qc()
+        w = kf._step_free_noise(EKF, qc, self.DT)
+        per_step = self._per_step(EKF, qc)
+        err = np.linalg.norm(per_step - w, axis=(-2, -1)) / np.linalg.norm(w)
+        assert 0.0 < err.max() <= 1e-15
+
+    @pytest.mark.parametrize("param, qc", [
+        (RIGHT, "consumer"), (EKF, "coupled"), (EKF, "random"), (EKF, "uneven"),
+    ])
+    def test_other_terms_are_formed_per_step_with_their_old_bits(self, param, qc):
+        # the right-invariant G depends on the state, and an additive Qc
+        # whose gyro and accelerometer blocks are not multiples of I, or
+        # that couples them to the bias noise, changes under R; those take
+        # the per-step term, step by step as before
+        uneven = sim.CONSUMER_IMU.qc()
+        uneven[3, 3] *= 2.0
+        qc = {"consumer": sim.CONSUMER_IMU.qc(), "coupled": self._coupled_qc(), "random": self._random_qc(),
+              "uneven": uneven}[qc]
+        assert kf._step_free_noise(param, qc, self.DT) is None
+        self._assert_stepwise_bits(param, qc, self._per_step(param, qc))
+
+    def test_left_invariant_recursion_keeps_its_bits(self):
+        qc = sim.CONSUMER_IMU.qc()
+        assert kf._step_free_noise(LEFT, qc, self.DT) is not None
+        self._assert_stepwise_bits(LEFT, qc, self._per_step(LEFT, qc))
+
+    def _assert_stepwise_bits(self, param, qc, w):
+        """propagate_covariance_sequence one step at a time equals
+        P <- sym((I + F dt) P (I + F dt)^T + W_k) over the per-step terms w,
+        bit for bit."""
+        earth, x0, atts, vels, poss, gyro, accel = self._history()
+        sm = system_matrix(
+            param, NavState(atts[:, :-1], vels[:, :-1], poss[:, :-1]),
+            ImuSample(0.0, gyro - x0.bg[:, None], accel - x0.ba[:, None]), earth,
+        )
+        phi = np.eye(15) + sm.F * self.DT
+        p0 = np.stack([default_p0(a, np.radians([5.0, 5.0, 10.0])) for a in x0.att])
+        _, history = propagate_covariance_sequence(
+            param, p0, atts, vels, poss, gyro, accel, x0.bg, x0.ba, self.DT, qc, earth, record_every=1
+        )
+        p = p0
+        for k in range(gyro.shape[1]):
+            p = phi[:, k] @ p @ phi[:, k].swapaxes(-1, -2) + w[:, k]
+            p = (p + p.swapaxes(-1, -2)) / 2.0
+            assert history[k + 1].tobytes() == p.tobytes(), k
 
 
 class TestBatchHelpers:

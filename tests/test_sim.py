@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import cteskf
-from cteskf import lie, sim
+from cteskf import lie, sim, verify
 from cteskf.errorstate import ErrorParam, relation_matrix
 from cteskf.filter import mechanize_sequence, propagate_covariance_sequence, run_filter
 from cteskf.ins import NavState
@@ -372,7 +372,7 @@ class TestMonteCarloSweep:
         calls = []
 
         def spy(fs, imu, observations, *args, **kwargs):
-            calls.append((len(fs.P), len(imu.t) + 1, kwargs.get("record")))
+            calls.append((len(fs.P), len(imu.t) + 1 - kwargs.get("first_row", 0), kwargs.get("record")))
             return run_filter(fs, imu, observations, *args, **kwargs)
 
         monkeypatch.setattr(sim, "run_filter", spy)
@@ -386,23 +386,51 @@ class TestMonteCarloSweep:
         cfg = small_cfg(duration=2.0, imu_rate=50.0, use_odo=True, init_att_err_deg=(30.0, 30.0, 0.0))
         variants = ("ekf", "ct-ekf")
         one_bank = monte_carlo_sweep(cfg, [120.0, -30.0], 3, variants=variants)
-        rows = 101
-        monkeypatch.setattr(sim, "BANK_ROWS", per_bank * rows + rows // 2)
+        member = sim._member_bytes(cfg)
+        monkeypatch.setattr(sim, "BANK_BYTES", per_bank * member + member // 2)
         calls = self.bank_calls(monkeypatch)
         split = monte_carlo_sweep(cfg, [120.0, -30.0], 3, variants=variants)
         assert [members for members, _, _ in calls[:: len(variants)]] == sizes
-        assert {record_rows for _, record_rows, _ in calls} == {rows}
+        # 101 rows, of which the settling window from t=1 s holds 51
+        assert {record_rows for _, record_rows, _ in calls} == {51}
         assert split.rmse_deg.tobytes() == one_bank.rmse_deg.tobytes()
 
-    def test_sweep_records_attitude_only_within_bank_rows(self, monkeypatch):
-        # the memory policy: every run of a sweep records the attitude only
-        # and holds at most BANK_ROWS member-rows
+    def test_sweep_records_the_attitude_window_within_bank_bytes(self, monkeypatch):
+        # the memory policy: every run of a sweep records the attitude over
+        # the settling window only (t >= 1.5 s: rows 75 to 100 of 101), and
+        # the members of a bank hold at most BANK_BYTES in that record and
+        # their IMU rates
+        cfg = small_cfg(duration=2.0, imu_rate=50.0, settle_s=1.5)
+        assert sim._member_bytes(cfg) == 8 * (9 * 26 + 6 * 100)
+        monkeypatch.setattr(sim, "BANK_BYTES", 3 * sim._member_bytes(cfg))
         calls = self.bank_calls(monkeypatch)
-        monte_carlo_sweep(small_cfg(duration=2.0, imu_rate=50.0), [0.0, 90.0], 2, variants=("ekf", "ct-ekf"))
-        assert len(calls) == 2
+        monte_carlo_sweep(cfg, [0.0, 90.0], 2, variants=("ekf", "ct-ekf"))
+        assert [members for members, _, _ in calls] == [2, 2, 2, 2]
         for members, record_rows, record in calls:
-            assert record == ("att",)
-            assert members * record_rows <= sim.BANK_ROWS
+            assert record == ("att",) and record_rows == 26
+            assert members * sim._member_bytes(cfg) <= sim.BANK_BYTES
+
+    @pytest.mark.parametrize("sweep, sizes", [("sweep-30hz", [30]), ("criterion-09", [55, 55])])
+    def test_paper_sweeps_run_in_their_banks(self, monkeypatch, sweep, sizes):
+        # the benchmark's sweep runs as one bank of 30 members, criterion
+        # 09's (11 cells x 10 seeds) as two of 55; no filter runs
+        banks = []
+
+        def count(args):
+            _, members, variants = args
+            banks.append(len(members))
+            return np.zeros((len(members), len(variants)))
+
+        monkeypatch.setattr(sim, "_sweep_bank", count)
+        if sweep == "sweep-30hz":
+            cfg = ScenarioConfig(
+                kind="circle", duration=120.0, speed=5.0, radius=100.0, imu_rate=30.0, use_gnss=True, use_odo=True,
+                init_att_err_deg=(60.0, 60.0, 0.0), injection="retraction", settle_s=60.0,
+            )
+            monte_carlo_sweep(cfg, (-150.0, -120.0, -90.0, 90.0, 120.0, 150.0), 5, ("ekf", "l-inekf", "ct-ekf"))
+        else:
+            verify.check_ordering(0)
+        assert banks == sizes
 
     def test_one_truth_and_one_observation_per_fix_per_bank(self, monkeypatch):
         # three banks of two members: each bank generates the truth once and
@@ -423,7 +451,7 @@ class TestMonteCarloSweep:
 
         monkeypatch.setattr(sim, "generate_truth", truth_spy)
         monkeypatch.setattr(sim, "Observation", CountedObservation)
-        monkeypatch.setattr(sim, "BANK_ROWS", 2 * 101 + 50)
+        monkeypatch.setattr(sim, "BANK_BYTES", 2 * sim._member_bytes(cfg) + sim._member_bytes(cfg) // 2)
         monte_carlo_sweep(cfg, [0.0, 90.0, -90.0], 2, variants=("ekf",))
         assert len(truths) == 3
         assert len(observations) == 3 * fixes
@@ -432,7 +460,7 @@ class TestMonteCarloSweep:
     def test_parallel_matches_serial(self, monkeypatch):
         # two members per bank: the pool maps over two banks
         cfg = small_cfg(duration=5.0, imu_rate=50.0, init_att_err_deg=(10.0, 10.0, 0.0))
-        monkeypatch.setattr(sim, "BANK_ROWS", 2 * 251)
+        monkeypatch.setattr(sim, "BANK_BYTES", 2 * sim._member_bytes(cfg))
         grid = [-30.0, 30.0]
         serial = monte_carlo_sweep(cfg, grid, 2, variants=("ekf", "ct-ekf"), jobs=1)
         parallel = monte_carlo_sweep(cfg, grid, 2, variants=("ekf", "ct-ekf"), jobs=2)
