@@ -23,14 +23,14 @@ filter's own.  Under the default retraction injection they differ.
 :func:`run_filter` is the one event loop: it drives a bank that shares one
 IMU time grid and one observation grid through its IMU samples and
 observations.  Between two observations it propagates the whole
-segment at once with :func:`mechanize_sequence` and
-:func:`propagate_covariance_sequence`, the one strapdown mechanization and
-the one covariance recursion of the package.
+segment at once with :func:`mechanize_sequence`, the one strapdown
+mechanization of the package, and steps the covariance through the
+segment's transition pairs.  :func:`propagate_covariance_sequence` composes
+those pairs instead, for a long propagation-only leg.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import InitVar, dataclass, field, fields, replace
 
@@ -52,7 +52,7 @@ I15 = np.eye(15)
 _THREE_I3 = 3.0 * np.eye(3)
 
 MAX_DT = 0.5  # s, the longest propagation step run_filter accepts
-CHUNK = 1024  # member-steps of F, G and P held in memory at once
+CHUNK = 1024  # transition pairs held at once: member-steps of a run_filter piece, steps of a composed run
 MIDPOINT_COLUMNS = 16  # bank size from which mechanize_sequence runs the midpoint rule on member arrays
 
 
@@ -234,17 +234,6 @@ def step_observation(fs: FilterState, obs: Observation, back_at_predicted: bool 
     return replace(fs, x=x, P=p)
 
 
-def state_difference(a: NavState, b: NavState) -> float:
-    """Largest per-block discrepancy between two navigation states."""
-    return max(
-        float(np.linalg.norm(lie.so3_log(a.att @ b.att.T))),
-        float(np.linalg.norm(a.vel - b.vel)),
-        float(np.linalg.norm(a.pos - b.pos)),
-        float(np.linalg.norm(a.bg - b.bg)),
-        float(np.linalg.norm(a.ba - b.ba)),
-    )
-
-
 @dataclass
 class FilterRun:
     """What :func:`run_filter` records on the IMU grid from its first
@@ -310,8 +299,8 @@ def run_filter(
 
     The steps up to the next observation (at most :data:`CHUNK`) form one
     segment, propagated at the state's biases by one
-    :func:`mechanize_sequence` call and :func:`propagate_covariance_sequence`
-    calls of at most :data:`CHUNK` member-steps.  A member whose state or
+    :func:`mechanize_sequence` call and the step-by-step covariance
+    recursion of :func:`_covariances`.  A member whose state or
     covariance stops being finite, or whose update raises
     :class:`FilterDivergence`, ends its run at the last step completed
     before it and leaves the bank; the others run on.  Returns one
@@ -330,6 +319,7 @@ def run_filter(
         raise ValueError(f"first recorded row {first_row} lies outside the record's rows 0..{n}")
     bank, size = fs, len(fs.P)
     update = update or step_observation
+    w_fixed = _step_free_noise(fs.param, fs.qc, dt)
     pending = sorted(observations, key=lambda o: o.time)
     for obs in pending:
         rows = len(obs.value) if obs.value.ndim == 2 else size
@@ -353,7 +343,7 @@ def run_filter(
 
     def store_row(members, row: int, bank: FilterState):
         """Record the bank's state and covariance block traces as ``row``."""
-        x, traces = bank.x, _traces(bank.P)[:, None] if traced else None
+        x, traces = bank.x, _traces(bank.P.diagonal(axis1=-2, axis2=-1))[:, None] if traced else None
         _store(stores, members, row - first_row, NavState(x.att[:, None], x.vel[:, None], x.pos[:, None]), traces)
 
     ends = [(n + 1, None)] * size
@@ -379,7 +369,7 @@ def run_filter(
         # a non-finite input or result is found below and ends its member
         with np.errstate(invalid="ignore", over="ignore"):
             atts, vels, poss = mechanize_sequence(bank.x, seg_gyro, seg_accel, dt, bank.earth)
-            p, traces, finite = _covariances(bank, atts, vels, poss, seg_gyro, seg_accel, dt, traced)
+            p, traces, finite = _covariances(bank, atts, vels, poss, seg_gyro, seg_accel, dt, w_fixed, traced)
         finite &= np.isfinite(atts[:, 1:]).all(axis=(2, 3))
         finite &= np.isfinite(vels[:, 1:]).all(axis=2) & np.isfinite(poss[:, 1:]).all(axis=2)
         # the segment's rows but its last, which holds the state after the
@@ -423,37 +413,45 @@ def run_filter(
     ]
 
 
-def _traces(p: np.ndarray) -> np.ndarray:
-    """The block traces (..., 5) of covariances (..., 15, 15), in state order."""
-    return p.diagonal(axis1=-2, axis2=-1).reshape(p.shape[:-2] + (5, 3)).sum(axis=-1)
+def _traces(diag: np.ndarray) -> np.ndarray:
+    """The block traces (..., 5) of covariances from their diagonals (..., 15), in state order."""
+    return diag.reshape(diag.shape[:-1] + (5, 3)).sum(axis=-1)
 
 
-def _covariances(bank: FilterState, atts, vels, poss, gyro, accel, dt, traced: bool):
-    """The covariance recursion of a bank over a segment's state histories,
-    in calls of at most :data:`CHUNK` member-steps: the final covariances,
-    whether each member's covariance is finite after each step (M, m), and,
-    when ``traced``, its covariance block traces there (M, m, 5), else
-    ``None``.
+def _covariances(bank: FilterState, atts, vels, poss, gyro, accel, dt, w_fixed, traced: bool):
+    """The covariance recursion P <- sym(Phi_k P Phi_k^T + W_k) of a bank
+    over a segment's state histories, one step after the other, with the
+    transition pairs (:func:`_step_pairs`, ``w_fixed`` as there) built for
+    pieces of at most :data:`CHUNK` member-steps at once.  Returns the final
+    covariances, whether each member's covariance is finite after each step
+    (M, m), and, when ``traced``, its covariance block traces there
+    (M, m, 5), else ``None``.
 
     Once a covariance is not finite it stays so, so a finite final
-    covariance clears every step of its call; the steps are stacked only
-    for the traces or when a final covariance is not finite."""
+    covariance clears every step of its piece; only a piece whose final
+    covariance is not finite is stepped again from its first covariance,
+    checking each step."""
     members, m = gyro.shape[:2]
     piece = max(1, CHUNK // members)
     p, finite = bank.P, np.ones((members, m), dtype=bool)
-    traces = np.empty((members, m, 5)) if traced else None
+    diags = np.empty((members, m, 15)) if traced else None
+    omega_b, f_b = gyro - bank.x.bg[:, None], accel - bank.x.ba[:, None]
     for a in range(0, m, piece):
         b = min(a + piece, m)
-        p, history = propagate_covariance_sequence(
-            bank.param, p, atts[:, a : b + 1], vels[:, a : b + 1], poss[:, a : b + 1], gyro[:, a:b], accel[:, a:b],
-            bank.x.bg, bank.x.ba, dt, bank.qc, bank.earth, record_every=1,
+        phi, w = _step_pairs(
+            bank.param, NavState(atts[:, a:b], vels[:, a:b], poss[:, a:b]),
+            ImuSample(0.0, omega_b[:, a:b], f_b[:, a:b]), dt, bank.qc, bank.earth, w_fixed,
         )
-        if traced or not np.isfinite(p).all():
-            ps = np.array(history[1:]).swapaxes(0, 1)
-            finite[:, a:b] = np.isfinite(ps).all(axis=(2, 3))
+        q = p
+        for k in range(b - a):
+            p = _symmetrize(phi[k] @ p @ _t(phi[k]) + w[k])
             if traced:
-                traces[:, a:b] = _traces(ps)
-    return p, traces, finite
+                diags[:, a + k] = p.diagonal(axis1=-2, axis2=-1)
+        if not np.isfinite(p).all():
+            for k in range(b - a):
+                q = _symmetrize(phi[k] @ q @ _t(phi[k]) + w[k])
+                finite[:, a + k] = np.isfinite(q).all(axis=(1, 2))
+    return p, _traces(diags) if traced else None, finite
 
 
 def _store(stores: dict, members, start: int, x: NavState, traces) -> None:
@@ -618,14 +616,8 @@ _FIXED_G = {ErrorParam.ADDITIVE_EKF: _noise_input(1.0), ErrorParam.LEFT_INVARIAN
 
 def _step_free_noise(param: ErrorParam, qc: np.ndarray, dt: float) -> np.ndarray | None:
     """The process noise G Qc G^T dt when it is the same at every step, else
-    ``None``; read-only, and formed once for each (param, Qc, dt) of the
-    last few, since a run asks for it once per segment."""
-    return _step_free_noise_of(param, np.asarray(qc, dtype=float).tobytes(), dt)
-
-
-@functools.lru_cache(maxsize=8)
-def _step_free_noise_of(param: ErrorParam, qc_bytes: bytes, dt: float) -> np.ndarray | None:
-    """:func:`_step_free_noise` of the 12x12 Qc whose bytes are ``qc_bytes``.
+    ``None``; formed once per :func:`run_filter` or
+    :func:`propagate_covariance_sequence` call.
 
     The left-invariant G is constant, so its term is the per-step one to the
     bit.  The additive G maps the gyro and accelerometer noise through the
@@ -638,14 +630,12 @@ def _step_free_noise_of(param: ErrorParam, qc_bytes: bytes, dt: float) -> np.nda
     g = _FIXED_G.get(param)
     if g is None:
         return None
-    qc = np.frombuffer(qc_bytes).reshape(12, 12)
+    qc = np.asarray(qc, dtype=float)
     if param is ErrorParam.ADDITIVE_EKF:
         blocks = qc[0:6, 0:6].reshape(2, 3, 2, 3).swapaxes(1, 2)
         if qc[0:6, 6:12].any() or qc[6:12, 0:6].any() or not np.array_equal(blocks, blocks[..., :1, :1] * np.eye(3)):
             return None
-    w = (g @ qc @ g.T) * dt
-    w.flags.writeable = False
-    return w
+    return (g @ qc @ g.T) * dt
 
 
 def _step_pairs(param, x: NavState, u: ImuSample, dt, qc, earth, w_fixed) -> tuple[np.ndarray, np.ndarray]:
@@ -675,44 +665,31 @@ def propagate_covariance_sequence(
     dt: float,
     qc: np.ndarray,
     earth: EarthModel,
-    record_every: int = 0,
 ) -> tuple[np.ndarray, list]:
     """Covariance recursion P <- (I + F dt) P (I + F dt)^T + G Qc G^T dt over a
     precomputed state history, with F and G frozen at each step's pre-step
-    state and bias-corrected sample; the composition of steps matches the
-    step-by-step recursion to rounding.
+    state and bias-corrected sample, composed rather than stepped: the
+    transition pairs of each run of at most :data:`CHUNK` steps are composed
+    into one (:func:`_compose`) and applied to P at once, which matches the
+    step-by-step recursion to rounding.  A bank (``p0`` (M, 15, 15),
+    histories as :func:`mechanize_sequence` gives them and biases (M, 3))
+    propagates every member at once.
 
-    The steps between snapshots are composed into one transition pair
-    (:func:`_compose`) and applied to P at once; at most :data:`CHUNK`
-    steps are held in memory.  Returns the final covariance and, if
-    record_every > 0, snapshots taken every that many steps (starting at
-    step 0 with P0).  A
-    bank (``p0`` (M, 15, 15), histories as :func:`mechanize_sequence` gives
-    them and biases (M, 3)) propagates every member at once.
+    Returns the final covariance and an empty list, a second value kept for
+    the benchmark's callers, which unpack two.
     """
     n = gyro.shape[-2]
     omega_b = gyro - bg[..., None, :]
     f_b = accel - ba[..., None, :]
     p = np.array(p0, dtype=float)
-    history = []
     w_fixed = _step_free_noise(param, qc, dt)
-    # segments end on snapshot steps and at chunk ends; without snapshots a
-    # chunk is one segment
-    every = record_every or CHUNK
     for start in range(0, n, CHUNK):
         stop = min(start + CHUNK, n)
-        phi, w = _step_pairs(
+        phi, w = _compose(*_step_pairs(
             param,
             NavState(atts[..., start:stop, :, :], vels[..., start:stop, :], poss[..., start:stop, :]),
             ImuSample(0.0, omega_b[..., start:stop, :], f_b[..., start:stop, :]),
             dt, qc, earth, w_fixed,
-        )
-        bounds = [start, *range(start - start % every + every, stop, every), stop]
-        for a, b in zip(bounds[:-1], bounds[1:]):
-            if record_every and a % record_every == 0:
-                history.append(p)
-            phi_seg, w_seg = _compose(phi[a - start : b - start], w[a - start : b - start])
-            p = _symmetrize(phi_seg @ p @ _t(phi_seg) + w_seg)
-    if record_every and n % record_every == 0:
-        history.append(p)
-    return p, history
+        ))
+        p = _symmetrize(phi @ p @ _t(phi) + w)
+    return p, []

@@ -335,7 +335,18 @@ def generate_truth(cfg: ScenarioConfig, earth: EarthModel) -> TruthSeries:
 
 
 def synthesize_imu(truth: TruthSeries, spec: ImuSpec, cfg: ScenarioConfig, earth: EarthModel, seed) -> ImuStream:
-    """Ideal inverse-mechanization IMU plus seeded noise and biases.
+    """Ideal inverse-mechanization IMU plus seeded noise and biases."""
+    return _imu_with_errors(truth, _ideal_imu(truth, cfg, earth), spec, cfg, seed)
+
+
+def _ideal_imu(truth: TruthSeries, cfg: ScenarioConfig, earth: EarthModel) -> tuple[np.ndarray, np.ndarray]:
+    """The ideal gyro and accelerometer rates (n, 3) at the IMU intervals' midpoints."""
+    return truth.traj.batch_ideal_imu((np.arange(len(truth.t) - 1) + 0.5) * (1.0 / cfg.imu_rate), earth)
+
+
+def _imu_with_errors(truth: TruthSeries, ideal, spec: ImuSpec, cfg: ScenarioConfig, seed) -> ImuStream:
+    """The ``ideal`` rates of :func:`_ideal_imu` plus seeded noise and
+    biases, added in place.
 
     Bias truth is a random constant drawn from the instability figure plus a
     random walk matching the filter's process model.
@@ -343,7 +354,7 @@ def synthesize_imu(truth: TruthSeries, spec: ImuSpec, cfg: ScenarioConfig, earth
     rng = np.random.default_rng(seed)
     dt = 1.0 / cfg.imu_rate
     n = len(truth.t) - 1
-    gyro, accel = truth.traj.batch_ideal_imu((np.arange(n) + 0.5) * dt, earth)
+    gyro, accel = ideal
 
     bg0 = rng.normal(scale=spec.gyro_bias_si, size=3)
     ba0 = rng.normal(scale=spec.accel_bias_si, size=3)
@@ -482,17 +493,18 @@ def synthesize(cfg: ScenarioConfig, members=None) -> Scenario:
         initial_estimate(c, truth.state(0), np.random.default_rng(np.random.SeedSequence([c.seed, 0xC0FFEE])))
         for c in configs
     ))
-    # the members' IMU streams, bias truth included, are drawn one at a time
-    # and only their rates kept
-    imus = (synthesize_imu(truth, c.imu, c, earth, np.random.SeedSequence([c.seed, 1])) for c in configs)
     if members is None:
-        (imu,) = imus
+        imu = synthesize_imu(truth, cfg.imu, cfg, earth, np.random.SeedSequence([cfg.seed, 1]))
         x0, p0 = x0[0], p0[0]
     else:
+        # the members share the ideal rates; each member's errors, bias
+        # truth included, are added to its own rows and only its rates kept
+        ideal = _ideal_imu(truth, cfg, earth)
         rates = (len(members), len(truth.t) - 1, 3)
         imu = ImuStream(truth.t[1:].copy(), np.empty(rates), np.empty(rates), 1.0 / cfg.imu_rate)
-        for i, own in enumerate(imus):
-            imu.gyro[i], imu.accel[i] = own.gyro, own.accel
+        for i, c in enumerate(configs):
+            imu.gyro[i], imu.accel[i] = ideal
+            _imu_with_errors(truth, (imu.gyro[i], imu.accel[i]), c.imu, c, np.random.SeedSequence([c.seed, 1]))
         x0, p0 = NavState.stack(x0), np.stack(p0)
     return Scenario(earth, truth, imu, gnss, odo, x0, p0)
 

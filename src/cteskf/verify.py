@@ -38,7 +38,6 @@ from .filter import (
     mechanize_sequence,
     propagate_covariance_sequence,
     run_filter,
-    state_difference,
     step_observation,
 )
 from .ins import EarthModel, NavState, left_rate_matrix, right_rate_matrix
@@ -256,6 +255,17 @@ def _quiet_config(**kw) -> ScenarioConfig:
     )
     base.update(kw)
     return ScenarioConfig(**base)
+
+
+def state_difference(a: NavState, b: NavState) -> float:
+    """Largest per-block discrepancy between two navigation states."""
+    return max(
+        float(np.linalg.norm(lie.so3_log(a.att @ b.att.T))),
+        float(np.linalg.norm(a.vel - b.vel)),
+        float(np.linalg.norm(a.pos - b.pos)),
+        float(np.linalg.norm(a.bg - b.bg)),
+        float(np.linalg.norm(a.ba - b.ba)),
+    )
 
 
 def _series_max_diff(sa, sb) -> float:

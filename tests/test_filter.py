@@ -44,11 +44,11 @@ from cteskf.filter import (
     mixed_sensor_strategy,
     propagate_covariance_sequence,
     run_filter,
-    state_difference,
     step_observation,
 )
 from cteskf.ins import EarthModel, ImuSample, NavState, EARTH_RADIUS
 from cteskf.sensors import Observation
+from cteskf.verify import state_difference
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -680,6 +680,31 @@ class TestRunFilter:
         assert lean.diverged == run.diverged
         assert lean.t.tobytes() == run.t.tobytes() and lean.att.tobytes() == run.att.tobytes()
 
+    @pytest.mark.parametrize("param", [EKF, LEFT, RIGHT])
+    def test_nonfinite_covariance_in_a_later_piece_ends_run_at_its_step(self, param, monkeypatch):
+        # three members and a CHUNK of 8 member-steps cut the segment of
+        # steps 3 to 9 into pieces of two steps.  The huge specific force of
+        # step 6 (the second piece) overflows only the covariance, at that
+        # step or, for the right-invariant F, at step 7 (the third piece).
+        # The piece's final covariance is not finite, so its steps are run
+        # again from its first covariance, checking each: every member ends
+        # at that step, with the same message, whatever the record holds
+        monkeypatch.setattr(kf, "CHUNK", 8)
+        imu = self.samples()
+        imu.accel[6, 1] = 1e200
+        obs = [gnss(0.03, np.zeros(3), 0.2), gnss(0.1, np.zeros(3), 0.2)]
+        base = simple_filter()
+        (fs,) = initial_filter_bank(base.x, base.P, [(param, Strategy())], QUIET_QC, base.earth)
+        bank = fs.select(None).select([0, 0, 0])
+        rows = 8 if param is RIGHT else 7
+        message = f"state or covariance became non-finite at t={rows / 100:.3f} ({param.value})"
+        full = run_filter(bank, imu, obs)
+        lean = run_filter(bank, imu, obs, record=("att",))
+        for run, att_only in zip(full, lean):
+            assert run.diverged == att_only.diverged == message
+            assert len(run.t) == len(run.p_trace) == rows and np.isfinite(run.p_trace).all()
+            assert att_only.t.tobytes() == run.t.tobytes() and att_only.att.tobytes() == run.att.tobytes()
+
     @pytest.mark.parametrize("first_row", [0, 1, 3, 4, 7, 10])
     def test_first_row_records_the_later_rows(self, first_row):
         # row k holds the state after k steps, whatever the first recorded
@@ -746,6 +771,24 @@ class TestSegmentEngine:
         fs, imu, obs = self._filter_and_inputs(variant, 100.0, 11.0, 0.0)
         assert obs == [] and len(imu.t) > CHUNK
         self._assert_matches(solo_run(fs, imu, []), stepwise_run(fs, imu, []))
+
+    def test_one_covariance_recursion_per_use(self):
+        # run_filter steps the covariance itself and only
+        # propagate_covariance_sequence composes: _compose has that one
+        # caller, and nothing that run_filter reaches calls the composition
+        tree = ast.parse(Path(kf.__file__).read_text())
+        refs = {
+            node.name: {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+            for node in tree.body if isinstance(node, ast.FunctionDef)
+        }
+        assert {name for name, used in refs.items() if "_compose" in used} == {"propagate_covariance_sequence"}
+        reached, todo = set(), ["run_filter"]
+        while todo:
+            name = todo.pop()
+            if name not in reached:
+                reached.add(name)
+                todo += [used for used in refs[name] if used in refs]
+        assert "_covariances" in reached and "propagate_covariance_sequence" not in reached
 
 
 class TestFilterBank:
@@ -994,8 +1037,8 @@ class TestMidpointForms:
 
 
 class TestStepFreeNoise:
-    """propagate_covariance_sequence forms G Qc G^T dt once per call when it
-    is the same at every step, and per step otherwise."""
+    """run_filter and propagate_covariance_sequence form G Qc G^T dt once per
+    call when it is the same at every step, and per step otherwise."""
 
     DT = 0.01
 
@@ -1053,7 +1096,7 @@ class TestStepFreeNoise:
     @pytest.mark.parametrize("param, qc", [
         (RIGHT, "consumer"), (EKF, "coupled"), (EKF, "random"), (EKF, "uneven"),
     ])
-    def test_other_terms_are_formed_per_step_with_their_old_bits(self, param, qc):
+    def test_other_terms_are_formed_per_step_with_their_old_bits(self, param, qc, monkeypatch):
         # the right-invariant G depends on the state, and an additive Qc
         # whose gyro and accelerometer blocks are not multiples of I, or
         # that couples them to the bias noise, changes under R; those take
@@ -1063,17 +1106,18 @@ class TestStepFreeNoise:
         qc = {"consumer": sim.CONSUMER_IMU.qc(), "coupled": self._coupled_qc(), "random": self._random_qc(),
               "uneven": uneven}[qc]
         assert kf._step_free_noise(param, qc, self.DT) is None
-        self._assert_stepwise_bits(param, qc, self._per_step(param, qc))
+        self._assert_stepwise_bits(param, qc, self._per_step(param, qc), monkeypatch)
 
-    def test_left_invariant_recursion_keeps_its_bits(self):
+    def test_left_invariant_recursion_keeps_its_bits(self, monkeypatch):
         qc = sim.CONSUMER_IMU.qc()
         assert kf._step_free_noise(LEFT, qc, self.DT) is not None
-        self._assert_stepwise_bits(LEFT, qc, self._per_step(LEFT, qc))
+        self._assert_stepwise_bits(LEFT, qc, self._per_step(LEFT, qc), monkeypatch)
 
-    def _assert_stepwise_bits(self, param, qc, w):
-        """propagate_covariance_sequence one step at a time equals
+    def _assert_stepwise_bits(self, param, qc, w, monkeypatch):
+        """run_filter's covariance recursion (_covariances) equals
         P <- sym((I + F dt) P (I + F dt)^T + W_k) over the per-step terms w,
-        bit for bit."""
+        bit for bit at every step; a CHUNK of 14 member-steps cuts the 40
+        steps of the bank of two into pieces of 7."""
         earth, x0, atts, vels, poss, gyro, accel = self._history()
         sm = system_matrix(
             param, NavState(atts[:, :-1], vels[:, :-1], poss[:, :-1]),
@@ -1081,14 +1125,18 @@ class TestStepFreeNoise:
         )
         phi = np.eye(15) + sm.F * self.DT
         p0 = np.stack([default_p0(a, np.radians([5.0, 5.0, 10.0])) for a in x0.att])
-        _, history = propagate_covariance_sequence(
-            param, p0, atts, vels, poss, gyro, accel, x0.bg, x0.ba, self.DT, qc, earth, record_every=1
-        )
+        monkeypatch.setattr(kf, "CHUNK", 14)
+        steps, symmetrize = [], kf._symmetrize
+        monkeypatch.setattr(kf, "_symmetrize", lambda p: steps.append(symmetrize(p)) or steps[-1])
+        bank = FilterState(x0, p0, param, qc=qc, earth=earth)
+        w_fixed = kf._step_free_noise(param, qc, self.DT)
+        p_end, _, finite = kf._covariances(bank, atts, vels, poss, gyro, accel, self.DT, w_fixed, False)
+        assert len(steps) == gyro.shape[1] and finite.all() and p_end is steps[-1]
         p = p0
         for k in range(gyro.shape[1]):
             p = phi[:, k] @ p @ phi[:, k].swapaxes(-1, -2) + w[:, k]
             p = (p + p.swapaxes(-1, -2)) / 2.0
-            assert history[k + 1].tobytes() == p.tobytes(), k
+            assert steps[k].tobytes() == p.tobytes(), k
 
 
 class TestBatchHelpers:
@@ -1139,37 +1187,3 @@ class TestBatchHelpers:
             )
             p_step = self._stepwise_covariances(param, a @ p0 @ a.T, x0, gyro, accel, dt, qc, earth)[-1]
             np.testing.assert_allclose(p_fast, p_step, rtol=1e-10, atol=1e-12 * np.abs(p_step).max())
-
-    def test_covariance_sequence_recording(self, monkeypatch):
-        earth = quiet_earth()
-        n, dt = 100, 0.01
-        gyro = np.zeros((n, 3))
-        accel = np.zeros((n, 3))
-        x0 = NavState(np.eye(3), np.zeros(3), np.zeros(3))
-        atts, vels, poss = mechanize_sequence(x0, gyro, accel, dt, earth)
-        qc = process_noise(1e-8, 1e-6, 1e-15, 1e-13)
-        _, history = propagate_covariance_sequence(
-            EKF, np.eye(15), atts, vels, poss, gyro, accel, np.zeros(3), np.zeros(3), dt, qc, earth, record_every=50
-        )
-        assert len(history) == 3  # steps 0, 50, 100
-        assert np.trace(history[-1]) > np.trace(history[0])
-
-        # snapshots are the stepwise covariances at their steps, also when
-        # record_every does not divide the step count (no final snapshot) and
-        # when segments cross chunk boundaries
-        earth, x0, gyro, accel, dt = self._earth_scale_run(n)
-        atts, vels, poss = mechanize_sequence(x0, gyro, accel, dt, earth)
-        p0 = default_p0(x0.att, np.radians([5.0, 5.0, 10.0]))
-        for param in (EKF, LEFT, RIGHT):
-            a = relation_matrix(EKF, param, x0, earth)
-            stepwise = self._stepwise_covariances(param, a @ p0 @ a.T, x0, gyro, accel, dt, qc, earth)
-            for every, chunk in ((50, 1024), (30, 16), (7, 16)):
-                monkeypatch.setattr(kf, "CHUNK", chunk)
-                _, history = propagate_covariance_sequence(
-                    param, a @ p0 @ a.T, atts, vels, poss, gyro, accel, np.zeros(3), np.zeros(3), dt, qc, earth,
-                    record_every=every,
-                )
-                expected = stepwise[::every]
-                assert len(history) == len(expected) == n // every + 1
-                for got, want in zip(history, expected):
-                    np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12 * np.abs(want).max())

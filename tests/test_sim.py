@@ -525,6 +525,17 @@ class TestSynthesize:
         assert bank.gnss == [] and bank.odo == []
         assert bank.imu.gyro.shape == (2, len(bank.imu.t), 3) and bank.p0.shape == (2, 15, 15)
 
+    def test_ideal_imu_computed_once_per_call(self, monkeypatch):
+        # a bank's members share the ideal rates: one inverse mechanization
+        # per synthesize call, for a bank as for a single config
+        calls = []
+        ideal = Trajectory.batch_ideal_imu
+        monkeypatch.setattr(Trajectory, "batch_ideal_imu", lambda *args: calls.append(1) or ideal(*args))
+        synthesize(small_cfg(duration=1.0), [(0.0, 1), (30.0, 2), (60.0, 3)])
+        assert len(calls) == 1
+        synthesize(small_cfg(duration=1.0))
+        assert len(calls) == 2
+
     def test_empty_bank_rejected(self, monkeypatch):
         # by name, before the truth or any stream is drawn
         monkeypatch.setattr(sim, "generate_truth", lambda *args: pytest.fail("drew the truth"))
@@ -555,8 +566,10 @@ class TestSynthesize:
 
 def left_invariant_traces(cfg, record_every=None):
     """Propagation-only covariance of each parameterization from the
-    scenario's initial estimate, mapped to the left-invariant representation
-    at every recorded epoch: {param: (M, 5) block traces}."""
+    scenario's initial estimate, composed over consecutive windows of
+    ``record_every`` steps and mapped to the left-invariant representation
+    at the end of each: {param: (M, 5) block traces}, the initial epoch
+    first."""
     sc = synthesize(cfg)
     imu, earth = sc.imu, sc.earth
     atts, vels, poss = mechanize_sequence(sc.x0, imu.gyro, imu.accel, imu.dt, earth)
@@ -564,13 +577,16 @@ def left_invariant_traces(cfg, record_every=None):
     out = {}
     for param in PARAMS:
         a0 = relation_matrix(ErrorParam.ADDITIVE_EKF, param, sc.x0, earth)
-        _, history = propagate_covariance_sequence(
-            param, a0 @ sc.p0 @ a0.T, atts, vels, poss, imu.gyro, imu.accel,
-            np.zeros(3), np.zeros(3), imu.dt, cfg.imu.qc(), earth, record_every=every,
-        )
+        p = a0 @ sc.p0 @ a0.T
         traces = []
-        for m, p in enumerate(history):
-            x = NavState(atts[m * every], vels[m * every], poss[m * every])
+        for m in range(0, len(imu.t) + 1, every):
+            if m:
+                window = slice(m - every, m + 1)
+                p, _ = propagate_covariance_sequence(
+                    param, p, atts[window], vels[window], poss[window], imu.gyro[m - every : m],
+                    imu.accel[m - every : m], np.zeros(3), np.zeros(3), imu.dt, cfg.imu.qc(), earth,
+                )
+            x = NavState(atts[m], vels[m], poss[m])
             rel = relation_matrix(param, ErrorParam.LEFT_INVARIANT, x, earth)
             traces.append((rel @ p @ rel.T).diagonal().reshape(5, 3).sum(axis=1))
         out[param] = np.array(traces)
