@@ -31,7 +31,10 @@ those pairs instead, for a long propagation-only leg.
 
 from __future__ import annotations
 
+import bisect
+import logging
 import math
+from collections import Counter
 from dataclasses import InitVar, dataclass, field, fields, replace
 
 import numpy as np
@@ -52,7 +55,10 @@ I15 = np.eye(15)
 _THREE_I3 = 3.0 * np.eye(3)
 
 MAX_DT = 0.5  # s, the longest propagation step run_filter accepts
-CHUNK = 1024  # transition pairs held at once: member-steps of a run_filter piece, steps of a composed run
+# the piece size of every whole-leg stage: member-steps of a run_filter
+# covariance piece, steps of a composed run or a mechanization piece, rows
+# of a truth or ideal-IMU piece
+CHUNK = 1024
 MIDPOINT_COLUMNS = 16  # bank size from which mechanize_sequence runs the midpoint rule on member arrays
 
 
@@ -272,13 +278,15 @@ def run_filter(
     The state time after k steps is the initial time plus k dt.  After each
     step, every observation stamped at or before that time plus dt/2 is
     applied, in time order (a stable sort); observations after the last
-    sample are never applied, and one stamped before the initial time plus
-    dt/2 raises ``ValueError`` before the first step.  So every update sees
-    a state within dt/2 of its stamp, the one observation-time check.  The
-    members share the observation grid and each fix's ``sigma``: its
-    ``value`` is shared or holds one row per member, as the fixes that
-    :func:`cteskf.sim.synthesize` draws for a bank do; another number of
-    rows raises ``ValueError`` before the first step.
+    sample are never applied, and each call logs their count per kind at
+    debug level on the ``cteskf.filter`` logger; one stamped before the
+    initial time plus dt/2 raises ``ValueError`` before the first step.  So
+    every update sees a state within dt/2 of its stamp, the one
+    observation-time check.  The members share the observation grid and
+    each fix's ``sigma``: its ``value`` is shared or holds one row per
+    member, as the fixes that :func:`cteskf.sim.synthesize` draws for a
+    bank do; another number of rows raises ``ValueError`` before the first
+    step.
 
     ``update(bank, obs)`` applies one observation to the members still
     running and returns the updated bank; ``None`` selects
@@ -337,6 +345,12 @@ def run_filter(
     # the step after which each observation is applied: the first whose end
     # time plus dt/2 reaches its stamp (n: after the last sample, never)
     due = np.searchsorted(t0 + dt * np.arange(1.5, n + 1.0), [o.time for o in pending]).tolist() + [n]
+    late = Counter(o.kind for o in pending[bisect.bisect_left(due, n) :])
+    if late:
+        logging.getLogger(__name__).debug(
+            "observations never applied, stamped after the last sample's time plus dt/2, t=%.6g: %s",
+            t0 + (n + 0.5) * dt, ", ".join(f"{count} {kind}" for kind, count in late.items()),
+        )
     t = np.concatenate(([t0], imu.t))
     stores = {name: np.empty((size, n + 1 - first_row) + shape) for name, shape in _RECORDED.items() if name in record}
     traced = "p_trace" in stores
@@ -477,16 +491,16 @@ def _store(stores: dict, members, start: int, x: NavState, traces) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _prefix_products(m: np.ndarray) -> np.ndarray:
-    """Running products m[0], m[0] m[1], ..., m[0] ... m[N-1] along the step
-    axis of a (..., N, k, k) stack by recursive doubling: log2(N) batched
-    matmuls."""
-    out = m.copy()
+def _prefix_products(m: np.ndarray) -> None:
+    """Replace a (..., N, k, k) stack by its running products m[0],
+    m[0] m[1], ..., m[0] ... m[N-1] along the step axis, by recursive
+    doubling: log2(N) batched matmuls, each level's product the one
+    temporary.  Row i's product depends on rows <= i only, so a longer
+    stack leaves the bits of its first rows."""
     shift = 1
-    while shift < out.shape[-3]:
-        out[..., shift:, :, :] = out[..., :-shift, :, :] @ out[..., shift:, :, :]
+    while shift < m.shape[-3]:
+        m[..., shift:, :, :] = m[..., :-shift, :, :] @ m[..., shift:, :, :]
         shift *= 2
-    return out
 
 
 def mechanize_sequence(
@@ -503,58 +517,78 @@ def mechanize_sequence(
     attitude (N+1,3,3), velocity (N+1,3) and position (N+1,3) histories
     including the initial state.  A bank (x0 fields and samples with a
     leading member axis, ``gyro`` (M, N, 3)) gives (M, N+1, ...) histories.
+
+    Beyond these histories a call holds the body rotation increments of
+    every step (one attitude history), one level of the attitude prefix
+    product and the temporaries of one piece of at most :data:`CHUNK`
+    steps; the pieces give the bits of one whole-leg piece.
     """
     n = gyro.shape[-2]
-    omega_b = gyro - x0.bg[..., None, :]
-    f_b = accel - x0.ba[..., None, :]
-    body_half = lie.so3_exp(omega_b * (0.5 * dt))
+    lead = x0.att.shape[:-2]
+    count = math.prod(lead)
+    atts = np.empty(lead + (n + 1, 3, 3))
+    atts[..., 0, :, :] = x0.att
+    # the half increments B_k = exp(omega_k dt/2) of each piece; B_k^2 is
+    # the body rotation increment of step k
+    halves = []
+    for a in range(0, n, CHUNK):
+        half = lie.so3_exp((gyro[..., a : a + CHUNK, :] - x0.bg[..., None, :]) * (0.5 * dt))
+        np.matmul(half, half, out=atts[..., 1 + a : 1 + a + CHUNK, :, :])
+        halves.append(half)
 
     # attitude: the update R <- E (E R B_k) B_k composes into
     # R_k = E^(2k) R_0 B_0^2 ... B_(k-1)^2, a prefix product, which keeps
     # orthonormality to a few ulps; one Newton step of symmetric
     # orthogonalization, R <- R (3I - R^T R)/2, restores it on the last
-    # attitude, where the next segment starts
-    atts = np.empty(omega_b.shape[:-2] + (n + 1, 3, 3))
-    atts[..., 0, :, :] = x0.att
-    atts[..., 1:, :, :] = earth.frame_turns(dt, n) @ x0.att[..., None, :, :] @ _prefix_products(body_half @ body_half)
+    # attitude, where the next segment starts.  Velocity and position: the
+    # midpoint rule, sequential since gravity is taken at the current
+    # position, from the previous piece's last row; the specific force is
+    # resolved at the midpoint attitude E R_k B_k
+    _prefix_products(atts[..., 1:, :, :])
+    if count >= MIDPOINT_COLUMNS:
+        # the member-array form writes one (3, M) slab per step
+        midpoint, (vels, poss) = _midpoint_columns, np.empty((2, n + 1, 3, count)).transpose(0, 3, 1, 2)
+    else:
+        midpoint, (vels, poss) = _midpoint_floats, np.empty((2, count, n + 1, 3))
+    vels[:, 0], poss[:, 0] = x0.vel.reshape(count, 3), x0.pos.reshape(count, 3)
+    for a in range(0, n, CHUNK):
+        half = halves.pop(0)
+        b = min(a + CHUNK, n)
+        piece = atts[..., 1 + a : 1 + b, :, :]
+        np.matmul(earth.frame_turns(dt, a, b) @ x0.att[..., None, :, :], piece, out=piece)
+        f_b = accel[..., a:b, :] - x0.ba[..., None, :]
+        forces = earth.frame_turn(0.5 * dt) @ atts[..., a:b, :, :] @ (half @ f_b[..., None])
+        midpoint(forces.reshape(count, b - a, 3), vels[:, a : b + 1], poss[:, a : b + 1], dt, earth)
     last = atts[..., -1, :, :]
     atts[..., -1, :, :] = last @ ((_THREE_I3 - _t(last) @ last) / 2.0)
-
-    # velocity and position: the midpoint rule, sequential since gravity is
-    # taken at the current position; the specific force is resolved at the
-    # midpoint attitude E R_k B_k
-    forces = earth.frame_turn(0.5 * dt) @ atts[..., :-1, :, :] @ (body_half @ f_b[..., None])
-    count = math.prod(atts.shape[:-3])
-    midpoint = _midpoint_columns if count >= MIDPOINT_COLUMNS else _midpoint_floats
-    vels, poss = midpoint(forces.reshape(count, n, 3), x0.vel.reshape(count, 3), x0.pos.reshape(count, 3), dt, earth)
-    shape = atts.shape[:-2] + (3,)
-    return atts, np.asarray(vels).reshape(shape), np.asarray(poss).reshape(shape)
+    shape = lead + (n + 1, 3)
+    return atts, vels.reshape(shape), poss.reshape(shape)
 
 
-def _midpoint_floats(forces, vel0, pos0, dt, earth) -> tuple[list, list]:
-    """Each member's velocity and position history, initial state first,
+def _midpoint_floats(forces, vels, poss, dt, earth) -> None:
+    """Each member's velocity and position history by the midpoint rule,
     one member after the other on Python floats, from its Earth-frame
-    specific forces (M, N, 3) and initial velocity and position (M, 3): two
-    lists of M (N+1) rows.  The caller makes them arrays once the float
-    copy of the forces is freed."""
-    vels, poss = [], []
-    for member, vel, pos in zip(forces.tolist(), vel0.tolist(), pos0.tolist()):
-        vel, pos = tuple(vel), tuple(pos)
-        vels.append(vel)
-        poss.append(pos)
+    specific forces (M, N, 3): fills rows 1..N of ``vels`` and ``poss``
+    (M, N+1, 3), arrays that hold the initial velocity and position in
+    row 0."""
+    vel_rows, pos_rows = [], []
+    for member, vel, pos in zip(forces.tolist(), vels[:, 0].tolist(), poss[:, 0].tolist()):
+        member_vels, member_poss = [], []
         for f_e in member:
             vel, pos = midpoint_translation(f_e, vel, pos, dt, earth)
-            vels.append(vel)
-            poss.append(pos)
-    return vels, poss
+            member_vels.append(vel)
+            member_poss.append(pos)
+        vel_rows.append(member_vels)
+        pos_rows.append(member_poss)
+    vels[:, 1:], poss[:, 1:] = vel_rows, pos_rows
 
 
-def _midpoint_columns(forces, vel0, pos0, dt, earth) -> tuple[np.ndarray, np.ndarray]:
+def _midpoint_columns(forces, vels, poss, dt, earth) -> None:
     """:func:`_midpoint_floats` with every member at once, one step after
     the other on (3, M) arrays that hold a member per column.  Each
     component takes the operations of :func:`cteskf.ins.midpoint_translation`
     in their order, so a member gets the same bits in either form."""
-    members, n = forces.shape[:2]
+    n = forces.shape[1]
     wx, wy, wz = earth.omega_ie.tolist()
     # omega_ie x v row by row, (wy vz - wz vy, wz vx - wx vz, wx vy - wy vx):
     # both products of each row in one multiplication, then one difference
@@ -562,9 +596,8 @@ def _midpoint_columns(forces, vel0, pos0, dt, earth) -> tuple[np.ndarray, np.nda
     turns = np.array([[2, 0, 1], [1, 2, 0]])
     half_dt = 0.5 * dt
     f = forces.transpose(1, 2, 0)
-    vels, poss = np.empty((n + 1, 3, members)), np.empty((n + 1, 3, members))
-    vel, pos = vel0.T, pos0.T
-    vels[0], poss[0] = vel, pos
+    vels, poss = vels.transpose(1, 2, 0), poss.transpose(1, 2, 0)
+    vel, pos = vels[0], poss[0]
     for k in range(n):
         cross = w * vel[turns]
         acc = f[k] - 2.0 * (cross[0] - cross[1]) + earth.gravity_columns(pos)
@@ -575,7 +608,6 @@ def _midpoint_columns(forces, vel0, pos0, dt, earth) -> tuple[np.ndarray, np.nda
         vels[k + 1] = new
         poss[k + 1] = pos = pos + half_dt * (vel + new)
         vel = new
-    return vels.transpose(2, 0, 1), poss.transpose(2, 0, 1)
 
 
 def _compose(phi: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -679,8 +711,6 @@ def propagate_covariance_sequence(
     the benchmark's callers, which unpack two.
     """
     n = gyro.shape[-2]
-    omega_b = gyro - bg[..., None, :]
-    f_b = accel - ba[..., None, :]
     p = np.array(p0, dtype=float)
     w_fixed = _step_free_noise(param, qc, dt)
     for start in range(0, n, CHUNK):
@@ -688,7 +718,7 @@ def propagate_covariance_sequence(
         phi, w = _compose(*_step_pairs(
             param,
             NavState(atts[..., start:stop, :, :], vels[..., start:stop, :], poss[..., start:stop, :]),
-            ImuSample(0.0, omega_b[..., start:stop, :], f_b[..., start:stop, :]),
+            ImuSample(0.0, gyro[..., start:stop, :] - bg[..., None, :], accel[..., start:stop, :] - ba[..., None, :]),
             dt, qc, earth, w_fixed,
         ))
         p = _symmetrize(phi @ p @ _t(phi) + w)

@@ -70,13 +70,15 @@ class EarthModel:
             self._turn_dt, self._turn = dt, turn
         return self._turn
 
-    def frame_turns(self, dt: float, n: int) -> np.ndarray:
-        """The rotations so3_exp(-omega_ie k dt), k = 1..n, that the Earth
-        frame turns through over the first n steps of length dt, (n, 3, 3).
-        All turn about the one axis a of the Earth rotation, so Rodrigues'
-        formula I - sin(b) [a]x + (1 - cos(b)) [a]x^2 with b = |omega_ie| k dt
-        needs no per-step axis."""
-        angle = np.arange(1, n + 1)[:, None, None] * (self._rate * dt)
+    def frame_turns(self, dt: float, start: int, stop: int) -> np.ndarray:
+        """The rotations so3_exp(-omega_ie k dt), k = start+1..stop, that the
+        Earth frame turns through by the end of steps start..stop-1 of length
+        dt, (stop - start, 3, 3): rows start..stop-1 of the turns over the
+        first n steps, ``frame_turns(dt, 0, n)``, to the bit.  All turn about
+        the one axis a of the Earth rotation, so Rodrigues' formula
+        I - sin(b) [a]x + (1 - cos(b)) [a]x^2 with b = |omega_ie| k dt needs
+        no per-step axis."""
+        angle = np.arange(start + 1, stop + 1)[:, None, None] * (self._rate * dt)
         return np.eye(3) - np.sin(angle) * self._axis_mat + (1.0 - np.cos(angle)) * self._axis_sq
 
     def gravity(self, r: np.ndarray) -> np.ndarray:

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import lie
 from .errorstate import ErrorParam, InjectionMode, process_noise, relation_matrix
-from .filter import FilterRun, FilterState, Strategy, mixed_sensor_strategy, run_filter
+from .filter import CHUNK, FilterRun, FilterState, Strategy, mixed_sensor_strategy, run_filter
 from .ins import EARTH_RADIUS, G0, EarthModel, NavState
 from .sensors import Observation
 
@@ -266,7 +266,7 @@ class Trajectory:
         att_local[:, 1, 0] = s
         att_local[:, 1, 1] = c
         att_local[:, 2, 2] = 1.0
-        att[:] = np.einsum("ij,njk->nik", self.frame, att_local)
+        np.einsum("ij,njk->nik", self.frame, att_local, out=att)
         return att, vel, pos, acc, rate_all
 
     def batch_states(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -328,9 +328,14 @@ def _settle_row(cfg: ScenarioConfig) -> int:
 
 
 def generate_truth(cfg: ScenarioConfig, earth: EarthModel) -> TruthSeries:
+    """The truth on the IMU grid, evaluated :data:`CHUNK` rows at a time
+    into the whole-leg arrays, with the bits of one whole-leg evaluation."""
     traj = Trajectory(cfg)
     t = _sample_times(cfg)
-    att, vel, pos = traj.batch_states(t)
+    n = len(t)
+    att, vel, pos = np.empty((n, 3, 3)), np.empty((n, 3)), np.empty((n, 3))
+    for a in range(0, n, CHUNK):
+        att[a : a + CHUNK], vel[a : a + CHUNK], pos[a : a + CHUNK] = traj.batch_states(t[a : a + CHUNK])
     return TruthSeries(t, att, vel, pos, traj)
 
 
@@ -340,8 +345,15 @@ def synthesize_imu(truth: TruthSeries, spec: ImuSpec, cfg: ScenarioConfig, earth
 
 
 def _ideal_imu(truth: TruthSeries, cfg: ScenarioConfig, earth: EarthModel) -> tuple[np.ndarray, np.ndarray]:
-    """The ideal gyro and accelerometer rates (n, 3) at the IMU intervals' midpoints."""
-    return truth.traj.batch_ideal_imu((np.arange(len(truth.t) - 1) + 0.5) * (1.0 / cfg.imu_rate), earth)
+    """The ideal gyro and accelerometer rates (n, 3) at the IMU intervals'
+    midpoints, evaluated :data:`CHUNK` intervals at a time into the
+    whole-leg arrays, with the bits of one whole-leg evaluation."""
+    n = len(truth.t) - 1
+    gyro, accel = np.empty((n, 3)), np.empty((n, 3))
+    for a in range(0, n, CHUNK):
+        b = min(a + CHUNK, n)
+        gyro[a:b], accel[a:b] = truth.traj.batch_ideal_imu((np.arange(a, b) + 0.5) * (1.0 / cfg.imu_rate), earth)
+    return gyro, accel
 
 
 def _imu_with_errors(truth: TruthSeries, ideal, spec: ImuSpec, cfg: ScenarioConfig, seed) -> ImuStream:

@@ -2,6 +2,7 @@
 
 import os
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -72,6 +73,28 @@ def assert_spd(p: np.ndarray, tol_factor: float = 1e-10) -> None:
     eigmin = float(np.linalg.eigvalsh(p)[0])
     if eigmin < -tol_factor * np.trace(p):
         raise AssertionError(f"covariance has negative eigenvalue {eigmin:.3e}")
+
+
+# interpreter caches and free lists that tracemalloc also counts move a
+# call's traced peak by a few hundred bytes from one call to the next,
+# whatever the call's size; a memory bound allows one page for them, under
+# a tenth of one piece of CHUNK rows of a 3x3 stack (73,728 bytes)
+TRACE_SLACK = 4096
+
+
+def traced_call(f, *args):
+    """``f(*args)`` under tracemalloc, which numpy reports its buffers to:
+    its result, the peak of traced memory during the call and the memory
+    still traced after it, both above what was traced before the call.
+    Memory allocated before the call, such as its inputs, is not traced."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = f(*args)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak - base, kept - base
 
 
 def imu_stream(dt: float, gyro, accel, t0: float = 0.0) -> ImuStream:

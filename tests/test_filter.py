@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from conftest import (
     QUIET_QC,
+    TRACE_SLACK,
     StationaryQuietScenario,
     assert_spd,
     bank_updates,
@@ -19,6 +20,7 @@ from conftest import (
     initial_filter_bank,
     quiet_earth,
     solo_run,
+    traced_call,
 )
 
 import cteskf
@@ -541,6 +543,23 @@ class TestRunFilter:
         for name in ("att", "vel", "pos", "p_trace"):
             np.testing.assert_array_equal(getattr(run, name), getattr(plain, name))
 
+    def test_observations_never_applied_are_logged_per_kind(self, caplog):
+        # the ten samples end at t=0.1: fixes stamped after t=0.105 are
+        # never applied, and one debug record per call counts them by kind
+        odo = Observation("odo", 0.3, np.zeros(3), np.full(3, 0.1))
+        obs = [gnss(0.2, np.ones(3), 0.2), gnss(0.05, np.ones(3), 0.2), odo, gnss(0.104, np.ones(3), 0.2),
+               gnss(0.11, np.ones(3), 0.2)]
+        caplog.set_level("DEBUG", logger="cteskf")
+        solo_run(simple_filter(), self.samples(), obs)
+        (record,) = caplog.records
+        assert record.name == "cteskf.filter" and record.levelname == "DEBUG"
+        assert record.getMessage() == (
+            "observations never applied, stamped after the last sample's time plus dt/2, t=0.105: 2 gnss_vel, 1 odo"
+        )
+        caplog.clear()
+        solo_run(simple_filter(), self.samples(), obs[1::2])
+        assert caplog.records == []
+
     def test_single_filter_rejected(self):
         # run_filter takes a bank only, as step_observation does
         with pytest.raises(ValueError, match=r"fs.select\(None\)"):
@@ -1034,6 +1053,53 @@ class TestMidpointForms:
             if i:
                 for got, want in zip(smaller, solo):
                     assert got[i - 1].tobytes() == want.tobytes()
+
+
+class TestPiecewiseMechanization:
+    """mechanize_sequence works a leg in pieces of CHUNK steps with the bits
+    of one whole-leg piece, and holds beyond its histories only the body
+    rotation increments, one level of the attitude prefix product and one
+    piece's temporaries."""
+
+    @staticmethod
+    def _leg(size, n, seed):
+        """A bank of ``size`` members at Earth scale over n steps."""
+        rng = np.random.default_rng(seed)
+        x0 = NavState(
+            lie.so3_exp(rng.normal(size=(size, 3))), rng.normal(scale=20.0, size=(size, 3)),
+            np.array([EARTH_RADIUS, 0.0, 0.0]) + rng.normal(scale=1e5, size=(size, 3)),
+            rng.normal(scale=1e-4, size=(size, 3)), rng.normal(scale=1e-2, size=(size, 3)),
+        )
+        return x0, rng.normal(scale=0.2, size=(size, n, 3)), rng.normal(scale=2.0, size=(size, n, 3)) + [0.0, 0.0, 9.8]
+
+    @pytest.mark.parametrize("size", [1, kf.MIDPOINT_COLUMNS])
+    @pytest.mark.parametrize("mode", ["constant", "spherical", "normal"])
+    def test_pieces_keep_the_bits(self, mode, size, monkeypatch):
+        # a bank of one runs the float midpoint rule, a bank of
+        # MIDPOINT_COLUMNS the column one; 100 steps in pieces of 7 leave a
+        # piece of 2, and pieces of 99 one of 1
+        earth = EarthModel(omega_ie=7.292115e-5 * np.array([2.0, -3.0, 6.0]) / 7.0, gravity_mode=mode)
+        x0, gyro, accel = self._leg(size, 100, seed=53)
+        whole = mechanize_sequence(x0, gyro, accel, 0.02, earth)
+        for chunk in (7, 99):
+            monkeypatch.setattr(kf, "CHUNK", chunk)
+            for got, want in zip(mechanize_sequence(x0, gyro, accel, 0.02, earth), whole):
+                assert got.tobytes() == want.tobytes()
+
+    def test_long_leg_holds_one_piece_of_temporaries(self):
+        # the bound follows the design: above its inputs, a leg peaks at its
+        # histories, plus two attitude histories (the half increments B_k
+        # and one level of the prefix product), plus the temporaries of one
+        # piece, which do not grow with the leg and are bounded by what a
+        # leg of two pieces holds beyond its histories (TRACE_SLACK aside);
+        # the whole-leg form peaked at 5.5 times its histories on this leg
+        earth = EarthModel()
+        x0, gyro, accel = self._leg(1, 50_000, seed=59)
+        x0, gyro, accel = x0.select(0), gyro[0], accel[0]
+        m = 2 * CHUNK
+        _, short_peak, short_kept = traced_call(mechanize_sequence, x0, gyro[:m], accel[:m], 5e-4, earth)
+        out, peak, kept = traced_call(mechanize_sequence, x0, gyro, accel, 5e-4, earth)
+        assert peak - kept <= 2 * out[0][1:].nbytes + (short_peak - short_kept) + TRACE_SLACK
 
 
 class TestStepFreeNoise:

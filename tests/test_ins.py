@@ -200,10 +200,22 @@ class TestFrameTurn:
     def test_stack_matches_exponential(self, omega):
         earth = EarthModel(omega_ie=np.array(omega))
         for dt, n in ((0.01, 3), (0.5, 20), (1.0, 3600)):
-            turns = earth.frame_turns(dt, n)
+            turns = earth.frame_turns(dt, 0, n)
             assert turns.shape == (n, 3, 3)
             for k in (0, n // 2, n - 1):
                 np.testing.assert_allclose(turns[k], lie.so3_exp(earth.omega_ie * (-(k + 1) * dt)), rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("omega", [(0.0, 0.0, WGS84_RATE), (1e-4, -2e-4, 3e-4)])
+    def test_range_is_rows_of_the_whole_leg(self, omega):
+        # a mechanization piece forms only its own turns, with the bits of
+        # the matching rows of the whole leg's
+        earth = EarthModel(omega_ie=np.array(omega))
+        dt, n = 0.005, 3000
+        whole = earth.frame_turns(dt, 0, n)
+        for start, stop in ((0, 1), (0, 7), (7, 14), (1024, 2048), (2999, 3000), (5, 5)):
+            turns = earth.frame_turns(dt, start, stop)
+            assert turns.shape == (stop - start, 3, 3)
+            assert turns.tobytes() == whole[start:stop].tobytes()
 
 
 class TestVelFrameConvert:

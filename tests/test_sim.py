@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import TRACE_SLACK, traced_call
 
 import cteskf
 from cteskf import lie, sim, verify
@@ -220,6 +221,53 @@ class TestSynthesizeImu:
         stream = synthesize_imu(truth, CONSUMER_IMU, cfg, earth, seed=3)
         assert stream.bias_gyro.shape == (len(stream.t), 3)
         assert np.linalg.norm(stream.bias_gyro[0]) > 0.0
+
+
+class TestPiecewiseSynthesis:
+    """The truth and the ideal IMU are evaluated CHUNK rows at a time, with
+    the bits of one whole-leg evaluation, and hold beyond their outputs the
+    temporaries of one piece."""
+
+    @pytest.mark.parametrize("kind", ["circle", "figure-eight", "waypoint", "stationary"])
+    def test_pieces_keep_the_bits(self, kind, monkeypatch):
+        # over 30 s a 10 m figure-eight turns both ways and the waypoint
+        # circuit runs straight, turns and runs straight again, so pieces
+        # cross leg boundaries; pieces of 7 leave a last truth piece of 5 and
+        # a last IMU piece of 4, pieces of 3000 ones of 1 and 3000
+        cfg = small_cfg(kind=kind, duration=30.0, radius=10.0)
+        earth = cfg.earth()
+
+        def synthesized():
+            truth = generate_truth(cfg, earth)
+            imu = synthesize_imu(truth, cfg.imu, cfg, earth, np.random.SeedSequence([cfg.seed, 1]))
+            return [truth.t, truth.att, truth.vel, truth.pos, imu.t, imu.gyro, imu.accel, imu.bias_gyro, imu.bias_accel]
+
+        whole = synthesized()
+        assert len(whole[0]) == 3001
+        for chunk in (7, 3000):
+            monkeypatch.setattr(sim, "CHUNK", chunk)
+            for got, want in zip(synthesized(), whole):
+                assert got.tobytes() == want.tobytes()
+
+    def test_long_leg_holds_one_piece_of_temporaries(self):
+        # the bound follows the design: above its inputs, each stage peaks
+        # at its outputs plus the temporaries of one piece, which do not
+        # grow with the leg, so a 50k-step leg holds no more beyond its
+        # outputs than a leg of two pieces (TRACE_SLACK aside); the whole-leg
+        # forms peaked at 2.8 (truth) and 7.3 (ideal IMU) times their
+        # outputs on this leg
+        rate = 2000.0
+        cfg = small_cfg(duration=25.0, imu_rate=rate, radius=500.0, use_gnss=False)
+        short = replace(cfg, duration=(2 * sim.CHUNK - 1) / rate)
+        earth = cfg.earth()
+        short_truth, short_peak, short_kept = traced_call(generate_truth, short, earth)
+        truth, peak, kept = traced_call(generate_truth, cfg, earth)
+        assert len(short_truth.t) == 2 * sim.CHUNK and len(truth.t) == 50_001
+        assert peak - kept <= short_peak - short_kept + TRACE_SLACK
+        short_truth = generate_truth(replace(short, duration=2 * sim.CHUNK / rate), earth)
+        _, short_peak, short_kept = traced_call(sim._ideal_imu, short_truth, short, earth)
+        _, peak, kept = traced_call(sim._ideal_imu, truth, cfg, earth)
+        assert peak - kept <= short_peak - short_kept + TRACE_SLACK
 
 
 class TestSynthesizeObservations:
