@@ -361,7 +361,9 @@ def _imu_with_errors(truth: TruthSeries, ideal, spec: ImuSpec, cfg: ScenarioConf
     biases, added in place.
 
     Bias truth is a random constant drawn from the instability figure plus a
-    random walk matching the filter's process model.
+    random walk matching the filter's process model.  Each bias walk is
+    summed in its own draw and each noise draw takes its bias before it is
+    added to the rates, so beyond its outputs a call holds one (n, 3) draw.
     """
     rng = np.random.default_rng(seed)
     dt = 1.0 / cfg.imu_rate
@@ -371,13 +373,18 @@ def _imu_with_errors(truth: TruthSeries, ideal, spec: ImuSpec, cfg: ScenarioConf
     bg0 = rng.normal(scale=spec.gyro_bias_si, size=3)
     ba0 = rng.normal(scale=spec.accel_bias_si, size=3)
     qc = spec.qc()
-    walk_g = np.cumsum(rng.normal(scale=np.sqrt(qc[6, 6] * dt), size=(n, 3)), axis=0)
-    walk_a = np.cumsum(rng.normal(scale=np.sqrt(qc[9, 9] * dt), size=(n, 3)), axis=0)
-    bias_g = bg0 + walk_g
-    bias_a = ba0 + walk_a
+    bias_g = rng.normal(scale=np.sqrt(qc[6, 6] * dt), size=(n, 3))
+    np.cumsum(bias_g, axis=0, out=bias_g)
+    bias_a = rng.normal(scale=np.sqrt(qc[9, 9] * dt), size=(n, 3))
+    np.cumsum(bias_a, axis=0, out=bias_a)
+    bias_g += bg0
+    bias_a += ba0
 
-    gyro += bias_g + rng.normal(scale=spec.gyro_noise_density / np.sqrt(dt), size=(n, 3))
-    accel += bias_a + rng.normal(scale=spec.accel_noise_density / np.sqrt(dt), size=(n, 3))
+    for rates, bias, density in ((gyro, bias_g, spec.gyro_noise_density), (accel, bias_a, spec.accel_noise_density)):
+        noise = rng.normal(scale=density / np.sqrt(dt), size=(n, 3))
+        noise += bias
+        rates += noise
+        del noise
     return ImuStream(truth.t[1:].copy(), gyro, accel, dt, bias_g, bias_a)
 
 

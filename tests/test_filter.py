@@ -2,6 +2,7 @@ import ast
 import math
 import os
 import pickle
+import re
 import subprocess
 import sys
 from dataclasses import fields, replace
@@ -1057,9 +1058,11 @@ class TestMidpointForms:
 
 class TestPiecewiseMechanization:
     """mechanize_sequence works a leg in pieces of CHUNK steps with the bits
-    of one whole-leg piece, and holds beyond its histories only the body
-    rotation increments, one level of the attitude prefix product and one
-    piece's temporaries."""
+    of one whole-leg piece, and holds beyond its histories only one level of
+    the attitude prefix product and one piece's temporaries: it keeps the
+    last piece's half increments and evaluates the others again.  The
+    covariance composition of propagate_covariance_sequence over such a leg
+    holds one piece's temporaries beyond its result."""
 
     @staticmethod
     def _leg(size, n, seed):
@@ -1088,18 +1091,97 @@ class TestPiecewiseMechanization:
 
     def test_long_leg_holds_one_piece_of_temporaries(self):
         # the bound follows the design: above its inputs, a leg peaks at its
-        # histories, plus two attitude histories (the half increments B_k
-        # and one level of the prefix product), plus the temporaries of one
-        # piece, which do not grow with the leg and are bounded by what a
-        # leg of two pieces holds beyond its histories (TRACE_SLACK aside);
-        # the whole-leg form peaked at 5.5 times its histories on this leg
+        # histories, plus one attitude history (one level of the prefix
+        # product), plus the temporaries of one piece (the half increments
+        # of the last piece and of the piece at hand among them), which do
+        # not grow with the leg and are bounded by what a leg of two pieces
+        # holds beyond its histories (TRACE_SLACK aside); the whole-leg form
+        # peaked at 5.5 times its histories on this leg, and a form that
+        # keeps every step's half increments at one more attitude history
         earth = EarthModel()
         x0, gyro, accel = self._leg(1, 50_000, seed=59)
         x0, gyro, accel = x0.select(0), gyro[0], accel[0]
         m = 2 * CHUNK
         _, short_peak, short_kept = traced_call(mechanize_sequence, x0, gyro[:m], accel[:m], 5e-4, earth)
         out, peak, kept = traced_call(mechanize_sequence, x0, gyro, accel, 5e-4, earth)
-        assert peak - kept <= 2 * out[0][1:].nbytes + (short_peak - short_kept) + TRACE_SLACK
+        assert peak - kept <= out[0][1:].nbytes + (short_peak - short_kept) + TRACE_SLACK
+
+    @pytest.mark.parametrize("pieces", [1, 2, 3])
+    def test_half_increments_are_kept_for_the_last_piece_only(self, pieces, monkeypatch):
+        # pieces of 7 over 7 pieces - 3 steps, the last piece of 4: each
+        # piece's half increments are evaluated for its body rotation
+        # increments, and again for its specific forces except for the last
+        # piece's, 2 pieces - 1 evaluations; a one-piece leg, a run_filter
+        # segment, evaluates them once
+        earth = EarthModel()
+        x0, gyro, accel = self._leg(1, 7 * pieces - 3, seed=61)
+        earth.frame_turn(0.5 * 0.02)  # the cached Earth turn evaluates no so3_exp within the call
+        rows, so3_exp = [], lie.so3_exp
+        monkeypatch.setattr(lie, "so3_exp", lambda v: rows.append(v.shape[-2]) or so3_exp(v))
+        monkeypatch.setattr(kf, "CHUNK", 7)
+        mechanize_sequence(x0, gyro, accel, 0.02, earth)
+        assert rows == [7] * (pieces - 1) + [4] + [7] * (pieces - 1)
+
+    def test_covariance_leg_holds_one_piece_of_temporaries(self):
+        # beyond its result, an r-inekf composition (a noise term per step)
+        # holds the transition pairs of one piece and their composition,
+        # which do not grow with the leg, so a 50k-step leg holds no more
+        # than a leg of two pieces (TRACE_SLACK aside)
+        earth, dt = EarthModel(), 5e-4
+        x0, gyro, accel = self._leg(1, 50_000, seed=67)
+        x0, gyro, accel = x0.select(0), gyro[0], accel[0]
+        atts, vels, poss = mechanize_sequence(x0, gyro, accel, dt, earth)
+        p0, qc = default_p0(x0.att, np.radians([5.0, 5.0, 10.0])), process_noise(1e-8, 1e-6, 1e-15, 1e-13)
+
+        def leg(n):
+            return traced_call(
+                propagate_covariance_sequence, RIGHT, p0, atts[: n + 1], vels[: n + 1], poss[: n + 1],
+                gyro[:n], accel[:n], x0.bg, x0.ba, dt, qc, earth,
+            )
+
+        _, short_peak, short_kept = leg(2 * CHUNK)
+        _, peak, kept = leg(len(gyro))
+        assert peak - kept <= short_peak - short_kept + TRACE_SLACK
+
+
+class TestCovarianceSequenceInputs:
+    """propagate_covariance_sequence checks its step and the lengths of its
+    inputs before it builds any piece."""
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"dt": 0.0}, "dt=0.0 s must be positive"),
+            ({"dt": -0.01}, "dt=-0.01 s must be positive"),
+            ({"dt": math.nan}, "dt=nan s must be positive"),
+            ({"dt": kf.MAX_DT * 1.01}, f"at most {kf.MAX_DT} s"),
+            ({"accel": 49}, "accel holds 49 samples where gyro holds 50"),
+            ({"atts": 30}, "atts holds 30 rows, fewer than the 50 samples"),
+            ({"vels": 49}, "vels holds 49 rows, fewer than the 50 samples"),
+            ({"poss": 0}, "poss holds 0 rows, fewer than the 50 samples"),
+        ],
+    )
+    def test_rejects_mismatched_inputs(self, change, message, monkeypatch):
+        # a number for an array keeps that many of its rows; a failing
+        # _step_pairs shows that no piece was built
+        earth, dt = EarthModel(), 0.01
+        rng = np.random.default_rng(71)
+        gyro, accel = rng.normal(scale=0.1, size=(50, 3)), rng.normal(size=(50, 3))
+        x0 = NavState(np.eye(3), np.zeros(3), np.array([EARTH_RADIUS, 0.0, 0.0]))
+        atts, vels, poss = mechanize_sequence(x0, gyro, accel, dt, earth)
+        args = {"atts": atts, "vels": vels, "poss": poss, "gyro": gyro, "accel": accel, "dt": dt}
+        for name, value in change.items():
+            args[name] = value if name == "dt" else args[name][:value]
+
+        def no_piece(*_):
+            raise AssertionError("a piece was built")
+
+        monkeypatch.setattr(kf, "_step_pairs", no_piece)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            propagate_covariance_sequence(
+                RIGHT, np.eye(15), args["atts"], args["vels"], args["poss"], args["gyro"], args["accel"],
+                np.zeros(3), np.zeros(3), args["dt"], QUIET_QC, earth,
+            )
 
 
 class TestStepFreeNoise:

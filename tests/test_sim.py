@@ -226,7 +226,8 @@ class TestSynthesizeImu:
 class TestPiecewiseSynthesis:
     """The truth and the ideal IMU are evaluated CHUNK rows at a time, with
     the bits of one whole-leg evaluation, and hold beyond their outputs the
-    temporaries of one piece."""
+    temporaries of one piece; the seeded errors are added with one (n, 3)
+    draw beyond theirs."""
 
     @pytest.mark.parametrize("kind", ["circle", "figure-eight", "waypoint", "stationary"])
     def test_pieces_keep_the_bits(self, kind, monkeypatch):
@@ -266,8 +267,13 @@ class TestPiecewiseSynthesis:
         assert peak - kept <= short_peak - short_kept + TRACE_SLACK
         short_truth = generate_truth(replace(short, duration=2 * sim.CHUNK / rate), earth)
         _, short_peak, short_kept = traced_call(sim._ideal_imu, short_truth, short, earth)
-        _, peak, kept = traced_call(sim._ideal_imu, truth, cfg, earth)
+        ideal, peak, kept = traced_call(sim._ideal_imu, truth, cfg, earth)
         assert peak - kept <= short_peak - short_kept + TRACE_SLACK
+        # each bias walk is summed in its own draw, which the output keeps,
+        # and each noise draw is added to the rates through the one (n, 3)
+        # draw; the whole-leg form peaked at 3.2 MB beyond its outputs here
+        _, peak, kept = traced_call(sim._imu_with_errors, truth, ideal, cfg.imu, cfg, np.random.SeedSequence([cfg.seed, 1]))
+        assert peak - kept <= ideal[0].nbytes + TRACE_SLACK
 
 
 class TestSynthesizeObservations:
