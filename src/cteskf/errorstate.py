@@ -82,11 +82,13 @@ def system_matrix(
     at the current position estimate; no gravity-gradient rows appear.  The
     state and sample may carry a leading step axis (``att`` (..., 3, 3),
     ``vel``/``pos``/``gyro``/``accel`` (..., 3)); F and G then stack the same
-    way, one pair per step.
+    way, one pair per step.  F is the transposed view of a C-contiguous
+    stack of F^T, so that (I + F dt)^T can be formed in place
+    (:func:`cteskf.filter._step_pairs`).
     """
     att = x.att
     batch = att.shape[:-2]
-    f = np.zeros(batch + (15, 15))
+    f = np.zeros(batch + (15, 15)).swapaxes(-1, -2)
     g = np.zeros(batch + (15, 12))
     omega_mat = earth.omega_mat
 
@@ -334,7 +336,7 @@ def inject_error(
             chi = lie.compose(chi_hat, delta)
         else:
             chi = lie.compose(delta, chi_hat)
-        chi.rot = lie.orthonormalize(chi.rot)
+        chi.rot = lie.newton_orthonormalize(chi.rot)
     else:
         dnu, drho = xi_plus[..., 3:6], xi_plus[..., 6:9]
         if param is ErrorParam.LEFT_INVARIANT:

@@ -52,7 +52,6 @@ from .ins import EarthModel, ImuSample, NavState, midpoint_translation
 from .sensors import Observation, innovation, noise_covariance, observation_matrix, select_members
 
 I15 = np.eye(15)
-_THREE_I3 = 3.0 * np.eye(3)
 
 MAX_DT = 0.5  # s, the longest propagation step run_filter accepts
 # the piece size of every whole-leg stage: member-steps of a run_filter
@@ -441,38 +440,56 @@ def _traces(diag: np.ndarray) -> np.ndarray:
 
 
 def _covariances(bank: FilterState, atts, vels, poss, gyro, accel, dt, w_fixed, traced: bool):
-    """The covariance recursion P <- sym(Phi_k P Phi_k^T + W_k) of a bank
-    over a segment's state histories, one step after the other, with the
-    transition pairs (:func:`_step_pairs`, ``w_fixed`` as there) built for
-    pieces of at most :data:`CHUNK` member-steps at once.  Returns the final
-    covariances, whether each member's covariance is finite after each step
-    (M, m), and, when ``traced``, its covariance block traces there
-    (M, m, 5), else ``None``.
+    """The covariance recursion P_k = (Phi_k P_(k-1)) Phi_k^T + W_k of a bank
+    over a segment's state histories, one step after the other into buffers
+    allocated once per piece, symmetrized once, at the segment's end.  The
+    transition pairs (:func:`_step_pairs`, ``w_fixed`` as there) are built
+    for pieces of at most :data:`CHUNK` member-steps at once; the pieces
+    bound the memory only and leave the bits, so a member of a bank gets
+    the bits it gets alone.  Returns the final covariances, whether each
+    member's covariance is finite after each step (M, m), and, when
+    ``traced``, its covariance block traces there (M, m, 5), else ``None``;
+    symmetrizing leaves a diagonal, so they are each step's.
 
-    Once a covariance is not finite it stays so, so a finite final
-    covariance clears every step of its piece; only a piece whose final
-    covariance is not finite is stepped again from its first covariance,
-    checking each step."""
+    Once a covariance is not finite it stays so, so a finite covariance at
+    a piece's end clears every step of its piece; only a piece whose end
+    covariance (the segment's symmetrized one for the last piece) is not
+    finite is stepped again from its first covariance, checking each
+    step."""
     members, m = gyro.shape[:2]
     piece = max(1, CHUNK // members)
     p, finite = bank.P, np.ones((members, m), dtype=bool)
     diags = np.empty((members, m, 15)) if traced else None
+    half = np.empty_like(p)  # Phi_k P_(k-1)
     omega_b, f_b = gyro - bank.x.bg[:, None], accel - bank.x.ba[:, None]
     for a in range(0, m, piece):
         b = min(a + piece, m)
-        phi, w = _step_pairs(
+        # Phi^T contiguous: Phi_k is its transposed view on the left of a
+        # product, where a view costs no more than a contiguous operand
+        phi_t, w = _step_pairs(
             bank.param, NavState(atts[:, a:b], vels[:, a:b], poss[:, a:b]),
             ImuSample(0.0, omega_b[:, a:b], f_b[:, a:b]), dt, bank.qc, bank.earth, w_fixed,
         )
-        q = p
-        for k in range(b - a):
-            p = _symmetrize(phi[k] @ p @ _t(phi[k]) + w[k])
+        # each piece steps in a buffer of its own, which keeps its first
+        # covariance q for the check below
+        q = prev = p
+        p = np.empty_like(p)
+        diagonal = p.diagonal(axis1=-2, axis2=-1)
+        for k, (left, right, noise) in enumerate(zip(_t(phi_t), phi_t, w)):
+            np.matmul(left, prev, out=half)
+            np.matmul(half, right, out=p)
+            p += noise
+            prev = p
             if traced:
-                diags[:, a + k] = p.diagonal(axis1=-2, axis2=-1)
+                diags[:, a + k] = diagonal
+        if b == m:
+            p = _symmetrize(p)
         if not np.isfinite(p).all():
-            for k in range(b - a):
-                q = _symmetrize(phi[k] @ q @ _t(phi[k]) + w[k])
+            for k, (left, right, noise) in enumerate(zip(_t(phi_t), phi_t, w)):
+                q = left @ q @ right + noise
                 finite[:, a + k] = np.isfinite(q).all(axis=(1, 2))
+            # the symmetrization of a finite covariance can overflow
+            finite[:, b - 1] &= np.isfinite(p).all(axis=(1, 2))
     return p, _traces(diags) if traced else None, finite
 
 
@@ -551,7 +568,7 @@ def mechanize_sequence(
     # attitude: the update R <- E (E R B_k) B_k composes into
     # R_k = E^(2k) R_0 B_0^2 ... B_(k-1)^2, a prefix product, which keeps
     # orthonormality to a few ulps; one Newton step of symmetric
-    # orthogonalization, R <- R (3I - R^T R)/2, restores it on the last
+    # orthogonalization (lie.newton_orthonormalize) restores it on the last
     # attitude, where the next segment starts.  Velocity and position: the
     # midpoint rule, sequential since gravity is taken at the current
     # position, from the previous piece's last row; the specific force is
@@ -571,8 +588,7 @@ def mechanize_sequence(
         f_b = accel[..., a:b, :] - x0.ba[..., None, :]
         forces = earth.frame_turn(0.5 * dt) @ atts[..., a:b, :, :] @ (half @ f_b[..., None])
         midpoint(forces.reshape(count, b - a, 3), vels[:, a : b + 1], poss[:, a : b + 1], dt, earth)
-    last = atts[..., -1, :, :]
-    atts[..., -1, :, :] = last @ ((_THREE_I3 - _t(last) @ last) / 2.0)
+    atts[..., -1, :, :] = lie.newton_orthonormalize(atts[..., -1, :, :])
     shape = lead + (n + 1, 3)
     return atts, vels.reshape(shape), poss.reshape(shape)
 
@@ -622,27 +638,30 @@ def _midpoint_columns(forces, vels, poss, dt, earth) -> None:
         vel = new
 
 
-def _compose(phi: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Compose per-step transition pairs (N, ..., 15, 15), earliest step
-    first along the first axis.
+def _compose(phi_t: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Compose per-step transition pairs (Phi^T, W) (N, ..., 15, 15), earliest
+    step first along the first axis, as :func:`_step_pairs` gives them.
 
     The recursion P <- Phi P Phi^T + W composes associatively,
     (Phi2, W2) o (Phi1, W1) = (Phi2 Phi1, Phi2 W1 Phi2^T + W2), so adjacent
     pairs are merged level by level; a step left over at an odd level is
-    folded into the last merged pair.  Returns the pair of the whole sequence.
+    folded into the last merged pair.  On the transposes,
+    (Phi2 Phi1)^T = Phi1^T Phi2^T, so every product takes Phi^T contiguous
+    on the right and Phi as its transposed view on the left.  Returns the
+    pair (Phi^T, W) of the whole sequence.
     """
-    while len(phi) > 1:
-        odd = len(phi) % 2
+    while len(phi_t) > 1:
+        odd = len(phi_t) % 2
         if odd:
-            last_phi, last_w = phi[-1], w[-1]
-            phi, w = phi[:-1], w[:-1]
-        late = phi[1::2]
-        w = late @ w[0::2] @ _t(late) + w[1::2]
-        phi = late @ phi[0::2]
+            last_t, last_w = phi_t[-1], w[-1]
+            phi_t, w = phi_t[:-1], w[:-1]
+        late_t = phi_t[1::2]
+        w = _t(late_t) @ w[0::2] @ late_t + w[1::2]
+        phi_t = phi_t[0::2] @ late_t
         if odd:
-            w[-1] = last_phi @ w[-1] @ _t(last_phi) + last_w
-            phi[-1] = last_phi @ phi[-1]
-    return phi[0], w[0]
+            w[-1] = _t(last_t) @ w[-1] @ last_t + last_w
+            phi_t[-1] = phi_t[-1] @ last_t
+    return phi_t[0], w[0]
 
 
 def _noise_input(sign: float) -> np.ndarray:
@@ -683,17 +702,19 @@ def _step_free_noise(param: ErrorParam, qc: np.ndarray, dt: float) -> np.ndarray
 
 
 def _step_pairs(param, x: NavState, u: ImuSample, dt, qc, earth, w_fixed) -> tuple[np.ndarray, np.ndarray]:
-    """The transition pairs I + F dt and G Qc G^T dt of a stack of steps,
-    the step axis first, ahead of a member axis; ``w_fixed``, when not
-    ``None``, stands for every step's noise term, and G is then not used."""
+    """The transposed transitions (I + F dt)^T, C-contiguous, and the noise
+    terms G Qc G^T dt of a stack of steps, the step axis first, ahead of a
+    member axis; ``w_fixed``, when not ``None``, stands for every step's
+    noise term, and G is then not used."""
     sm = system_matrix(param, x, u, earth)
-    phi = sm.F
-    phi *= dt
-    phi += I15
-    phi = np.moveaxis(phi, -3, 0)
+    # system_matrix's F is the transposed view of a contiguous F^T
+    phi_t = _t(sm.F)
+    phi_t *= dt
+    phi_t += I15
+    phi_t = np.moveaxis(phi_t, -3, 0)
     if w_fixed is not None:
-        return phi, np.broadcast_to(w_fixed, phi.shape)
-    return phi, np.moveaxis((sm.G @ qc @ _t(sm.G)) * dt, -3, 0)
+        return phi_t, np.broadcast_to(w_fixed, phi_t.shape)
+    return phi_t, np.moveaxis((sm.G @ qc @ _t(sm.G)) * dt, -3, 0)
 
 
 def propagate_covariance_sequence(
@@ -736,11 +757,11 @@ def propagate_covariance_sequence(
     w_fixed = _step_free_noise(param, qc, dt)
     for start in range(0, n, CHUNK):
         stop = min(start + CHUNK, n)
-        phi, w = _compose(*_step_pairs(
+        phi_t, w = _compose(*_step_pairs(
             param,
             NavState(atts[..., start:stop, :, :], vels[..., start:stop, :], poss[..., start:stop, :]),
             ImuSample(0.0, gyro[..., start:stop, :] - bg[..., None, :], accel[..., start:stop, :] - ba[..., None, :]),
             dt, qc, earth, w_fixed,
         ))
-        p = _symmetrize(phi @ p @ _t(phi) + w)
+        p = _symmetrize(_t(phi_t) @ p @ phi_t + w)
     return p, []

@@ -13,7 +13,7 @@ with tangent vectors ordered ``[phi, dnu, drho]`` (9,).
 Every function takes one object or a stack of them along leading axes
 through one implementation, and a stack gives each object the bits it gives
 alone.  In :func:`skew`, the exponentials, the SO(3) Jacobians,
-:func:`so3_log`, :func:`orthonormalize`, the adjoints and the quaternion
+:func:`so3_log`, both orthonormalizations, the adjoints and the quaternion
 conversions a non-finite object gives non-finite entries in its own result
 only, with no warning; all NaN from the exponentials, Jacobians,
 :func:`so3_log` and :func:`orthonormalize`.  :func:`quat_to_rot` treats a
@@ -33,6 +33,7 @@ SMALL_ANGLE = 1e-7
 
 _TINY = np.finfo(float).tiny
 _I3 = np.eye(3)
+_THREE_I3 = 3.0 * _I3
 
 
 def skew(v: np.ndarray) -> np.ndarray:
@@ -139,6 +140,17 @@ def orthonormalize(rot: np.ndarray) -> np.ndarray:
         u[..., :, -1] *= np.where(flip, -1.0, 1.0)[..., None]
         r = u @ vt
     return np.where(finite, r, np.nan)
+
+
+def newton_orthonormalize(rot: np.ndarray) -> np.ndarray:
+    """One Newton step of symmetric orthogonalization, R (3I - R^T R)/2,
+    for one matrix or a (..., 3, 3) stack.  It takes a rotation that is
+    orthonormal to a few ulps, such as a product of rotations, back to
+    rounding level (the error e of R^T R = I + e becomes O(e^2)); a matrix
+    far from orthonormal needs :func:`orthonormalize`."""
+    rot = np.asarray(rot, dtype=float)
+    with np.errstate(invalid="ignore", over="ignore"):
+        return rot @ ((_THREE_I3 - rot.swapaxes(-1, -2) @ rot) / 2.0)
 
 
 @dataclass

@@ -10,7 +10,6 @@ bit-identical outputs.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -643,6 +642,9 @@ def monte_carlo_sweep(
     bounds = [b * len(members) // count for b in range(count + 1)]
     tasks = [(cfg, members[a:b], variants) for a, b in zip(bounds, bounds[1:])]
     if jobs > 1:
+        # imported here: multiprocessing would add ~10 ms to every import of the package
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             scores = list(pool.map(_sweep_bank, tasks))
     else:

@@ -288,6 +288,23 @@ class TestInjectError:
         gap = np.linalg.norm(lie.so3_log(first.att @ retr.att.T)) + np.linalg.norm(first.vel - retr.vel)
         assert 0.0 < gap < 1e-2
 
+    @pytest.mark.parametrize("param", [ErrorParam.LEFT_INVARIANT, ErrorParam.RIGHT_INVARIANT])
+    def test_invariant_retraction_is_orthonormal_to_rounding(self, param):
+        # the retraction composes two rotations, each orthonormal to a few
+        # ulps, and one Newton step brings the product back to rounding
+        # level, on a bank of random states at Earth scale with corrections
+        # up to radians
+        rng = np.random.default_rng(22)
+        n = 500
+        x = NavState(
+            lie.so3_exp(rng.uniform(-2.0, 2.0, (n, 3))), rng.normal(scale=5.0, size=(n, 3)),
+            np.array([EARTH_RADIUS, 0.0, 0.0]) + rng.normal(scale=30.0, size=(n, 3)), np.zeros((n, 3)), np.zeros((n, 3)),
+        )
+        xi = rng.normal(scale=[0.5] * 3 + [1.0] * 12, size=(n, 15))
+        xi[:, 0:3] *= np.minimum(1.0, 3.0 / np.linalg.norm(xi[:, 0:3], axis=1))[:, None]
+        att = inject_error(param, x, xi, EarthModel(), InjectionMode.RETRACTION).att
+        assert np.abs(att.swapaxes(-1, -2) @ att - np.eye(3)).max() <= 4.0 * np.finfo(float).eps
+
     def test_rejects_pi_attitude_error(self):
         earth = small_scale_earth()
         x = random_state(np.random.default_rng(19))

@@ -725,6 +725,17 @@ class TestRunFilter:
             assert len(run.t) == len(run.p_trace) == rows and np.isfinite(run.p_trace).all()
             assert att_only.t.tobytes() == run.t.tobytes() and att_only.att.tobytes() == run.att.tobytes()
 
+    def test_overflowing_symmetrization_ends_run_at_the_segment_end(self):
+        # each step's covariance is finite, but the segment's one
+        # symmetrization, (P + P^T)/2, overflows on the attitude variance
+        # 1e308: the run ends at the segment's last step, before its update
+        fs = simple_filter()
+        fs.P[0, 0] = 1e308
+        obs = [gnss(0.05, np.zeros(3), 0.2)]
+        run = solo_run(fs, self.samples(), obs, lambda before, after: pytest.fail("updated"))
+        assert run.diverged == "state or covariance became non-finite at t=0.050 (ekf)"
+        assert len(run.t) == len(run.p_trace) == 5 and np.isfinite(run.p_trace).all()
+
     @pytest.mark.parametrize("first_row", [0, 1, 3, 4, 7, 10])
     def test_first_row_records_the_later_rows(self, first_row):
         # row k holds the state after k steps, whatever the first recorded
@@ -1263,9 +1274,11 @@ class TestStepFreeNoise:
 
     def _assert_stepwise_bits(self, param, qc, w, monkeypatch):
         """run_filter's covariance recursion (_covariances) equals
-        P <- sym((I + F dt) P (I + F dt)^T + W_k) over the per-step terms w,
-        bit for bit at every step; a CHUNK of 14 member-steps cuts the 40
-        steps of the bank of two into pieces of 7."""
+        P_k = ((I + F dt) P_(k-1)) (I + F dt)^T + W_k over the per-step terms
+        w, symmetrized once, at the segment's end, bit for bit: every step's
+        diagonal (the traced rows), and the final covariance of a segment
+        that ends at each piece's end; a CHUNK of 14 member-steps cuts the
+        40 steps of the bank of two into pieces of 7."""
         earth, x0, atts, vels, poss, gyro, accel = self._history()
         sm = system_matrix(
             param, NavState(atts[:, :-1], vels[:, :-1], poss[:, :-1]),
@@ -1274,17 +1287,44 @@ class TestStepFreeNoise:
         phi = np.eye(15) + sm.F * self.DT
         p0 = np.stack([default_p0(a, np.radians([5.0, 5.0, 10.0])) for a in x0.att])
         monkeypatch.setattr(kf, "CHUNK", 14)
-        steps, symmetrize = [], kf._symmetrize
-        monkeypatch.setattr(kf, "_symmetrize", lambda p: steps.append(symmetrize(p)) or steps[-1])
+        diagonals, ends, traces, symmetrize = [], [], kf._traces, kf._symmetrize
+        monkeypatch.setattr(kf, "_traces", lambda d: diagonals.append(d) or traces(d))
+        monkeypatch.setattr(kf, "_symmetrize", lambda p: ends.append(symmetrize(p)) or ends[-1])
         bank = FilterState(x0, p0, param, qc=qc, earth=earth)
         w_fixed = kf._step_free_noise(param, qc, self.DT)
-        p_end, _, finite = kf._covariances(bank, atts, vels, poss, gyro, accel, self.DT, w_fixed, False)
-        assert len(steps) == gyro.shape[1] and finite.all() and p_end is steps[-1]
-        p = p0
+        p, steps = p0, []
         for k in range(gyro.shape[1]):
             p = phi[:, k] @ p @ phi[:, k].swapaxes(-1, -2) + w[:, k]
-            p = (p + p.swapaxes(-1, -2)) / 2.0
-            assert steps[k].tobytes() == p.tobytes(), k
+            steps.append(p)
+        for m in (7, 14, 21, 28, 35, 40):
+            ends.clear()
+            p_end, _, finite = kf._covariances(
+                bank, atts[:, : m + 1], vels[:, : m + 1], poss[:, : m + 1], gyro[:, :m], accel[:, :m], self.DT,
+                w_fixed, True,
+            )
+            assert len(ends) == 1 and p_end is ends[0] and finite.all()
+            assert p_end.tobytes() == ((steps[m - 1] + steps[m - 1].swapaxes(-1, -2)) / 2.0).tobytes(), m
+            expected = np.stack([step.diagonal(axis1=-2, axis2=-1) for step in steps[:m]], axis=1)
+            assert diagonals[-1].tobytes() == expected.tobytes(), m
+
+    @pytest.mark.parametrize("param, qc", [(EKF, "consumer"), (LEFT, "consumer"), (RIGHT, "consumer"), (EKF, "random")])
+    def test_bank_cut_into_pieces_gives_each_member_its_solo_bits(self, param, qc, monkeypatch):
+        # a CHUNK of 14 member-steps cuts the bank of two's 40 steps into
+        # pieces of 7 and each member's alone into pieces of 14
+        qc = {"consumer": sim.CONSUMER_IMU.qc(), "random": self._random_qc()}[qc]
+        earth, x0, atts, vels, poss, gyro, accel = self._history()
+        p0 = np.stack([default_p0(a, np.radians([5.0, 5.0, 10.0])) for a in x0.att])
+        monkeypatch.setattr(kf, "CHUNK", 14)
+        w_fixed = kf._step_free_noise(param, qc, self.DT)
+        bank = FilterState(x0, p0, param, qc=qc, earth=earth)
+        together = kf._covariances(bank, atts, vels, poss, gyro, accel, self.DT, w_fixed, True)
+        for i in range(2):
+            alone = kf._covariances(
+                bank.select([i]), atts[i : i + 1], vels[i : i + 1], poss[i : i + 1], gyro[i : i + 1],
+                accel[i : i + 1], self.DT, w_fixed, True,
+            )
+            for got, solo in zip(together, alone):
+                assert got[i].tobytes() == solo[0].tobytes()
 
 
 class TestBatchHelpers:

@@ -227,11 +227,17 @@ MAPS = {
     # a quaternion of either sign whose norm squared cannot underflow
     "quat_to_rot": (lie.quat_to_rot, lambda phi, cols: (1.0 + cols[0]) * lie.rot_to_quat(lie.so3_exp(phi))),
     "orthonormalize": (lie.orthonormalize, lambda phi, cols: lie.so3_exp(phi) + 1e-3 * lie.skew(cols[:3])),
+    "newton_orthonormalize": (
+        lie.newton_orthonormalize, lambda phi, cols: lie.so3_exp(phi) + 1e-3 * lie.skew(cols[:3])
+    ),
     "adjoint": (_of_group(lie.adjoint), lambda phi, cols: np.concatenate([cols, phi])),
     "adjoint_inv": (_of_group(lie.adjoint_inv), lambda phi, cols: np.concatenate([cols, phi])),
 }
 # the maps whose whole result is NaN for a non-finite argument
-NAN_MAPS = ("so3_exp", "so3_left_jacobian", "so3_left_jacobian_inv", "se23_exp", "so3_log", "orthonormalize")
+NAN_MAPS = (
+    "so3_exp", "so3_left_jacobian", "so3_left_jacobian_inv", "se23_exp", "so3_log", "orthonormalize",
+    "newton_orthonormalize",
+)
 
 
 def series(phi):
@@ -485,6 +491,13 @@ class TestRenormalization:
         r2 = lie.orthonormalize(r)
         np.testing.assert_allclose(r2.T @ r2, np.eye(3), atol=1e-14)
         assert np.linalg.det(r2) > 0.0
+
+    def test_newton_step_agrees_with_svd_near_a_rotation(self):
+        # one Newton step leaves an error of second order: a rotation off by
+        # 1e-8 comes back to the SVD's nearest rotation within rounding
+        rng = np.random.default_rng(19)
+        rots = np.array([random_rotation(rng) for _ in range(20)]) + rng.normal(scale=1e-8, size=(20, 3, 3))
+        np.testing.assert_allclose(lie.newton_orthonormalize(rots), lie.orthonormalize(rots), rtol=0, atol=1e-14)
 
 
 class TestQuaternions:

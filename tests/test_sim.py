@@ -1,4 +1,7 @@
 import ast
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -519,6 +522,17 @@ class TestMonteCarloSweep:
         serial = monte_carlo_sweep(cfg, grid, 2, variants=("ekf", "ct-ekf"), jobs=1)
         parallel = monte_carlo_sweep(cfg, grid, 2, variants=("ekf", "ct-ekf"), jobs=2)
         np.testing.assert_array_equal(serial.rmse_deg, parallel.rmse_deg)
+
+    def test_import_leaves_out_the_process_pool(self):
+        # only a sweep with jobs > 1 imports multiprocessing, which costs
+        # every fresh import of the package ~10 ms
+        code = "import sys, cteskf, cteskf.cli; print('multiprocessing' in sys.modules)"
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+            env=dict(os.environ, PYTHONPATH=str(Path(cteskf.__file__).parents[1])),
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "False"
 
 
 class TestSynthesize:
