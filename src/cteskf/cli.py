@@ -265,10 +265,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(
-        level=os.environ.get("CTESKF_LOG", "WARNING").upper(),
-        format="%(levelname)s %(name)s: %(message)s",
-    )
+    level = os.environ.get("CTESKF_LOG", "WARNING")
+    # getLevelName maps a level name to its number and anything else to a string
+    if not isinstance(logging.getLevelName(level.upper()), int):
+        print(f"error: CTESKF_LOG={level!r} is not a logging level (DEBUG, INFO, WARNING, ERROR or CRITICAL)", file=sys.stderr)
+        return 2
+    logging.basicConfig(level=level.upper(), format="%(levelname)s %(name)s: %(message)s")
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

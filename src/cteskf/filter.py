@@ -48,7 +48,7 @@ from .errorstate import (
     system_matrix,
     transformation_matrix,
 )
-from .ins import EarthModel, ImuSample, NavState, midpoint_translation
+from .ins import EarthModel, ImuSample, NavState
 from .sensors import Observation, innovation, noise_covariance, observation_matrix, select_members
 
 I15 = np.eye(15)
@@ -536,9 +536,9 @@ def mechanize_sequence(
 
     Per step the attitude advances by the body rotation increment composed
     with the Earth rotation over the step, and velocity and position by the
-    midpoint rule of :func:`cteskf.ins.midpoint_translation`, on member
-    arrays for a bank of at least :data:`MIDPOINT_COLUMNS` members and on
-    floats below, with the same bits either way.  Returns
+    midpoint rule: on member arrays (:func:`_midpoint_columns`) for a bank
+    of at least :data:`MIDPOINT_COLUMNS` members and on floats
+    (:func:`_midpoint_floats`) below, with the same bits either way.  Returns
     attitude (N+1,3,3), velocity (N+1,3) and position (N+1,3) histories
     including the initial state.  A bank (x0 fields and samples with a
     leading member axis, ``gyro`` (M, N, 3)) gives (M, N+1, ...) histories.
@@ -594,44 +594,54 @@ def mechanize_sequence(
 
 
 def _midpoint_floats(forces, vels, poss, dt, earth) -> None:
-    """Each member's velocity and position history by the midpoint rule,
-    one member after the other on Python floats, from its Earth-frame
-    specific forces (M, N, 3): fills rows 1..N of ``vels`` and ``poss``
-    (M, N+1, 3), arrays that hold the initial velocity and position in
-    row 0."""
-    vel_rows, pos_rows = [], []
-    for member, vel, pos in zip(forces.tolist(), vels[:, 0].tolist(), poss[:, 0].tolist()):
+    """Each member's velocity and position history by the midpoint rule of
+    acc = f_e - 2 omega_ie x v + g(r), taken at a step's start and midpoint
+    with its Earth-frame specific force f_e from ``forces`` (M, N, 3), one
+    member after the other on Python floats: fills rows 1..N of ``vels``
+    and ``poss`` (M, N+1, 3), which hold the initial state in row 0."""
+    wx, wy, wz = earth.omega_ie.tolist()
+    gravity = earth.gravity_xyz
+    half_dt = 0.5 * dt
+    for i, (member, (vx, vy, vz), (px, py, pz)) in enumerate(zip(forces.tolist(), vels[:, 0].tolist(), poss[:, 0].tolist())):
         member_vels, member_poss = [], []
-        for f_e in member:
-            vel, pos = midpoint_translation(f_e, vel, pos, dt, earth)
-            member_vels.append(vel)
-            member_poss.append(pos)
-        vel_rows.append(member_vels)
-        pos_rows.append(member_poss)
-    vels[:, 1:], poss[:, 1:] = vel_rows, pos_rows
+        for fx, fy, fz in member:
+            gx, gy, gz = gravity(px, py, pz)
+            ax = fx - 2.0 * (wy * vz - wz * vy) + gx
+            ay = fy - 2.0 * (wz * vx - wx * vz) + gy
+            az = fz - 2.0 * (wx * vy - wy * vx) + gz
+            mx, my, mz = vx + half_dt * ax, vy + half_dt * ay, vz + half_dt * az
+            gx, gy, gz = gravity(px + half_dt * vx, py + half_dt * vy, pz + half_dt * vz)
+            ax = fx - 2.0 * (wy * mz - wz * my) + gx
+            ay = fy - 2.0 * (wz * mx - wx * mz) + gy
+            az = fz - 2.0 * (wx * my - wy * mx) + gz
+            nx, ny, nz = vx + dt * ax, vy + dt * ay, vz + dt * az
+            px, py, pz = px + half_dt * (vx + nx), py + half_dt * (vy + ny), pz + half_dt * (vz + nz)
+            vx, vy, vz = nx, ny, nz
+            member_vels.append((vx, vy, vz))
+            member_poss.append((px, py, pz))
+        vels[i, 1:], poss[i, 1:] = member_vels, member_poss
 
 
 def _midpoint_columns(forces, vels, poss, dt, earth) -> None:
     """:func:`_midpoint_floats` with every member at once, one step after
     the other on (3, M) arrays that hold a member per column.  Each
-    component takes the operations of :func:`cteskf.ins.midpoint_translation`
-    in their order, so a member gets the same bits in either form."""
-    n = forces.shape[1]
+    component takes the operations of :func:`_midpoint_floats` in their
+    order, and :meth:`cteskf.ins.EarthModel.gravity` those of its float
+    form, so a member gets the same bits in either form."""
     wx, wy, wz = earth.omega_ie.tolist()
     # omega_ie x v row by row, (wy vz - wz vy, wz vx - wx vz, wx vy - wy vx):
     # both products of each row in one multiplication, then one difference
     w = np.array([[[wy], [wz], [wx]], [[wz], [wx], [wy]]])
     turns = np.array([[2, 0, 1], [1, 2, 0]])
     half_dt = 0.5 * dt
-    f = forces.transpose(1, 2, 0)
     vels, poss = vels.transpose(1, 2, 0), poss.transpose(1, 2, 0)
     vel, pos = vels[0], poss[0]
-    for k in range(n):
+    for k, f in enumerate(forces.transpose(1, 2, 0)):
         cross = w * vel[turns]
-        acc = f[k] - 2.0 * (cross[0] - cross[1]) + earth.gravity_columns(pos)
+        acc = f - 2.0 * (cross[0] - cross[1]) + earth.gravity(pos.T).T
         mid = vel + half_dt * acc
         cross = w * mid[turns]
-        acc = f[k] - 2.0 * (cross[0] - cross[1]) + earth.gravity_columns(pos + half_dt * vel)
+        acc = f - 2.0 * (cross[0] - cross[1]) + earth.gravity((pos + half_dt * vel).T).T
         new = vel + dt * acc
         vels[k + 1] = new
         poss[k + 1] = pos = pos + half_dt * (vel + new)
@@ -664,17 +674,13 @@ def _compose(phi_t: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return phi_t[0], w[0]
 
 
-def _noise_input(sign: float) -> np.ndarray:
-    """G with ``sign`` I on the gyro and accelerometer noise and I on the
-    bias noise."""
-    g = np.zeros((15, 12))
-    g[0:6, 0:6] = sign * np.eye(6)
-    g[9:15, 6:12] = np.eye(6)
-    return g
-
-
 # G of the left-invariant error, and the additive G at the attitude R = I
-_FIXED_G = {ErrorParam.ADDITIVE_EKF: _noise_input(1.0), ErrorParam.LEFT_INVARIANT: _noise_input(-1.0)}
+_FIXED_G = {
+    param: system_matrix(
+        param, NavState(np.eye(3), np.zeros(3), np.zeros(3)), ImuSample(0.0, np.zeros(3), np.zeros(3)), EarthModel()
+    ).G
+    for param in (ErrorParam.ADDITIVE_EKF, ErrorParam.LEFT_INVARIANT)
+}
 
 
 def _step_free_noise(param: ErrorParam, qc: np.ndarray, dt: float) -> np.ndarray | None:

@@ -1,5 +1,5 @@
-"""ECEF strapdown INS: state types, kinematic models and the midpoint rule
-of the discrete mechanization (:func:`cteskf.filter.mechanize_sequence`).
+"""ECEF strapdown INS: state types, the Earth model and the kinematic
+models; the discrete mechanization is :func:`cteskf.filter.mechanize_sequence`.
 
 Two equivalent formulations of the inertial kinematics are provided: the
 classical one in terms of the Earth-relative velocity, and the group-affine
@@ -52,7 +52,6 @@ class EarthModel:
             raise ValueError(f"unknown gravity mode {self.gravity_mode!r}")
         self.omega_mat = skew(self.omega_ie)
         self.omega_sq = self.omega_mat @ self.omega_mat
-        self._omega_xyz = tuple(self.omega_ie.tolist())
         self._omega_sq_rows = self.omega_sq.tolist()
         self._turn_dt, self._turn = None, None
         # rate and unit-axis skew (and its square) of the Earth rotation
@@ -83,22 +82,28 @@ class EarthModel:
 
     def gravity(self, r: np.ndarray) -> np.ndarray:
         """Local gravity vector g(r): mass attraction plus centrifugal effect,
-        for one position (3,) or a stack (..., 3)."""
+        for one position (3,) or a stack (..., 3).  Each position takes the
+        operations of :meth:`gravity_xyz` component by component, in their
+        order, so it gets the bits of the float form."""
         r = np.asarray(r, dtype=float)
         if self.gravity_mode == "constant":
             return np.broadcast_to(self.gravity_const, r.shape).copy()
-        dist_sq = np.einsum("...i,...i->...", r, r)
-        if np.any(dist_sq == 0.0):
+        sq = r * r
+        dist_sq = sq[..., 0] + sq[..., 1] + sq[..., 2]
+        if not dist_sq.all():
             raise ValueError(f"{self.gravity_mode} gravity is undefined at the origin")
         if self.gravity_mode == "spherical":
-            return (-EARTH_GM / (dist_sq * np.sqrt(dist_sq)))[..., None] * r - r @ self.omega_sq.T
-        sin_lat_sq = r[..., 2] ** 2 / dist_sq
+            c = -EARTH_GM / (dist_sq * np.sqrt(dist_sq))
+            # row i of omega_sq r as s_i0 x + s_i1 y + s_i2 z, the products at once
+            terms = r[..., None, :] * self.omega_sq
+            return c[..., None] * r - (terms[..., 0] + terms[..., 1] + terms[..., 2])
+        sin_lat_sq = sq[..., 2] / dist_sq
         gamma = (
             _GAMMA_EQUATOR
             * (1.0 + _SOMIGLIANA_K * sin_lat_sq)
             / np.sqrt(1.0 - _ECC_SQ * sin_lat_sq)
         )
-        return -(gamma / np.sqrt(dist_sq))[..., None] * r
+        return (-gamma / np.sqrt(dist_sq))[..., None] * r
 
     def gravity_xyz(self, x: float, y: float, z: float) -> tuple[float, float, float]:
         """:meth:`gravity` on the scalar components of r, for sequential loops
@@ -124,30 +129,6 @@ class EarthModel:
         )
         c = -gamma / math.sqrt(dist_sq)
         return c * x, c * y, c * z
-
-    def gravity_columns(self, r: np.ndarray) -> np.ndarray:
-        """:meth:`gravity_xyz` on positions (3, M), one per column, for the
-        member-array midpoint rule: the same operations component by
-        component, in the same order, so each column gets the bits
-        :meth:`gravity_xyz` gives its position."""
-        if self.gravity_mode == "constant":
-            return self.gravity_const[:, None]
-        sq = r * r
-        dist_sq = sq[0] + sq[1] + sq[2]
-        if not dist_sq.all():
-            raise ValueError(f"{self.gravity_mode} gravity is undefined at the origin")
-        if self.gravity_mode == "spherical":
-            c = -EARTH_GM / (dist_sq * np.sqrt(dist_sq))
-            # row i of omega_sq r as s_i0 x + s_i1 y + s_i2 z, the products at once
-            terms = self.omega_sq[:, :, None] * r
-            return c * r - (terms[:, 0] + terms[:, 1] + terms[:, 2])
-        sin_lat_sq = sq[2] / dist_sq
-        gamma = (
-            _GAMMA_EQUATOR
-            * (1.0 + _SOMIGLIANA_K * sin_lat_sq)
-            / np.sqrt(1.0 - _ECC_SQ * sin_lat_sq)
-        )
-        return (-gamma / np.sqrt(dist_sq)) * r
 
 
 def gravitational_accel(r: np.ndarray, earth: EarthModel) -> np.ndarray:
@@ -284,32 +265,3 @@ def nav_from_group(
     """Rebuild a NavState from an SE2(3) element plus bias and time carry-overs."""
     vel = group_vel_to_classic(chi.nu, chi.rho, earth)
     return NavState(chi.rot.copy(), vel, chi.rho.copy(), bg.copy(), ba.copy(), time)
-
-
-def midpoint_translation(
-    f_e: list, vel: list, pos: list, dt: float, earth: EarthModel
-) -> tuple[tuple, tuple]:
-    """Velocity and position after one midpoint-rule step of the classical
-    kinematics, acc = f_e - 2 omega_ie x v + g(r), on Python floats.
-
-    f_e is the specific force resolved in the Earth frame, held over the step;
-    the acceleration is evaluated at the start and at the midpoint.  The
-    sequential loop of :func:`cteskf.filter.mechanize_sequence` calls it once
-    per step, where array overhead would dominate on 3-vectors.
-    """
-    wx, wy, wz = earth._omega_xyz
-    fx, fy, fz = f_e
-    vx, vy, vz = vel
-    px, py, pz = pos
-    half_dt = 0.5 * dt
-    gx, gy, gz = earth.gravity_xyz(px, py, pz)
-    ax = fx - 2.0 * (wy * vz - wz * vy) + gx
-    ay = fy - 2.0 * (wz * vx - wx * vz) + gy
-    az = fz - 2.0 * (wx * vy - wy * vx) + gz
-    mx, my, mz = vx + half_dt * ax, vy + half_dt * ay, vz + half_dt * az
-    gx, gy, gz = earth.gravity_xyz(px + half_dt * vx, py + half_dt * vy, pz + half_dt * vz)
-    ax = fx - 2.0 * (wy * mz - wz * my) + gx
-    ay = fy - 2.0 * (wz * mx - wx * mz) + gy
-    az = fz - 2.0 * (wx * my - wy * mx) + gz
-    nx, ny, nz = vx + dt * ax, vy + dt * ay, vz + dt * az
-    return (nx, ny, nz), (px + half_dt * (vx + nx), py + half_dt * (vy + ny), pz + half_dt * (vz + nz))

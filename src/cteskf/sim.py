@@ -17,7 +17,7 @@ import numpy as np
 from . import lie
 from .errorstate import ErrorParam, InjectionMode, process_noise, relation_matrix
 from .filter import CHUNK, FilterRun, FilterState, Strategy, mixed_sensor_strategy, run_filter
-from .ins import EARTH_RADIUS, G0, EarthModel, NavState
+from .ins import EARTH_RADIUS, G0, WGS84_RATE, EarthModel, NavState
 from .sensors import Observation
 
 DEG = np.pi / 180.0
@@ -110,6 +110,14 @@ class ScenarioConfig:
             raise ValueError("scenario duration must be positive and finite")
         if self.kind not in ("stationary", "circle", "figure-eight", "waypoint"):
             raise ValueError(f"unsupported trajectory kind {self.kind!r}")
+        if not np.isfinite([self.speed, self.radius, self.lat_deg, self.lon_deg]).all():
+            raise ValueError("speed, radius, lat_deg and lon_deg must be finite")
+        # a turn's rate is speed / radius and a circuit leg lasts radius / speed:
+        # a clockwise or resting circle runs, a circuit whose legs do not advance time never ends
+        if self.kind != "stationary" and self.radius == 0.0:
+            raise ValueError(f"a {self.kind} trajectory needs a nonzero radius")
+        if self.kind in ("figure-eight", "waypoint") and not (self.speed > 0.0 and self.radius > 0.0):
+            raise ValueError(f"a {self.kind} trajectory needs a positive speed and radius")
         if self.anchor not in ("surface", "origin"):
             raise ValueError(f"unknown anchor {self.anchor!r}")
         if self.anchor == "origin" and self.gravity_mode not in ("constant", "zero"):
@@ -143,7 +151,7 @@ class ScenarioConfig:
         self.injection_mode()
 
     def earth(self) -> EarthModel:
-        omega = np.array([0.0, 0.0, 7.292115e-5]) if self.earth_rotation else np.zeros(3)
+        omega = np.array([0.0, 0.0, WGS84_RATE]) if self.earth_rotation else np.zeros(3)
         const = np.array([0.0, 0.0, -G0]) if self.gravity_mode == "constant" else np.zeros(3)
         if self.gravity_mode == "zero":
             return EarthModel(omega_ie=omega, gravity_mode="constant", gravity_const=np.zeros(3))
@@ -627,7 +635,8 @@ def monte_carlo_sweep(
     can be.  Each bank is synthesized at once (``synthesize(cfg,
     members)``: one truth, one observation per fix), every variant runs on
     it with an attitude-only record of the settling window, and each member
-    is scored.  ``jobs > 1`` runs the banks in a process pool.  A member
+    is scored.  ``jobs > 1`` runs the banks in a process pool of ``jobs``
+    processes, or of one per bank when there are fewer banks.  A member
     gets the bits of its own :func:`run_scenario` in any bank, so results
     depend neither on the split nor on ``jobs``.
     """
@@ -645,7 +654,7 @@ def monte_carlo_sweep(
         # imported here: multiprocessing would add ~10 ms to every import of the package
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             scores = list(pool.map(_sweep_bank, tasks))
     else:
         scores = [_sweep_bank(t) for t in tasks]

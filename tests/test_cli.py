@@ -136,6 +136,23 @@ class TestSimulate:
         assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
         assert not out.exists()
 
+    def test_zero_radius_is_a_config_error(self, tmp_path, capsys):
+        # a zero radius used to raise ZeroDivisionError with a traceback
+        cfg = write_cfg(tmp_path, RUN_CFG + "\nscenario.radius = 0\n")
+        out = tmp_path / "data"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+        assert "nonzero radius" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unknown_log_level_is_an_error(self, tmp_path, capsys, monkeypatch):
+        # logging.basicConfig used to raise ValueError with a traceback
+        monkeypatch.setenv("CTESKF_LOG", "loud")
+        out = tmp_path / "data"
+        assert main(["simulate", "--config", write_cfg(tmp_path, MINIMAL), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: CTESKF_LOG='loud'") and len(err.splitlines()) == 1
+        assert not out.exists()
+
     def test_zero_sensor_rate_is_a_config_error(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, MINIMAL + "\ngnss.rate = 0\n")
         out = tmp_path / "data"

@@ -172,16 +172,23 @@ class TestGravity:
 
     @pytest.mark.parametrize("mode", ["constant", "spherical", "normal"])
     def test_stack_matches_per_row_scalar_path(self, mode):
-        # the stacked formula and the float path agree to rounding
-        earth = EarthModel(gravity_mode=mode)
+        # the array form gives each position the bits of the float form: on
+        # a stack, on the (3, M) columns of the member-array midpoint rule
+        # seen through .T, and with a leading member and step axis; a tilted
+        # rotation axis fills every product of (omega_ie x)^2 r
+        earth = EarthModel(omega_ie=WGS84_RATE * np.array([2.0, -3.0, 6.0]) / 7.0, gravity_mode=mode)
         rng = np.random.default_rng(12)
         r = rng.normal(size=(40, 3))
         r *= (EARTH_RADIUS + rng.uniform(-1e4, 1e5, 40))[:, None] / np.linalg.norm(r, axis=1)[:, None]
         g = earth.gravity(r)
         assert g.shape == (40, 3)
-        for r_k, g_k in zip(r, g):
-            np.testing.assert_allclose(g_k, earth.gravity_xyz(*r_k.tolist()), rtol=1e-15, atol=0.0)
-        np.testing.assert_array_equal(earth.gravity(r.reshape(4, 10, 3)), g.reshape(4, 10, 3))
+        want = np.array([earth.gravity_xyz(*r_k) for r_k in r.tolist()])
+        assert g.tobytes() == want.tobytes()
+        columns = np.ascontiguousarray(r.T)
+        assert np.ascontiguousarray(earth.gravity(columns.T).T).tobytes() == want.T.tobytes()
+        assert earth.gravity(r.reshape(4, 10, 3)).tobytes() == want.reshape(4, 10, 3).tobytes()
+        for r_k, g_k in zip(r, want):
+            assert earth.gravity(r_k).tobytes() == g_k.tobytes()
 
     @pytest.mark.parametrize("mode", ["spherical", "normal"])
     def test_stack_with_origin_rejected(self, mode):

@@ -100,6 +100,40 @@ class TestGenerateTruth:
         with pytest.raises(ValueError):
             small_cfg(kind="spiral")
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            dict(speed=np.nan),
+            dict(speed=np.inf),
+            dict(radius=np.nan),
+            dict(lat_deg=np.nan),
+            dict(lon_deg=-np.inf),
+            dict(kind="stationary", lat_deg=np.nan),
+            dict(radius=0.0),
+            dict(kind="figure-eight", radius=0.0),
+            dict(kind="waypoint", radius=0.0),
+            dict(kind="figure-eight", speed=0.0),
+            dict(kind="waypoint", speed=0.0),
+            dict(kind="figure-eight", speed=-5.0),
+            dict(kind="waypoint", speed=-5.0),
+            dict(kind="figure-eight", radius=-100.0),
+            dict(kind="waypoint", radius=-10.0),
+        ],
+    )
+    def test_trajectory_geometry_validated(self, bad):
+        # a zero radius divided by zero in _build_legs, a zero speed too for
+        # the circuits, a negative speed or radius gave their legs negative
+        # durations and looped forever, and a non-finite value ran and
+        # diverged at the first step
+        with pytest.raises(ValueError):
+            small_cfg(**bad)
+
+    @pytest.mark.parametrize("kind, speed, radius", [("circle", 5.0, -50.0), ("circle", 0.0, 50.0), ("stationary", 0.0, 0.0)])
+    def test_clockwise_or_resting_circle_accepted(self, kind, speed, radius):
+        cfg = small_cfg(kind=kind, speed=speed, radius=radius, duration=2.0)
+        truth = generate_truth(cfg, cfg.earth())
+        assert np.isfinite(truth.pos).all() and np.isfinite(truth.att).all()
+
     def test_duration_must_be_positive(self):
         with pytest.raises(ValueError):
             small_cfg(duration=0.0)
@@ -522,6 +556,35 @@ class TestMonteCarloSweep:
         serial = monte_carlo_sweep(cfg, grid, 2, variants=("ekf", "ct-ekf"), jobs=1)
         parallel = monte_carlo_sweep(cfg, grid, 2, variants=("ekf", "ct-ekf"), jobs=2)
         np.testing.assert_array_equal(serial.rmse_deg, parallel.rmse_deg)
+
+    @pytest.mark.parametrize("jobs, banks, workers", [(64, 2, 2), (64, 1, 1), (2, 3, 2)])
+    def test_pool_has_at_most_one_process_per_bank(self, monkeypatch, jobs, banks, workers):
+        # a fork pool starts all its processes at the first submit, so a
+        # pool wider than the banks forks processes that never work; the
+        # fake pool records its width and starts no process
+        import concurrent.futures
+
+        widths = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                widths.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(sim, "_sweep_bank", lambda args: np.zeros((len(args[1]), len(args[2]))))
+        cfg = small_cfg(duration=2.0, imu_rate=50.0)
+        monkeypatch.setattr(sim, "BANK_BYTES", sim._member_bytes(cfg))
+        result = monte_carlo_sweep(cfg, [0.0] * banks, 1, variants=("ekf",), jobs=jobs)
+        assert widths == [workers] and result.rmse_deg.shape == (banks, 1)
 
     def test_import_leaves_out_the_process_pool(self):
         # only a sweep with jobs > 1 imports multiprocessing, which costs
