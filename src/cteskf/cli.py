@@ -10,15 +10,17 @@ before any output file is created.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import logging
 import os
 import sys
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 
 from . import io, verify
+from .sensors import select_members
 from .sim import CONSUMER_IMU, VARIANTS, ImuSpec, ScenarioConfig, monte_carlo_sweep, run_scenario, synthesize
 
 log = logging.getLogger("cteskf")
@@ -27,25 +29,26 @@ MAX_SWEEP_MEMBERS = 100_000  # cells x seeds of one `cteskf sweep`
 
 
 class ConfigError(ValueError):
-    pass
+    """A config file, config value or command-line path that cannot be used."""
+
+
+def _config_error(path, line_no, message) -> ConfigError:
+    return ConfigError(f"{path}:{line_no}: {message}" if line_no else f"{path}: {message}")
 
 
 def parse_config(path: str) -> dict:
     """Flat dotted-key config parser; later assignments win."""
-    if not os.path.exists(path):
-        raise ConfigError(f"config file {path!r} does not exist")
     values = {}
-    with open(path) as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{line_no}: expected 'key = value', got {raw.strip()!r}")
-            key, value = (part.strip() for part in line.split("=", 1))
-            if not key:
-                raise ConfigError(f"{path}:{line_no}: empty key")
-            values[key] = value
+    for line_no, raw in io.text_lines(path, _config_error):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise _config_error(path, line_no, f"expected 'key = value', got {raw.strip()!r}")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if not key:
+            raise _config_error(path, line_no, "empty key")
+        values[key] = value
     return values
 
 
@@ -137,17 +140,26 @@ def _reject_leftovers(cfg: dict, accepted_prefixes):
             raise ConfigError(f"unknown config key {key!r}")
 
 
+def _make_out_dir(path: str) -> None:
+    """Create the output directory ``path`` before any work, or raise
+    ConfigError saying why it cannot be."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {path!r}: {exc.strerror}") from None
+
+
 def cmd_simulate(args) -> int:
     cfg = parse_config(args.config)
     scenario = scenario_from_config(cfg, args.seed)
     _reject_leftovers(cfg, ("sweep.", "run."))
+    _make_out_dir(args.out)
+    # the scenario's bank of one: its member 0
     sc = synthesize(scenario)
-    truth = sc.truth
-    os.makedirs(args.out, exist_ok=True)
-    io.write_imu(os.path.join(args.out, "imu.csv"), sc.imu.t, sc.imu.gyro, sc.imu.accel)
-    io.write_observations(os.path.join(args.out, "gnss_vel.csv"), "gnss_vel", sc.gnss)
-    io.write_observations(os.path.join(args.out, "odo.csv"), "odo", sc.odo)
-    io.write_truth(os.path.join(args.out, "truth.csv"), truth.t, truth.att, truth.vel, truth.pos)
+    io.write_imu(os.path.join(args.out, "imu.csv"), sc.imu.t, sc.imu.gyro[0], sc.imu.accel[0])
+    io.write_observations(os.path.join(args.out, "gnss_vel.csv"), "gnss_vel", [select_members(o, 0) for o in sc.gnss])
+    io.write_observations(os.path.join(args.out, "odo.csv"), "odo", [select_members(o, 0) for o in sc.odo])
+    io.write_truth(os.path.join(args.out, "truth.csv"), sc.truth.t, sc.truth.att, sc.truth.vel, sc.truth.pos)
     log.info(
         "wrote dataset to %s (%d IMU samples, %d GNSS, %d ODO)", args.out, len(sc.imu.t), len(sc.gnss), len(sc.odo)
     )
@@ -159,7 +171,7 @@ def cmd_run(args) -> int:
     scenario = scenario_from_config(cfg, args.seed, args.injection)
     variants = variants_from_config(cfg)
     _reject_leftovers(cfg, ("sweep.",))
-    os.makedirs(args.out, exist_ok=True)
+    _make_out_dir(args.out)
     failed = False
     print(f"{'variant':<10} {'att RMSE [deg]':>15} {'vel RMSE [m/s]':>15} {'pos RMSE [m]':>14}")
     for variant in variants:
@@ -198,8 +210,8 @@ def cmd_sweep(args) -> int:
     if (yaw_max + yaw_step / 2 - yaw_min) / yaw_step > MAX_SWEEP_MEMBERS // n_seeds:
         raise ConfigError(f"sweep grid x {n_seeds} seeds exceeds {MAX_SWEEP_MEMBERS} members")
     grid = np.arange(yaw_min, yaw_max + yaw_step / 2, yaw_step)
+    _make_out_dir(args.out)
     result = monte_carlo_sweep(scenario, grid, n_seeds, variants=variants, jobs=args.jobs)
-    os.makedirs(args.out, exist_ok=True)
     out = os.path.join(args.out, "rmse.csv")
     io.write_rmse(out, result)
     log.info("wrote %s (%d cells x %d variants)", out, len(grid), len(variants))
@@ -210,19 +222,17 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    results = verify.run_all(args.level, args.seed, args.jobs)
-    for r in results:
-        print(r.line())
-    payload = [
-        {
-            "name": r.name, "passed": r.passed, "measured": r.measured, "tolerance": r.tolerance,
-            "elapsed_s": r.elapsed_s, "detail": r.detail,
-        }
-        for r in results
-    ]
-    if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(payload, fh, indent=2)
+    # the report is opened before the battery runs, so an unwritable path fails first
+    try:
+        report = open(args.out, "w") if args.out else contextlib.nullcontext()
+    except OSError as exc:
+        raise ConfigError(f"cannot write the report {args.out!r}: {exc.strerror}") from None
+    with report:
+        results = verify.run_all(args.level, args.seed, args.jobs)
+        for r in results:
+            print(r.line())
+        if args.out:
+            json.dump([asdict(r) for r in results], report, indent=2)
     ok = all(r.passed for r in results)
     print(f"{sum(r.passed for r in results)}/{len(results)} properties passed")
     return 0 if ok else 1

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import os
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,13 +32,36 @@ OBSERVATION_FILES = {
 }
 
 
+# a byte that is not UTF-8, as the surrogateescape error handler decodes it
+_NOT_UTF8 = re.compile("[\udc80-\udcff]")
+
+
 class CsvSchemaError(ValueError):
-    """Raised with the file path and 1-based line number of the defect."""
+    """Raised with the file path and the 1-based line number of the defect,
+    ``None`` for a file that cannot be opened."""
 
     def __init__(self, path, line_no, message):
-        super().__init__(f"{path}:{line_no}: {message}")
+        super().__init__(f"{path}:{line_no}: {message}" if line_no else f"{path}: {message}")
         self.path = path
         self.line_no = line_no
+
+
+def text_lines(path, error=CsvSchemaError):
+    """Yield each line of the UTF-8 text file ``path`` with its 1-based
+    number.  A file that cannot be opened, or a line with a byte that is
+    not UTF-8, raises ``error(path, line_no, message)``, with a ``line_no``
+    of ``None`` for the former."""
+    try:
+        fh = open(path, encoding="utf-8", errors="surrogateescape")
+    except OSError as exc:
+        raise error(path, None, f"cannot open the file: {exc.strerror}") from None
+    with fh:
+        for line_no, line in enumerate(fh, start=1):
+            bad = _NOT_UTF8.search(line)
+            if bad:
+                byte = ord(bad.group()) - 0xDC00
+                raise error(path, line_no, f"byte {byte:#04x} at column {bad.start() + 1} is not UTF-8")
+            yield line_no, line
 
 
 def _write(path, header, rows, comment=None):
@@ -59,27 +83,26 @@ def _rows(columns, width: int) -> list:
 def _read(path, header):
     rows = []
     seen_header = False
-    with open(path) as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if not seen_header:
-                cols = [c.strip() for c in line.split(",")]
-                if cols != header:
-                    raise CsvSchemaError(path, line_no, f"expected header {','.join(header)}, got {line}")
-                seen_header = True
-                continue
-            parts = line.split(",")
-            if len(parts) != len(header):
-                raise CsvSchemaError(path, line_no, f"expected {len(header)} columns, got {len(parts)}")
-            try:
-                values = [float(p) for p in parts]
-            except ValueError:
-                raise CsvSchemaError(path, line_no, "non-numeric field")
-            if not all(math.isfinite(v) for v in values):
-                raise CsvSchemaError(path, line_no, "non-finite field")
-            rows.append((values, line_no))
+    for line_no, raw in text_lines(path):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if not seen_header:
+            cols = [c.strip() for c in line.split(",")]
+            if cols != header:
+                raise CsvSchemaError(path, line_no, f"expected header {','.join(header)}, got {line}")
+            seen_header = True
+            continue
+        parts = line.split(",")
+        if len(parts) != len(header):
+            raise CsvSchemaError(path, line_no, f"expected {len(header)} columns, got {len(parts)}")
+        try:
+            values = [float(p) for p in parts]
+        except ValueError:
+            raise CsvSchemaError(path, line_no, "non-numeric field")
+        if not all(math.isfinite(v) for v in values):
+            raise CsvSchemaError(path, line_no, "non-finite field")
+        rows.append((values, line_no))
     if not seen_header:
         raise CsvSchemaError(path, 1, "missing header row")
     return rows

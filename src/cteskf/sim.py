@@ -308,20 +308,19 @@ class TruthSeries:
 
 @dataclass
 class ImuStream:
-    """Sampled IMU with the bias truth used to generate it.
+    """Sampled IMU rates.
 
     Sample k is stamped at the end of its interval; rates are the ideal
-    values at the interval midpoint plus noise and bias.  The rates of a
-    filter bank's members carry a leading member axis, (N, n, 3), and no
-    bias truth.
+    values at the interval midpoint plus noise and bias.  The rates of one
+    run are (n, 3), as :func:`synthesize_imu` gives them; those of a filter
+    bank carry a leading member axis, (N, n, 3), as :func:`synthesize`
+    gives them.
     """
 
     t: np.ndarray
     gyro: np.ndarray
     accel: np.ndarray
     dt: float
-    bias_gyro: np.ndarray | None = None
-    bias_accel: np.ndarray | None = None
 
 
 def _sample_times(cfg: ScenarioConfig) -> np.ndarray:
@@ -347,8 +346,11 @@ def generate_truth(cfg: ScenarioConfig, earth: EarthModel) -> TruthSeries:
 
 
 def synthesize_imu(truth: TruthSeries, spec: ImuSpec, cfg: ScenarioConfig, earth: EarthModel, seed) -> ImuStream:
-    """Ideal inverse-mechanization IMU plus seeded noise and biases."""
-    return _imu_with_errors(truth, _ideal_imu(truth, cfg, earth), spec, cfg, seed)
+    """The IMU of one run: the ideal inverse-mechanization rates (n, 3)
+    plus seeded noise and biases."""
+    gyro, accel = _ideal_imu(truth, cfg, earth)
+    _imu_with_errors(gyro, accel, spec, 1.0 / cfg.imu_rate, seed)
+    return ImuStream(truth.t[1:].copy(), gyro, accel, 1.0 / cfg.imu_rate)
 
 
 def _ideal_imu(truth: TruthSeries, cfg: ScenarioConfig, earth: EarthModel) -> tuple[np.ndarray, np.ndarray]:
@@ -363,20 +365,15 @@ def _ideal_imu(truth: TruthSeries, cfg: ScenarioConfig, earth: EarthModel) -> tu
     return gyro, accel
 
 
-def _imu_with_errors(truth: TruthSeries, ideal, spec: ImuSpec, cfg: ScenarioConfig, seed) -> ImuStream:
-    """The ``ideal`` rates of :func:`_ideal_imu` plus seeded noise and
-    biases, added in place.
-
-    Bias truth is a random constant drawn from the instability figure plus a
-    random walk matching the filter's process model.  Each bias walk is
-    summed in its own draw and each noise draw takes its bias before it is
-    added to the rates, so beyond its outputs a call holds one (n, 3) draw.
-    """
+def _imu_with_errors(gyro: np.ndarray, accel: np.ndarray, spec: ImuSpec, dt: float, seed) -> None:
+    """Add seeded noise and biases in place to the ideal rates (n, 3) of
+    :func:`_ideal_imu`, sampled every ``dt``.  The bias, a random constant
+    drawn from the instability figure plus a random walk matching the
+    filter's process model, is not kept.  Each bias walk is summed in its
+    own draw and each noise draw takes its bias before it is added to the
+    rates, so a call holds the two walks and one (n, 3) noise draw."""
     rng = np.random.default_rng(seed)
-    dt = 1.0 / cfg.imu_rate
-    n = len(truth.t) - 1
-    gyro, accel = ideal
-
+    n = len(gyro)
     bg0 = rng.normal(scale=spec.gyro_bias_si, size=3)
     ba0 = rng.normal(scale=spec.accel_bias_si, size=3)
     qc = spec.qc()
@@ -392,31 +389,28 @@ def _imu_with_errors(truth: TruthSeries, ideal, spec: ImuSpec, cfg: ScenarioConf
         noise += bias
         rates += noise
         del noise
-    return ImuStream(truth.t[1:].copy(), gyro, accel, dt, bias_g, bias_a)
 
 
 def synthesize_observations(
-    truth: TruthSeries, kind: str, sigma: float, rate: float, cfg: ScenarioConfig, seed
+    truth: TruthSeries, kind: str, sigma: float, rate: float, cfg: ScenarioConfig, seeds: list
 ) -> list:
     """Fixes of a sensor ``kind`` (see :class:`cteskf.sensors.Observation`)
-    on every ``imu_rate / rate``-th truth sample from ``obs_start_s`` on:
-    the true velocity, in the Earth frame or the body frame, plus seeded
-    noise of standard deviation ``sigma``, drawn for all fixes at once (the
-    bits of one draw per fix).  A list of seeds, one per member of a filter
-    bank, gives each fix one ``value`` (N, 3), whose row i holds the bits
-    that seed i gives alone, and a shared ``sigma``.  A zero ``sigma``
-    draws nothing and stores a sigma of 1e-12, which keeps every fix's
-    sigma positive."""
+    on every ``imu_rate / rate``-th truth sample from ``obs_start_s`` on,
+    for a filter bank of one member per seed: the true velocity, in the
+    Earth frame or the body frame, plus seeded noise of standard deviation
+    ``sigma``, drawn for all fixes at once (the bits of one draw per fix).
+    Each fix has one ``value`` (N, 3), whose row i holds the draw of
+    ``seeds[i]``, and a shared ``sigma``.  A zero ``sigma`` draws nothing
+    and stores a sigma of 1e-12, which keeps every fix's sigma positive."""
     idx = np.arange(int(round(cfg.obs_start_s * cfg.imu_rate)), len(truth.t), int(round(cfg.imu_rate / rate)))
     exact = truth.vel[idx] if kind == "gnss_vel" else lie.matvec(truth.att[idx].transpose(0, 2, 1), truth.vel[idx])
-    bank = isinstance(seed, list)
     values = np.stack(
         [exact + (np.random.default_rng(s).normal(scale=sigma, size=exact.shape) if sigma > 0.0 else 0.0)
-         for s in (seed if bank else [seed])],
+         for s in seeds],
         axis=1,
     )
     sigmas = np.full((len(idx), 3), max(sigma, 1e-12))
-    return [Observation(kind, t, v if bank else v[0], s) for t, v, s in zip(truth.t[idx], values, sigmas)]
+    return [Observation(kind, t, v, s) for t, v, s in zip(truth.t[idx], values, sigmas)]
 
 
 VARIANTS = ("ekf", "l-inekf", "r-inekf", "ct-ekf", "sw-ekf")
@@ -466,10 +460,12 @@ def initial_estimate(cfg: ScenarioConfig, truth0: NavState, rng) -> tuple[NavSta
 
 @dataclass
 class Scenario:
-    """A config's synthesized inputs, or a filter bank's (see
-    :func:`synthesize`): the Earth model, the truth, the IMU stream, the
-    GNSS and odometry observations (empty when the sensor is disabled) and
-    the initial estimate with its additive-parameterization covariance."""
+    """The synthesized inputs of a filter bank (see :func:`synthesize`):
+    the Earth model, the truth, the IMU stream with one row of rates per
+    member, the GNSS and odometry observations with one value row per
+    member (empty when the sensor is disabled), and the members' initial
+    estimates ``x0`` and additive-parameterization covariances ``p0``
+    (N, 15, 15).  A single run is a bank of one."""
 
     earth: EarthModel
     truth: TruthSeries
@@ -481,37 +477,36 @@ class Scenario:
 
 
 def synthesize(cfg: ScenarioConfig, members=None) -> Scenario:
-    """Synthesize everything a run of ``cfg`` consumes.
+    """Synthesize everything a filter bank on ``cfg`` consumes.
+
+    ``members`` lists the bank's (initial yaw error, seed) pairs; the
+    default, ``[(cfg.init_att_err_deg[2], cfg.seed)]``, is the bank of one
+    that a run of ``cfg`` is.  Member i gets the inputs of ``replace(cfg,
+    seed=seed_i, init_att_err_deg=(roll, pitch, yaw_i))``, with the bits of
+    that config's bank of one: row i of ``imu.gyro``/``imu.accel`` (N, n, 3)
+    and of each fix's ``value`` (N, 3), member i of ``x0`` and ``p0[i]``.
+    The members share the truth and the ideal IMU rates, evaluated once
+    (:class:`Trajectory` reads neither the seed nor the initial attitude
+    error), and each fix's ``sigma`` (3,).  The IMU bias truth is not kept.
+    An empty ``members`` raises ``ValueError``.
 
     This is the one place that derives the seed streams: the IMU, GNSS and
-    odometry draws and the initial estimate each take their own child of
-    ``cfg.seed`` (``SeedSequence([seed, 1 | 2 | 3 | 0xC0FFEE])``).  Runs of
-    one config therefore see the same inputs, and enabling a sensor leaves
-    the other draws unchanged.
-
-    ``members`` lists the (initial yaw error, seed) pairs of a filter bank.
-    The bank shares the truth, the IMU grid and the observation grid
-    (:class:`Trajectory` reads neither the seed nor the initial attitude
-    error), so the truth is generated once.  Member i gets the bits of
-    ``synthesize(replace(cfg, seed=seed_i, init_att_err_deg=(roll, pitch,
-    yaw_i)))``: its IMU rates are row i of ``imu.gyro``/``imu.accel`` (N, n,
-    3), which carry no bias truth; each fix is one :class:`Observation`
-    whose ``value`` is (N, 3) and whose ``sigma`` (3,) is shared; ``x0`` is
-    a bank and ``p0`` (N, 15, 15).  An empty ``members`` raises
-    ``ValueError``.
+    odometry draws and the initial estimate each take their own child of a
+    member's seed (``SeedSequence([seed, 1 | 2 | 3 | 0xC0FFEE])``), so
+    enabling a sensor leaves the other draws unchanged.
     """
-    if members is not None and not len(members):
+    if members is None:
+        members = [(cfg.init_att_err_deg[2], cfg.seed)]
+    if not len(members):
         raise ValueError("a filter bank needs at least one member")
     earth = cfg.earth()
     truth = generate_truth(cfg, earth)
     roll, pitch, _ = cfg.init_att_err_deg
-    configs = [cfg] if members is None else [
-        replace(cfg, seed=seed, init_att_err_deg=(roll, pitch, yaw)) for yaw, seed in members
-    ]
+    configs = [replace(cfg, seed=seed, init_att_err_deg=(roll, pitch, yaw)) for yaw, seed in members]
 
     def observations(kind: str, sigma: float, rate: float, stream: int) -> list:
         seeds = [np.random.SeedSequence([c.seed, stream]) for c in configs]
-        return synthesize_observations(truth, kind, sigma, rate, cfg, seeds[0] if members is None else seeds)
+        return synthesize_observations(truth, kind, sigma, rate, cfg, seeds)
 
     gnss = observations("gnss_vel", cfg.gnss_sigma, cfg.gnss_rate, 2) if cfg.use_gnss else []
     odo = observations("odo", cfg.odo_sigma, cfg.odo_rate, 3) if cfg.use_odo else []
@@ -519,20 +514,13 @@ def synthesize(cfg: ScenarioConfig, members=None) -> Scenario:
         initial_estimate(c, truth.state(0), np.random.default_rng(np.random.SeedSequence([c.seed, 0xC0FFEE])))
         for c in configs
     ))
-    if members is None:
-        imu = synthesize_imu(truth, cfg.imu, cfg, earth, np.random.SeedSequence([cfg.seed, 1]))
-        x0, p0 = x0[0], p0[0]
-    else:
-        # the members share the ideal rates; each member's errors, bias
-        # truth included, are added to its own rows and only its rates kept
-        ideal = _ideal_imu(truth, cfg, earth)
-        rates = (len(members), len(truth.t) - 1, 3)
-        imu = ImuStream(truth.t[1:].copy(), np.empty(rates), np.empty(rates), 1.0 / cfg.imu_rate)
-        for i, c in enumerate(configs):
-            imu.gyro[i], imu.accel[i] = ideal
-            _imu_with_errors(truth, (imu.gyro[i], imu.accel[i]), c.imu, c, np.random.SeedSequence([c.seed, 1]))
-        x0, p0 = NavState.stack(x0), np.stack(p0)
-    return Scenario(earth, truth, imu, gnss, odo, x0, p0)
+    rates = (len(configs), len(truth.t) - 1, 3)
+    imu = ImuStream(truth.t[1:].copy(), np.empty(rates), np.empty(rates), 1.0 / cfg.imu_rate)
+    # every member's rows start from the shared ideal rates, which are freed before any errors are drawn
+    imu.gyro[:], imu.accel[:] = _ideal_imu(truth, cfg, earth)
+    for i, c in enumerate(configs):
+        _imu_with_errors(imu.gyro[i], imu.accel[i], c.imu, imu.dt, np.random.SeedSequence([c.seed, 1]))
+    return Scenario(earth, truth, imu, gnss, odo, NavState.stack(x0), np.stack(p0))
 
 
 def run_scenario(cfg: ScenarioConfig, variant: str) -> tuple[FilterRun, dict]:
@@ -548,12 +536,13 @@ def run_scenario(cfg: ScenarioConfig, variant: str) -> tuple[FilterRun, dict]:
 
 
 def _bank_filter(cfg: ScenarioConfig, variant: str, sc: Scenario) -> FilterState:
-    """The bank of one variant's filters that starts from the scenario's
-    initial estimates, a bank of one for a single scenario."""
+    """The bank of one variant's filters that starts from the scenario
+    members' initial estimates, each covariance mapped from the additive
+    parameterization to the variant's."""
     param, strategy = variant_config(variant)
-    x0, p0 = (sc.x0.select(None), sc.p0[None]) if sc.p0.ndim == 2 else (sc.x0, sc.p0)
-    a0 = relation_matrix(ErrorParam.ADDITIVE_EKF, param, x0, sc.earth)
-    return FilterState(x0, a0 @ p0 @ a0.swapaxes(-1, -2), param, strategy, cfg.injection_mode(), cfg.imu.qc(), sc.earth)
+    a0 = relation_matrix(ErrorParam.ADDITIVE_EKF, param, sc.x0, sc.earth)
+    p0 = a0 @ sc.p0 @ a0.swapaxes(-1, -2)
+    return FilterState(sc.x0, p0, param, strategy, cfg.injection_mode(), cfg.imu.qc(), sc.earth)
 
 
 def _attitude_errors(cfg, run, truth) -> np.ndarray:

@@ -170,21 +170,6 @@ def check_transform_closure(seed=0, trials=100) -> PropertyResult:
     return out
 
 
-def _criterion1_config(rate: float) -> ScenarioConfig:
-    return ScenarioConfig(
-        kind="circle",
-        duration=60.0,
-        speed=5.0,
-        radius=500.0,
-        imu_rate=rate,
-        imu=AVIATION_IMU,
-        use_gnss=False,
-        init_att_err_deg=(60.0, 60.0, 120.0),
-        seed=0,
-        gravity_mode="spherical",
-    )
-
-
 @_timed
 def check_propagation_equivalence(rate=200.0, tol=1e-3, seed=0) -> PropertyResult:
     """Covariances of the three parameterizations stay relation-equivalent
@@ -194,9 +179,12 @@ def check_propagation_equivalence(rate=200.0, tol=1e-3, seed=0) -> PropertyResul
     large initial attitude errors enter the covariance only; the shared
     estimated trajectory starts on the truth.
     """
-    cfg = replace(_criterion1_config(rate), seed=seed)
+    cfg = ScenarioConfig(
+        kind="circle", duration=60.0, speed=5.0, radius=500.0, imu_rate=rate, imu=AVIATION_IMU, use_gnss=False,
+        init_att_err_deg=(60.0, 60.0, 120.0), seed=seed, gravity_mode="spherical",
+    )
     sc = synthesize(cfg)
-    earth, stream = sc.earth, sc.imu
+    earth, gyro, accel, dt = sc.earth, sc.imu.gyro[0], sc.imu.accel[0], sc.imu.dt
     x0 = sc.truth.state(0)
     err = np.radians(np.asarray(cfg.init_att_err_deg))
     p0 = np.diag(
@@ -211,14 +199,13 @@ def check_propagation_equivalence(rate=200.0, tol=1e-3, seed=0) -> PropertyResul
         )
     )
     p0[0:3, 0:3] = x0.att @ np.diag(err**2) @ x0.att.T
-    atts, vels, poss = mechanize_sequence(x0, stream.gyro, stream.accel, stream.dt, earth)
+    atts, vels, poss = mechanize_sequence(x0, gyro, accel, dt, earth)
     qc = cfg.imu.qc()
     finals = {}
     for param in PARAMS:
         a0 = relation_matrix(EKF, param, x0, earth)
         finals[param], _ = propagate_covariance_sequence(
-            param, a0 @ p0 @ a0.T, atts, vels, poss, stream.gyro, stream.accel,
-            np.zeros(3), np.zeros(3), stream.dt, qc, earth,
+            param, a0 @ p0 @ a0.T, atts, vels, poss, gyro, accel, np.zeros(3), np.zeros(3), dt, qc, earth,
         )
     x_end = NavState(atts[-1], vels[-1], poss[-1])
     worst = 0.0
@@ -233,28 +220,21 @@ def check_propagation_equivalence(rate=200.0, tol=1e-3, seed=0) -> PropertyResul
 
 
 def _quiet_config(**kw) -> ScenarioConfig:
-    base = dict(
+    """The stationary, rotation-free, gravity-free scenario of the module
+    notes; ``kw`` overrides its fields, and the fields of neither keep their
+    defaults (GNSS velocity at 1 Hz, no odometry, seed 0)."""
+    quiet = dict(
         kind="stationary",
         duration=200.0,
         imu_rate=100.0,
         imu=AVIATION_IMU,
-        use_gnss=True,
-        gnss_rate=1.0,
-        gnss_sigma=0.2,
-        use_odo=False,
-        odo_rate=10.0,
-        odo_sigma=0.1,
         init_att_err_deg=(1.0, 1.0, 2.0),
-        init_vel_sigma=0.1,
-        init_pos_sigma=1.0,
-        seed=0,
         earth_rotation=False,
         gravity_mode="zero",
         anchor="origin",
         injection="first-order",
     )
-    base.update(kw)
-    return ScenarioConfig(**base)
+    return ScenarioConfig(**{**quiet, **kw})
 
 
 def state_difference(a: NavState, b: NavState) -> float:
@@ -298,8 +278,9 @@ def check_first_update_identity(seed=0) -> PropertyResult:
         updates = []  # (before, after) of each filter's update, banks of one
         for param in PARAMS:
             a0 = relation_matrix(EKF, param, x0, earth) if equivalent else np.eye(15)
-            fs = FilterState(x0.copy(), a0 @ p0 @ a0.T, param, Strategy(), InjectionMode.FIRST_ORDER, cfg.imu.qc(), earth)
-            (run,) = run_filter(fs.select(None), stream, [obs], lambda before, after: updates.append((before, after)))
+            p = a0 @ p0 @ a0.swapaxes(-1, -2)
+            fs = FilterState(x0.copy(), p, param, Strategy(), InjectionMode.FIRST_ORDER, cfg.imu.qc(), earth)
+            (run,) = run_filter(fs, stream, [obs], lambda before, after: updates.append((before, after)))
             if run.diverged:
                 raise FilterDivergence(run.diverged)
         x_pred = updates[0][0].x.select(0)
@@ -325,17 +306,22 @@ def check_first_update_identity(seed=0) -> PropertyResult:
     return out
 
 
+def _variant_gap(a: str, b: str, **quiet) -> tuple[float, object, object]:
+    """Variants ``a`` and ``b`` run on ``_quiet_config(**quiet)``: the
+    largest difference between their trajectories (:func:`_series_max_diff`),
+    inf when either run diverges, and the two runs."""
+    cfg = _quiet_config(**quiet)
+    (sa, ma), (sb, mb) = run_scenario(cfg, a), run_scenario(cfg, b)
+    return (np.inf if ma["diverged"] or mb["diverged"] else _series_max_diff(sa, sb)), sa, sb
+
+
 @_timed
 def check_switch_effectiveness(duration=200.0, tol=1e-8, seed=0) -> PropertyResult:
     """The additive filter with covariance switch to the left-invariant
     representation reproduces the native left-invariant filter's trajectory
     through a full run of velocity updates."""
-    cfg = _quiet_config(duration=duration, seed=seed)
-    sa, ma = run_scenario(cfg, "sw-ekf")
-    sb, mb = run_scenario(cfg, "l-inekf")
-    if ma["diverged"] or mb["diverged"]:
-        return PropertyResult("switch-effectiveness", False, np.inf, tol, "diverged")
-    return _result("switch-effectiveness", _series_max_diff(sa, sb), tol)
+    gap, _, _ = _variant_gap("sw-ekf", "l-inekf", duration=duration, seed=seed)
+    return _result("switch-effectiveness", gap, tol, "" if gap < np.inf else "diverged")
 
 
 @_timed
@@ -355,7 +341,7 @@ def check_switch_ineffectiveness(duration=60.0, tol=1e-12, seed=0) -> PropertyRe
     logs = []
     for update in (None, witness):
         log = []
-        (run,) = run_filter(plain.select(None), sc.imu, sc.gnss, lambda _, after: log.append(after.select(0)), update)
+        (run,) = run_filter(plain, sc.imu, sc.gnss, lambda _, after: log.append(after.select(0)), update)
         if run.diverged or not log or len(log) < len(sc.gnss):
             detail = run.diverged or f"{len(log)} of {len(sc.gnss)} observations applied"
             return PropertyResult("switch-ineffectiveness", False, np.inf, tol, detail)
@@ -370,15 +356,11 @@ def check_switch_ineffectiveness(duration=60.0, tol=1e-12, seed=0) -> PropertyRe
 def check_transform_equals_switch(duration=200.0, tol=1e-10, seed=0) -> PropertyResult:
     """Transform- and switch-based filters coincide (states and covariances)
     on a mixed velocity + odometry run."""
-    cfg = _quiet_config(duration=duration, use_odo=True, seed=seed)
-    sa, ma = run_scenario(cfg, "ct-ekf")
-    sb, mb = run_scenario(cfg, "sw-ekf")
-    if ma["diverged"] or mb["diverged"]:
-        return PropertyResult("transform-equals-switch", False, np.inf, tol, "diverged")
-    worst = _series_max_diff(sa, sb)
+    gap, sa, sb = _variant_gap("ct-ekf", "sw-ekf", duration=duration, use_odo=True, seed=seed)
+    if not gap < np.inf:
+        return _result("transform-equals-switch", gap, tol, "diverged")
     p_diff = float(np.abs(sa.p_trace - sb.p_trace).max() / max(1.0, np.abs(sb.p_trace).max()))
-    out = _result("transform-equals-switch", max(worst, p_diff), tol, f"P-trace diff {p_diff:.3e}")
-    return out
+    return _result("transform-equals-switch", max(gap, p_diff), tol, f"P-trace diff {p_diff:.3e}")
 
 
 @_timed
@@ -386,20 +368,14 @@ def check_ct_coincidence(duration=200.0, tol=1e-8, imu_rate=100.0, seed=0, name=
     """CT filter matches the native target filter: the left-invariant target
     on a velocity-only run and the right-invariant target on an odometry-only
     run."""
-    cfg_l = _quiet_config(duration=duration, imu_rate=imu_rate, seed=seed)
-    sa, ma = run_scenario(cfg_l, "ct-ekf")
-    sb, mb = run_scenario(cfg_l, "l-inekf")
-    cfg_r = _quiet_config(
-        duration=duration, imu_rate=imu_rate, use_gnss=False, use_odo=True,
+    diff_l, _, _ = _variant_gap("ct-ekf", "l-inekf", duration=duration, imu_rate=imu_rate, seed=seed)
+    diff_r, _, _ = _variant_gap(
+        "ct-ekf", "r-inekf", duration=duration, imu_rate=imu_rate, use_gnss=False, use_odo=True,
         odo_rate=min(10.0, imu_rate), seed=seed,
     )
-    sc, mc = run_scenario(cfg_r, "ct-ekf")
-    sd, md = run_scenario(cfg_r, "r-inekf")
-    if any(m["diverged"] for m in (ma, mb, mc, md)):
-        return PropertyResult(name, False, np.inf, tol, "diverged")
-    diff_l = _series_max_diff(sa, sb)
-    diff_r = _series_max_diff(sc, sd)
-    return _result(name, max(diff_l, diff_r), tol, f"vel->left {diff_l:.3e}, odo->right {diff_r:.3e}")
+    gap = max(diff_l, diff_r)
+    detail = f"vel->left {diff_l:.3e}, odo->right {diff_r:.3e}" if gap < np.inf else "diverged"
+    return _result(name, gap, tol, detail)
 
 
 @_timed

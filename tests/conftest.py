@@ -14,7 +14,7 @@ from cteskf import lie
 from cteskf.errorstate import ErrorParam, InjectionMode, process_noise, relation_matrix
 from cteskf.filter import FilterState, Strategy, run_filter
 from cteskf.ins import EarthModel, NavState
-from cteskf.sensors import Observation
+from cteskf.sensors import Observation, select_members
 from cteskf.sim import ImuStream
 
 
@@ -99,10 +99,16 @@ def traced_call(f, *args):
 
 def imu_stream(dt: float, gyro, accel, t0: float = 0.0) -> ImuStream:
     """Raw IMU arrays as run_filter takes them: sample k ends at
-    t0 + (k + 1) dt; the bias truth is zero."""
+    t0 + (k + 1) dt."""
     gyro, accel = np.asarray(gyro, dtype=float), np.asarray(accel, dtype=float)
-    n = len(gyro)
-    return ImuStream(t0 + dt * np.arange(1, n + 1), gyro, accel, dt, np.zeros((n, 3)), np.zeros((n, 3)))
+    return ImuStream(t0 + dt * np.arange(1, len(gyro) + 1), gyro, accel, dt)
+
+
+def solo_inputs(sc):
+    """The inputs of a synthesized bank of one as one run's: its IMU
+    stream (n, 3) and its GNSS and odometry fixes, each value (3,)."""
+    imu = ImuStream(sc.imu.t, sc.imu.gyro[0], sc.imu.accel[0], sc.imu.dt)
+    return imu, [select_members(obs, 0) for obs in sc.gnss + sc.odo]
 
 
 def solo_run(fs: FilterState, samples, observations, on_update=None, **kwargs):

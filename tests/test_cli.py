@@ -105,6 +105,21 @@ class TestConfigParsing:
         assert scenario.duration == 120.0 and scenario.use_odo and scenario.imu.accel_bias_ug == 3.6
         assert set(cfg) == {"sweep.yaw_min_deg", "sweep.yaw_max_deg", "sweep.yaw_step_deg", "sweep.seeds"}
 
+    def test_directory_is_a_config_error(self, tmp_path, capsys):
+        # it used to raise IsADirectoryError with a traceback
+        out = tmp_path / "data"
+        assert main(["simulate", "--config", str(tmp_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {tmp_path}: cannot open the file: Is a directory\n"
+        assert not out.exists()
+
+    def test_non_utf8_byte_is_a_config_error(self, tmp_path):
+        # it used to raise UnicodeDecodeError with a traceback
+        path = tmp_path / "run.cfg"
+        path.write_bytes(b"# config\nscenario.kind = circle\nscenario.radius = 5\xff0\n")
+        with pytest.raises(ConfigError, match="run.cfg:3: byte 0xff at column 20 is not UTF-8"):
+            parse_config(str(path))
+
     def test_zero_duration_rejected(self, tmp_path):
         cfg = parse_config(write_cfg(tmp_path, "scenario.duration = 0\n"))
         with pytest.raises(ConfigError):
@@ -299,6 +314,15 @@ class TestVerifyCommand:
         assert len(checks) == 9 and all(hasattr(check, "__wrapped__") for check in checks)
         assert verify.check_group_affine(seed=0, trials=2).elapsed_s > 0.0
 
+    @pytest.mark.parametrize("check", ["check_switch_effectiveness", "check_transform_equals_switch", "check_ct_coincidence"])
+    def test_diverged_variant_fails_its_check(self, monkeypatch, check):
+        # the checks that compare two variants' runs fail, unmeasured, when a run diverges
+        from cteskf import verify
+
+        monkeypatch.setattr(verify, "run_scenario", lambda cfg, variant: (None, {"diverged": "boom"}))
+        result = getattr(verify, check)(duration=1.0)
+        assert (result.passed, result.measured, result.detail) == (False, np.inf, "diverged")
+
     def test_sign_flip_fails_closure(self, monkeypatch):
         from cteskf import verify
         from cteskf.errorstate import ErrorParam
@@ -316,6 +340,38 @@ class TestVerifyCommand:
         monkeypatch.setattr(verify, "transformation_matrix", flipped)
         bad = verify.check_transform_closure(seed=0, trials=5)
         assert ok.passed and not bad.passed
+
+
+class TestOutputLocation:
+    """An output location that cannot be written is one error line and
+    exit 2, before any work: it used to raise a traceback, after the whole
+    sweep or battery for `sweep` and `verify`."""
+
+    @pytest.mark.parametrize(
+        "command, text, work",
+        [("simulate", MINIMAL, "synthesize"), ("run", RUN_CFG, "run_scenario"), ("sweep", SWEEP_CFG, "monte_carlo_sweep")],
+        ids=["simulate", "run", "sweep"],
+    )
+    def test_out_that_is_a_file(self, tmp_path, capsys, monkeypatch, command, text, work):
+        import cteskf.cli as cli_mod
+
+        monkeypatch.setattr(cli_mod, work, lambda *args, **kwargs: pytest.fail("worked"))
+        taken = tmp_path / "taken"
+        taken.write_text("kept\n")
+        assert main([command, "--config", write_cfg(tmp_path, text), "--out", str(taken)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: cannot create output directory {str(taken)!r}: File exists\n"
+        assert taken.read_text() == "kept\n"
+
+    def test_report_in_a_missing_directory(self, tmp_path, capsys, monkeypatch):
+        from cteskf import verify
+
+        monkeypatch.setattr(verify, "run_all", lambda *args: pytest.fail("ran the battery"))
+        report = tmp_path / "missing" / "r.json"
+        assert main(["verify", "--out", str(report)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: cannot write the report {str(report)!r}: No such file or directory\n"
+        assert not report.parent.exists()
 
 
 class TestHelp:

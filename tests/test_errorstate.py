@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cteskf import lie
 from cteskf.errorstate import (
@@ -13,6 +17,7 @@ from cteskf.errorstate import (
 )
 from cteskf.filter import mechanize_sequence
 from cteskf.ins import EARTH_RADIUS, EarthModel, ImuSample, NavState, vel_frame_convert
+from cteskf.sensors import KINDS, observation_matrix
 
 PARAMS = [ErrorParam.ADDITIVE_EKF, ErrorParam.LEFT_INVARIANT, ErrorParam.RIGHT_INVARIANT]
 PAIRS = [(a, b) for a in PARAMS for b in PARAMS if a is not b]
@@ -326,3 +331,61 @@ class TestInjectError:
         chi_new = group_from_nav(out, earth)
         eta = lie.compose(lie.inverse(chi_hat), chi_new)
         np.testing.assert_allclose(lie.se23_log(eta), xi[:9], atol=1e-9)
+
+
+# a unit direction, a rotation angle near pi and an Earth-scale distance
+_directions = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda a: math.hypot(*a) > 0.1)
+_near_pi = st.floats(np.pi - 1e-3, np.pi)
+_earth_scale = st.floats(EARTH_RADIUS - 1e3, EARTH_RADIUS + 1e4)
+_triples = st.tuples(*[st.floats(-300.0, 300.0)] * 3)
+
+
+def _along(direction, length) -> np.ndarray:
+    d = np.array(direction)
+    return d * (length / np.linalg.norm(d))
+
+
+@st.composite
+def _members(draw):
+    """One bank member: a predicted state, an updated state and an error
+    state, the states turned by nearly pi at Earth-scale positions."""
+
+    def state():
+        return NavState(
+            lie.so3_exp(_along(draw(_directions), draw(_near_pi))), np.array(draw(_triples)),
+            _along(draw(_directions), draw(_earth_scale)), 1e-4 * np.array(draw(_triples)),
+            1e-3 * np.array(draw(_triples)),
+        )
+
+    phi = _along(draw(_directions), draw(st.floats(0.0, 3.1)))
+    return state(), state(), np.concatenate([phi, 0.01 * np.array(draw(st.tuples(*[_triples] * 4))).ravel()])
+
+
+class TestStackedForms:
+    """A bank is many runs at once: each stacked call gives every member
+    the bits of its own one-state call."""
+
+    @given(st.lists(_members(), min_size=2, max_size=4))
+    def test_each_member_keeps_its_bits(self, members):
+        earth = EarthModel()
+        minus = NavState.stack([m for m, _, _ in members])
+        plus = NavState.stack([p for _, p, _ in members])
+        xi = np.stack([e for _, _, e in members])
+
+        def same(stacked, one, i):
+            assert stacked[i].tobytes() == one.tobytes()
+
+        for i, (x_minus, x_plus, error) in enumerate(members):
+            for src, dst in PAIRS:
+                same(relation_matrix(src, dst, minus, earth), relation_matrix(src, dst, x_minus, earth), i)
+                same(
+                    transformation_matrix(src, dst, plus, minus, earth),
+                    transformation_matrix(src, dst, x_plus, x_minus, earth), i,
+                )
+            for param in PARAMS:
+                for kind in KINDS:
+                    same(observation_matrix(param, minus, kind, earth), observation_matrix(param, x_minus, kind, earth), i)
+                for mode in InjectionMode:
+                    stacked, one = inject_error(param, minus, xi, earth, mode), inject_error(param, x_minus, error, earth, mode)
+                    for name in ("att", "vel", "pos", "bg", "ba"):
+                        same(getattr(stacked, name), getattr(one, name), i)

@@ -20,6 +20,7 @@ from conftest import (
     imu_stream,
     initial_filter_bank,
     quiet_earth,
+    solo_inputs,
     solo_run,
     traced_call,
 )
@@ -777,9 +778,10 @@ class TestSegmentEngine:
         )
         sc = sim.synthesize(cfg)
         param, strategy = sim.variant_config(variant)
-        a0 = relation_matrix(EKF, param, sc.x0, sc.earth)
-        fs = FilterState(sc.x0, a0 @ sc.p0 @ a0.T, param, strategy, cfg.injection_mode(), cfg.imu.qc(), sc.earth)
-        return fs, sc.imu, sc.gnss
+        x0, p0 = sc.x0.select(0), sc.p0[0]
+        a0 = relation_matrix(EKF, param, x0, sc.earth)
+        fs = FilterState(x0, a0 @ p0 @ a0.T, param, strategy, cfg.injection_mode(), cfg.imu.qc(), sc.earth)
+        return fs, *solo_inputs(sc)
 
     @staticmethod
     def _assert_matches(run, reference):
@@ -853,7 +855,7 @@ class TestFilterBank:
         members = []
         for seed in seeds:
             sc = sim.synthesize(replace(cfg, seed=seed))
-            members.append((cls._filter(cfg, variant, sc), sc.imu, sc.gnss + sc.odo))
+            members.append((cls._filter(cfg, variant, sc).select(0), *solo_inputs(sc)))
         return members
 
     @classmethod

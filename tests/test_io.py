@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cteskf import io
-from cteskf.sensors import Observation
+from cteskf.sensors import Observation, select_members
 from cteskf.sim import ScenarioConfig, generate_truth, run_scenario, synthesize_imu, synthesize_observations
 
 
@@ -12,8 +12,9 @@ def dataset_dir(tmp_path):
     earth = cfg.earth()
     truth = generate_truth(cfg, earth)
     stream = synthesize_imu(truth, cfg.imu, cfg, earth, seed=9)
-    gnss = synthesize_observations(truth, "gnss_vel", 0.2, 1.0, cfg, seed=10)
-    odo = synthesize_observations(truth, "odo", 0.1, 10.0, cfg, seed=11)
+    # fixes drawn for one member, each value (3,)
+    gnss = [select_members(o, 0) for o in synthesize_observations(truth, "gnss_vel", 0.2, 1.0, cfg, [10])]
+    odo = [select_members(o, 0) for o in synthesize_observations(truth, "odo", 0.1, 10.0, cfg, [11])]
     io.write_imu(tmp_path / "imu.csv", stream.t, stream.gyro, stream.accel)
     io.write_observations(tmp_path / "gnss_vel.csv", "gnss_vel", gnss)
     io.write_observations(tmp_path / "odo.csv", "odo", odo)
@@ -111,6 +112,32 @@ class TestSchemaValidation:
             reader(p)
         assert err.value.line_no == 3
         assert "non-finite" in str(err.value)
+
+    @pytest.mark.parametrize(
+        "reader,header",
+        [
+            (io.read_imu, io.IMU_HEADER),
+            pytest.param(lambda p: io.read_observations(p, "gnss_vel"), io.GNSS_HEADER, id="gnss_vel"),
+            pytest.param(lambda p: io.read_observations(p, "odo"), io.ODO_HEADER, id="odo"),
+            (io.read_truth, io.TRUTH_HEADER),
+        ],
+    )
+    def test_non_utf8_byte_names_its_line(self, tmp_path, reader, header):
+        # a Latin-1 e-acute used to raise UnicodeDecodeError
+        good = ",".join(["0.0", "1.0", "0.0", "0.0"] + ["0.1"] * (len(header) - 4))
+        p = tmp_path / "data.csv"
+        p.write_bytes(f"# comment\n{','.join(header)}\n{good}\n".encode() + b"0.5,1\xe9\n")
+        with pytest.raises(io.CsvSchemaError, match="data.csv:4: byte 0xe9 at column 6 is not UTF-8") as err:
+            reader(p)
+        assert err.value.line_no == 4
+
+    def test_unopenable_file_names_its_path(self, tmp_path):
+        # a directory in the file's place used to raise IsADirectoryError
+        p = tmp_path / "imu.csv"
+        p.mkdir()
+        with pytest.raises(io.CsvSchemaError, match="imu.csv: cannot open the file") as err:
+            io.read_imu(p)
+        assert err.value.line_no is None and err.value.path == p
 
     def test_out_of_order_timestamps(self, tmp_path):
         p = tmp_path / "odo.csv"

@@ -251,13 +251,23 @@ class TestSynthesizeImu:
         b = synthesize_imu(truth, CONSUMER_IMU, cfg, earth, seed=42)
         assert np.array_equal(a.gyro, b.gyro) and np.array_equal(a.accel, b.accel)
 
-    def test_bias_truth_present(self):
+    def test_rates_are_the_ideal_plus_bias_and_noise(self):
+        # the errors in their draw order: the two constant biases, the gyro
+        # and accelerometer bias walks, then the gyro and accelerometer
+        # noise, each added to its bias before it is added to the rates
         cfg = small_cfg()
         earth = cfg.earth()
         truth = generate_truth(cfg, earth)
         stream = synthesize_imu(truth, CONSUMER_IMU, cfg, earth, seed=3)
-        assert stream.bias_gyro.shape == (len(stream.t), 3)
-        assert np.linalg.norm(stream.bias_gyro[0]) > 0.0
+        rng, dt, n, qc = np.random.default_rng(3), 1.0 / cfg.imu_rate, len(stream.t), CONSUMER_IMU.qc()
+        constants = [rng.normal(scale=s, size=3) for s in (CONSUMER_IMU.gyro_bias_si, CONSUMER_IMU.accel_bias_si)]
+        walks = [np.cumsum(rng.normal(scale=np.sqrt(qc[i, i] * dt), size=(n, 3)), axis=0) for i in (6, 9)]
+        densities = (CONSUMER_IMU.gyro_noise_density, CONSUMER_IMU.accel_noise_density)
+        ideal = sim._ideal_imu(truth, cfg, earth)
+        for rates, exact, constant, walk, density in zip((stream.gyro, stream.accel), ideal, constants, walks, densities):
+            noise = rng.normal(scale=density / np.sqrt(dt), size=(n, 3))
+            assert np.linalg.norm(constant) > 0.0
+            assert rates.tobytes() == (exact + (noise + (walk + constant))).tobytes()
 
 
 class TestPiecewiseSynthesis:
@@ -278,7 +288,7 @@ class TestPiecewiseSynthesis:
         def synthesized():
             truth = generate_truth(cfg, earth)
             imu = synthesize_imu(truth, cfg.imu, cfg, earth, np.random.SeedSequence([cfg.seed, 1]))
-            return [truth.t, truth.att, truth.vel, truth.pos, imu.t, imu.gyro, imu.accel, imu.bias_gyro, imu.bias_accel]
+            return [truth.t, truth.att, truth.vel, truth.pos, imu.t, imu.gyro, imu.accel]
 
         whole = synthesized()
         assert len(whole[0]) == 3001
@@ -306,11 +316,12 @@ class TestPiecewiseSynthesis:
         _, short_peak, short_kept = traced_call(sim._ideal_imu, short_truth, short, earth)
         ideal, peak, kept = traced_call(sim._ideal_imu, truth, cfg, earth)
         assert peak - kept <= short_peak - short_kept + TRACE_SLACK
-        # each bias walk is summed in its own draw, which the output keeps,
-        # and each noise draw is added to the rates through the one (n, 3)
-        # draw; the whole-leg form peaked at 3.2 MB beyond its outputs here
-        _, peak, kept = traced_call(sim._imu_with_errors, truth, ideal, cfg.imu, cfg, np.random.SeedSequence([cfg.seed, 1]))
-        assert peak - kept <= ideal[0].nbytes + TRACE_SLACK
+        # the errors are added in place: each bias walk is summed in its own
+        # (n, 3) draw and each noise draw is added to the rates through one
+        # more, and none is kept; the whole-leg form peaked at 3.2 MB beyond
+        # its outputs and its two kept bias walks here
+        _, peak, kept = traced_call(sim._imu_with_errors, *ideal, cfg.imu, 1.0 / rate, np.random.SeedSequence([cfg.seed, 1]))
+        assert kept <= TRACE_SLACK and peak <= 3 * ideal[0].nbytes + TRACE_SLACK
 
 
 class TestSynthesizeObservations:
@@ -318,17 +329,17 @@ class TestSynthesizeObservations:
         cfg = small_cfg()
         earth = cfg.earth()
         truth = generate_truth(cfg, earth)
-        obs = synthesize_observations(truth, "gnss_vel", 0.0, 1.0, cfg, seed=0)
+        obs = synthesize_observations(truth, "gnss_vel", 0.0, 1.0, cfg, [0])
         for o in obs:
             idx = int(round(o.time * cfg.imu_rate))
-            np.testing.assert_array_equal(o.value, truth.vel[idx])
+            np.testing.assert_array_equal(o.value, truth.vel[idx][None])
 
     def test_empirical_std_matches_sigma(self):
         cfg = small_cfg(kind="stationary", duration=100.0, imu_rate=100.0)
         earth = cfg.earth()
         truth = generate_truth(cfg, earth)
-        obs = synthesize_observations(truth, "odo", 0.1, 100.0, cfg, seed=5)
-        samples = np.array([o.value for o in obs])
+        obs = synthesize_observations(truth, "odo", 0.1, 100.0, cfg, [5])
+        samples = np.array([o.value[0] for o in obs])
         assert len(samples) >= 9000
         std = samples.std(axis=0)
         np.testing.assert_allclose(std, 0.1, rtol=0.05)
@@ -337,10 +348,10 @@ class TestSynthesizeObservations:
         cfg = small_cfg()
         earth = cfg.earth()
         truth = generate_truth(cfg, earth)
-        obs = synthesize_observations(truth, "odo", 0.0, 10.0, cfg, seed=0)
+        obs = synthesize_observations(truth, "odo", 0.0, 10.0, cfg, [0])
         for o in obs[:20]:
             # forward axis carries the speed, lateral/vertical are zero
-            np.testing.assert_allclose(o.value, [cfg.speed, 0.0, 0.0], atol=1e-9)
+            np.testing.assert_allclose(o.value, [[cfg.speed, 0.0, 0.0]], atol=1e-9)
 
     @pytest.mark.parametrize("sigma", [0.0, 0.3])
     @pytest.mark.parametrize("kind", ["gnss_vel", "odo"])
@@ -355,11 +366,11 @@ class TestSynthesizeObservations:
             value = truth.vel[idx] if kind == "gnss_vel" else truth.att[idx].T @ truth.vel[idx]
             noise = rng.normal(scale=sigma, size=3) if sigma > 0.0 else 0.0
             reference.append((truth.t[idx], value + noise, np.full(3, max(sigma, 1e-12))))
-        obs = synthesize_observations(truth, kind, sigma, 50.0, cfg, seed=8)
+        obs = synthesize_observations(truth, kind, sigma, 50.0, cfg, [8])
         assert len(obs) == len(reference) == 1476
         for o, (time, value, sigmas) in zip(obs, reference):
-            assert o.kind == kind and o.time == time
-            assert o.value.tobytes() == value.tobytes() and o.sigma.tobytes() == sigmas.tobytes()
+            assert o.kind == kind and o.time == time and o.value.shape == (1, 3)
+            assert o.value[0].tobytes() == value.tobytes() and o.sigma.tobytes() == sigmas.tobytes()
 
 
 class TestRunScenario:
@@ -601,7 +612,7 @@ class TestMonteCarloSweep:
 class TestSynthesize:
     @staticmethod
     def assert_same_inputs(a, b, sensors=("gnss", "odo")):
-        for name in ("t", "gyro", "accel", "bias_gyro", "bias_accel"):
+        for name in ("t", "gyro", "accel"):
             assert np.array_equal(getattr(a.imu, name), getattr(b.imu, name)), name
         for sensor in sensors:
             obs_a, obs_b = getattr(a, sensor), getattr(b, sensor)
@@ -631,25 +642,39 @@ class TestSynthesize:
         cfg = small_cfg(use_odo=True, init_att_err_deg=(20.0, 10.0, 0.0), **sigmas)
         members = [(90.0, 7), (-45.0, 7), (90.0, 8), (-45.0, 8)]
         bank = synthesize(cfg, members)
-        assert bank.imu.gyro.shape == (len(members), len(bank.imu.t), 3) and bank.imu.bias_gyro is None
+        assert bank.imu.gyro.shape == (len(members), len(bank.imu.t), 3)
         for i, (yaw, seed) in enumerate(members):
             solo = synthesize(replace(cfg, seed=seed, init_att_err_deg=(20.0, 10.0, yaw)))
             for name in ("t", "att", "vel", "pos"):
                 assert getattr(bank.truth, name).tobytes() == getattr(solo.truth, name).tobytes(), name
             assert bank.imu.t.tobytes() == solo.imu.t.tobytes() and bank.imu.dt == solo.imu.dt
             for name in ("gyro", "accel"):
-                assert getattr(bank.imu, name)[i].tobytes() == getattr(solo.imu, name).tobytes(), name
+                assert getattr(bank.imu, name)[i].tobytes() == getattr(solo.imu, name)[0].tobytes(), name
             for sensor in ("gnss", "odo"):
                 fixes, own = getattr(bank, sensor), getattr(solo, sensor)
                 assert len(fixes) == len(own) > 0
                 for fix, obs in zip(fixes, own):
                     assert (fix.kind, fix.time) == (obs.kind, obs.time)
-                    assert fix.value.shape == (len(members), 3) and fix.value[i].tobytes() == obs.value.tobytes()
+                    assert fix.value.shape == (len(members), 3) and fix.value[i].tobytes() == obs.value[0].tobytes()
                     assert fix.sigma.tobytes() == obs.sigma.tobytes()
             for name, value in vars(solo.x0).items():
                 got = getattr(bank.x0, name)
-                assert (got[i].tobytes() == value.tobytes()) if name != "time" else got == value, name
-            assert bank.p0[i].tobytes() == solo.p0.tobytes()
+                assert (got[i].tobytes() == value[0].tobytes()) if name != "time" else got == value, name
+            assert bank.p0[i].tobytes() == solo.p0[0].tobytes()
+
+    def test_a_run_is_a_bank_of_one(self):
+        # synthesize(cfg) is the bank of cfg's own yaw error and seed, and
+        # its IMU rates are the bits of synthesize_imu on its IMU seed stream
+        cfg = small_cfg(use_odo=True, init_att_err_deg=(20.0, 10.0, 30.0), seed=5)
+        one = synthesize(cfg)
+        self.assert_same_inputs(one, synthesize(cfg, [(30.0, 5)]))
+        n = len(one.imu.t)
+        assert one.imu.gyro.shape == one.imu.accel.shape == (1, n, 3)
+        assert one.x0.att.shape == (1, 3, 3) and one.p0.shape == (1, 15, 15)
+        assert {obs.value.shape for obs in one.gnss + one.odo} == {(1, 3)}
+        alone = synthesize_imu(one.truth, cfg.imu, cfg, one.earth, np.random.SeedSequence([cfg.seed, 1]))
+        assert alone.gyro.shape == (n, 3) and alone.t.tobytes() == one.imu.t.tobytes()
+        assert alone.gyro.tobytes() == one.imu.gyro.tobytes() and alone.accel.tobytes() == one.imu.accel.tobytes()
 
     def test_unaided_bank_has_no_observations(self):
         bank = synthesize(small_cfg(use_gnss=False), [(0.0, 1), (30.0, 2)])
@@ -702,20 +727,20 @@ def left_invariant_traces(cfg, record_every=None):
     at the end of each: {param: (M, 5) block traces}, the initial epoch
     first."""
     sc = synthesize(cfg)
-    imu, earth = sc.imu, sc.earth
-    atts, vels, poss = mechanize_sequence(sc.x0, imu.gyro, imu.accel, imu.dt, earth)
-    every = record_every or max(1, len(imu.t) // 200)
+    x0, p0, gyro, accel, dt, earth = sc.x0.select(0), sc.p0[0], sc.imu.gyro[0], sc.imu.accel[0], sc.imu.dt, sc.earth
+    atts, vels, poss = mechanize_sequence(x0, gyro, accel, dt, earth)
+    every = record_every or max(1, len(gyro) // 200)
     out = {}
     for param in PARAMS:
-        a0 = relation_matrix(ErrorParam.ADDITIVE_EKF, param, sc.x0, earth)
-        p = a0 @ sc.p0 @ a0.T
+        a0 = relation_matrix(ErrorParam.ADDITIVE_EKF, param, x0, earth)
+        p = a0 @ p0 @ a0.T
         traces = []
-        for m in range(0, len(imu.t) + 1, every):
+        for m in range(0, len(gyro) + 1, every):
             if m:
                 window = slice(m - every, m + 1)
                 p, _ = propagate_covariance_sequence(
-                    param, p, atts[window], vels[window], poss[window], imu.gyro[m - every : m],
-                    imu.accel[m - every : m], np.zeros(3), np.zeros(3), imu.dt, cfg.imu.qc(), earth,
+                    param, p, atts[window], vels[window], poss[window], gyro[m - every : m],
+                    accel[m - every : m], np.zeros(3), np.zeros(3), dt, cfg.imu.qc(), earth,
                 )
             x = NavState(atts[m], vels[m], poss[m])
             rel = relation_matrix(param, ErrorParam.LEFT_INVARIANT, x, earth)

@@ -1,5 +1,5 @@
 import numpy as np
-from conftest import assert_spd, solo_run
+from conftest import assert_spd, solo_inputs, solo_run
 
 from cteskf.sim import ScenarioConfig, run_scenario
 
@@ -30,7 +30,7 @@ class TestStatisticalSanity:
         )
         sc = synthesize(cfg)
         fs = FilterState(sc.x0, sc.p0, ErrorParam.ADDITIVE_EKF, mixed_sensor_strategy(),
-                         InjectionMode.RETRACTION, cfg.imu.qc(), sc.earth)
+                         InjectionMode.RETRACTION, cfg.imu.qc(), sc.earth).select(0)
         checked = 0
 
         def check(before, after):
@@ -38,6 +38,6 @@ class TestStatisticalSanity:
             assert_spd(after.P)
             checked += 1
 
-        run = solo_run(fs, sc.imu, sc.gnss + sc.odo, check)
+        run = solo_run(fs, *solo_inputs(sc), check)
         assert run.diverged is None
         assert checked > 100
